@@ -1,9 +1,11 @@
 """Command-line interface.
 
 One binary with subcommands; every run writes a JSON report (stdout or
---output).  Exact scalar values serialize as 'p/q' strings, float-mode
-values as decimals with an explicit mode marker.  Exit status: 0 success,
-1 validation error, 2 internal invariant failure.
+--output).  The subcommands that produce a drawing (gen-fixture,
+gen-hexgrid, lift-sphere) write the drawing to --output instead, and
+their report then goes to stdout.  Exact scalar values serialize as 'p/q'
+strings, float-mode values as decimals with an explicit mode marker.
+Exit status: 0 success, 1 validation error, 2 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -49,6 +51,20 @@ def _write_report(doc, path: Optional[str]):
             fh.write(data + "\n")
 
 
+def _save_drawing(drawing: SpatialDrawing, args) -> dict:
+    """Write ``drawing`` to --output, which then no longer receives the
+    report: the report goes to stdout."""
+    path = args.output
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(encode_drawing(drawing).decode("utf-8") + "\n")
+    args.output = None
+    return {"written": path}
+
+
+def _has_output(args) -> bool:
+    return bool(args.output) and args.output != "-"
+
+
 def _point_doc(p):
     return [rat_to_str(c) for c in p]
 
@@ -82,9 +98,11 @@ def cmd_count_crossings(args) -> dict:
     d = decode_drawing(_read_input(args.input))
     rep = counting.count_line_crossings(
         d, args.k, mode=args.mode, want_witnesses=args.witnesses,
-        tol=args.tol, threads=args.threads)
+        tol=args.tol)
     doc = {"mode": rep.mode, "k": rep.k, "count": rep.count,
-           "tuples_total": rep.tuples_total, "elapsed": rep.elapsed}
+           "tuples_total": rep.tuples_total,
+           "tuples_after_prefilter": rep.tuples_after_prefilter,
+           "elapsed": rep.elapsed}
     if rep.witnesses is not None:
         doc["witnesses"] = [_witness_doc(w) for w in rep.witnesses]
     return doc
@@ -98,12 +116,9 @@ def cmd_count_planar(args) -> dict:
 def cmd_lift_sphere(args) -> dict:
     d = decode_drawing(_read_input(args.input))
     lifted = counting.lift_to_sphere(d, args.subdivision, seed=args.seed)
-    out = encode_drawing(lifted).decode("utf-8")
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-        return {"written": args.output, "subdivision": args.subdivision}
-    print(out)
+    if _has_output(args):
+        return dict(_save_drawing(lifted, args), subdivision=args.subdivision)
+    print(encode_drawing(lifted).decode("utf-8"))
     return {}
 
 
@@ -124,10 +139,8 @@ def cmd_gen_hexgrid(args) -> dict:
     doc = {"k": args.k, "subdivision": args.subdivision,
            "vertices": hc.graph.n, "edges": hc.graph.m,
            "special_edge": list(hc.special_edge)}
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(encode_drawing(hc.drawing).decode("utf-8") + "\n")
-        doc["written"] = args.output
+    if _has_output(args):
+        doc.update(_save_drawing(hc.drawing, args))
     return doc
 
 
@@ -205,12 +218,9 @@ def cmd_gen_fixture(args) -> dict:
     params = json.loads(args.params) if args.params else {}
     obj = generators.seeded_generators(args.kind, params, args.seed)
     if isinstance(obj, SpatialDrawing):
-        out = encode_drawing(obj).decode("utf-8")
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
-            return {"kind": args.kind, "written": args.output}
-        print(out)
+        if _has_output(args):
+            return dict(_save_drawing(obj, args), kind=args.kind)
+        print(encode_drawing(obj).decode("utf-8"))
         return {}
     if isinstance(obj, tuple) and obj and isinstance(obj[0], PolygonalCycle):
         return {"cycles": [[_point_doc(p) for p in c.points] for c in obj]}
@@ -237,21 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
         if input_arg:
             p.add_argument("--input", help="input document path (- for stdin)")
         p.add_argument("--output", help="report path (default stdout)")
+        return p
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=["exact", "float"], default="exact")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--budget", type=int, default=200000)
+        return p
+
+    def subdivision(p):
         p.add_argument("--subdivision", type=int, default=8)
-        p.add_argument("--threads", type=int, default=1)
         return p
 
     p = common(sub.add_parser("count-crossings"))
     p.add_argument("--k", type=int, choices=[3, 4], default=4)
+    p.add_argument("--mode", choices=["exact", "float"], default="exact")
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--witnesses", action="store_true")
     p.set_defaults(func=cmd_count_crossings)
 
     common(sub.add_parser("count-planar")).set_defaults(func=cmd_count_planar)
-    common(sub.add_parser("lift-sphere")).set_defaults(func=cmd_lift_sphere)
+    p = subdivision(seed(common(sub.add_parser("lift-sphere"))))
+    p.set_defaults(func=cmd_lift_sphere)
 
     p = common(sub.add_parser("gen-stair"), input_arg=False)
     p.add_argument("--n", type=int, required=True)
@@ -259,22 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-bounds", action="store_true")
     p.set_defaults(func=cmd_gen_stair)
 
-    p = common(sub.add_parser("gen-hexgrid"), input_arg=False)
+    p = subdivision(seed(common(sub.add_parser("gen-hexgrid"), input_arg=False)))
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_gen_hexgrid)
 
     common(sub.add_parser("linking")).set_defaults(func=cmd_linking)
-    common(sub.add_parser("conway-gordon")).set_defaults(func=cmd_conway_gordon)
+    seed(common(sub.add_parser("conway-gordon"))).set_defaults(
+        func=cmd_conway_gordon)
     common(sub.add_parser("transversal-4cycles")).set_defaults(
         func=cmd_transversal_4cycles)
-    common(sub.add_parser("witness-pipeline")).set_defaults(
-        func=cmd_witness_pipeline)
+    p = seed(common(sub.add_parser("witness-pipeline")))
+    p.add_argument("--budget", type=int, default=200000)
+    p.set_defaults(func=cmd_witness_pipeline)
     common(sub.add_parser("order-types"), input_arg=False).set_defaults(
         func=cmd_order_types)
     common(sub.add_parser("yao-yao")).set_defaults(func=cmd_yao_yao)
     common(sub.add_parser("same-type")).set_defaults(func=cmd_same_type)
 
-    p = common(sub.add_parser("gen-fixture"), input_arg=False)
+    p = seed(common(sub.add_parser("gen-fixture"), input_arg=False))
     p.add_argument("--kind", required=True)
     p.add_argument("--params", help="JSON parameter object")
     p.set_defaults(func=cmd_gen_fixture)

@@ -1,12 +1,23 @@
 """Crossing counts for spatial drawings.
 
 ``count_line_crossings`` counts vertex-disjoint k-tuples of edges (k = 3
-or 4) admitting a common transversal line.  Exact mode certifies every
-counted tuple through the exact predicate; a staged floating-point
-prefilter (enclosing-ball collinearity tests, then a numeric transversal
-feasibility check with a safety margin) discards tuples that are far from
-admitting a transversal.  Tuples the prefilter cannot safely reject are
-always passed to exact arithmetic.
+or 4) admitting a common transversal line.  A two-level floating-point
+filter runs before the exact predicate, and both levels apply the same
+two vectorized tests, ``_collinear_possible`` on enclosing balls and, for
+k = 4, ``_stab_batch``, a 2D stabbing test in a projection:
+
+1. per edge tuple, on the edges' enclosing balls and on their straight
+   chords fattened by the polyline width;
+2. per segment combination (one segment of each edge), for all tuples
+   that pass level 1 at once, on the segments themselves.  For k = 4 a
+   combination that passes is also dropped when its numeric regulus
+   margin (``_float_feasibility``) is clearly negative.
+
+Every remaining combination goes to the exact predicate
+``transversal_exists_segments``, tuple by tuple in lexicographic order of
+the combinations, and a tuple stops at its first transversal.  The float
+rejections carry safety margins but are not certified; with
+``prefilter=False`` no float test runs and exact mode is all-exact.
 """
 
 from __future__ import annotations
@@ -14,22 +25,23 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .drawing import Edge, Graph, SpatialDrawing
-from .errors import DegenerateInput, ValidationError
-from .geometry import (PluckerLine, Segment3, plucker_from_segment,
-                       segments_intersect_2d, transversal_exists_segments,
-                       v_add, v_cross, v_scale, v_sub)
-from .scalars import QuadExt, rat
+from .errors import ValidationError
+from .geometry import (PluckerLine, Segment3, segments_intersect_2d,
+                       transversal_exists_segments)
 
 # margin used by the float prefilter when rejecting; anything closer to
 # feasibility than this goes to the exact path
 REJECT_MARGIN = 1e-6
+
+# rows (tuples or segment combinations) per vectorized filter batch
+_CHUNK = 262144
 
 
 @dataclass
@@ -204,18 +216,16 @@ def _edge_data(d: SpatialDrawing, e: Edge) -> _EdgeData:
                      tuple(cp), tuple(cq), width)
 
 
-def _chord_stab_batch(chord_p, chord_q, widths, tuples) -> np.ndarray:
-    """Vectorized necessary 2D stabbing test over tuple batches.
+def _stab_batch(P: np.ndarray, Q: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Vectorized necessary 2D stabbing test for four fattened segments.
 
-    For each tuple, project the four fattened edge chords along the axis
-    most normal to the configuration and ask whether some line through two
-    chord endpoints stabs all four within their width slack; a transversal
-    would project to such a stabber.  Returns a keep mask.
+    P, Q: (rows, 4, 3) segment endpoints, W: (rows, 4) widths by which
+    each segment may be fattened.  For each row, project the segments
+    along the axis most normal to them and ask whether some line through
+    two projected endpoints stabs all four within their width slack; a
+    transversal would project to such a stabber.  Returns a keep mask.
     """
-    m = len(tuples)
-    P = chord_p[tuples]          # (m, 4, 3)
-    Q = chord_q[tuples]
-    W = widths[tuples]           # (m, 4)
+    m = len(P)
     dirs = Q - P
     best = np.zeros((m, 3))
     best_n = np.zeros(m)
@@ -226,7 +236,7 @@ def _chord_stab_batch(chord_p, chord_q, widths, tuples) -> np.ndarray:
             take = n2 > best_n
             best[take] = ax[take]
             best_n[take] = n2[take]
-    keep_parallel = best_n == 0.0   # all chords parallel: no useful axis
+    keep_parallel = best_n == 0.0   # all segments parallel: no useful axis
     nrm = np.sqrt(np.maximum(best_n, 1e-300))
     axis = best / nrm[:, None]
     # in-plane frame
@@ -264,63 +274,6 @@ def _chord_stab_batch(chord_p, chord_q, widths, tuples) -> np.ndarray:
     return ok | keep_parallel
 
 
-def _tuple_chord_stab(eds) -> bool:
-    """Necessary 2D condition: projected fattened chords admit a stabber.
-
-    Projects the four edge chords along the direction most normal to the
-    configuration (largest cross product of two chord directions) and asks
-    whether some line through two chord endpoints stabs all four chords
-    with slack for their polyline widths.  Any true transversal projects
-    to such a stabber, so a clearly negative answer is a sound rejection.
-    """
-    chords = [(ed.chord_p, ed.chord_q, ed.chord_width) for ed in eds]
-    dirs = [_fsub(c[1], c[0]) for c in chords]
-    best_axis, best_norm = None, 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ax = _fcross(dirs[i], dirs[j])
-            n2 = _fdot(ax, ax)
-            if n2 > best_norm:
-                best_norm, best_axis = n2, ax
-    if best_axis is None or best_norm == 0.0:
-        return True  # all chords parallel: no useful projection
-    n = math.sqrt(best_norm)
-    axis = (best_axis[0] / n, best_axis[1] / n, best_axis[2] / n)
-    if abs(axis[0]) <= abs(axis[1]) and abs(axis[0]) <= abs(axis[2]):
-        e1 = (0.0, -axis[2], axis[1])
-    elif abs(axis[1]) <= abs(axis[2]):
-        e1 = (-axis[2], 0.0, axis[0])
-    else:
-        e1 = (-axis[1], axis[0], 0.0)
-    n1 = math.sqrt(_fdot(e1, e1)) or 1.0
-    e1 = (e1[0] / n1, e1[1] / n1, e1[2] / n1)
-    e2 = _fcross(axis, e1)
-    P = [( _fdot(c[0], e1), _fdot(c[0], e2)) for c in chords]
-    Q = [( _fdot(c[1], e1), _fdot(c[1], e2)) for c in chords]
-    W = [c[2] for c in chords]
-    ends = P + Q
-    widths = W + W
-    for a in range(8):
-        for b in range(a + 1, 8):
-            pa, pb = ends[a], ends[b]
-            ux, uy = pb[0] - pa[0], pb[1] - pa[1]
-            ln = math.hypot(ux, uy)
-            if ln < 1e-300:
-                continue
-            ux, uy = ux / ln, uy / ln
-            slack0 = 2 * (widths[a] + widths[b]) + 1e-9
-            ok = True
-            for i in range(4):
-                sp = (P[i][0] - pa[0]) * uy - (P[i][1] - pa[1]) * ux
-                sq = (Q[i][0] - pa[0]) * uy - (Q[i][1] - pa[1]) * ux
-                if sp * sq > 0 and min(abs(sp), abs(sq)) > 2 * W[i] + slack0:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
-
-
 def _collinear_possible(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Vectorized necessary condition for stabbing k balls with one line.
 
@@ -343,16 +296,51 @@ def _collinear_possible(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _float_feasibility(segquad) -> float:
+def _stab_filter(idx: np.ndarray, centers, radii, ends_p, ends_q,
+                 widths) -> np.ndarray:
+    """Keep mask of the rows of ``idx`` (item indices, one row per tuple
+    of items) that pass the ball test and, for k = 4, the 2D stabbing test.
+    The items are edges (balls, chords and chord widths) or segments."""
+    keep = _collinear_possible(centers[idx], radii[idx])
+    if idx.shape[1] == 4 and keep.any():
+        sub = idx[keep]
+        keep[keep] = _stab_batch(ends_p[sub], ends_q[sub], widths[sub])
+    return keep
+
+
+def _segment_combinations(tuples: np.ndarray, first: np.ndarray):
+    """Every choice of one segment per edge for every edge tuple.
+
+    ``first[e]`` is the index of edge e's first segment and ``first[e+1]``
+    one past its last.  Yields (tuple index, segment indices) blocks of at
+    most ``_CHUNK`` rows, in tuple order and lexicographic order of the
+    choices within a tuple.
+    """
+    sizes = (first[1:] - first[:-1])[tuples]        # (t, k)
+    counts = sizes.prod(axis=1)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _CHUNK):
+        flat = np.arange(lo, min(lo + _CHUNK, total))
+        t = np.searchsorted(ends, flat, side="right")
+        local = flat - (ends[t] - counts[t])
+        segs = np.empty((len(flat), tuples.shape[1]), dtype=np.int64)
+        for i in reversed(range(tuples.shape[1])):
+            segs[:, i] = first[tuples[t, i]] + local % sizes[t, i]
+            local //= sizes[t, i]
+        yield t, segs
+
+
+def _float_feasibility(ends_p, ends_q) -> float:
     """Numeric feasibility margin for a 4-segment transversal.
 
-    Positive margins indicate a likely transversal, strongly negative ones
-    safe rejection; +inf means float arithmetic cannot be trusted on this
-    configuration and the caller must decide exactly.  Coordinates are
+    ends_p, ends_q: the four segments' float endpoints.  Positive margins
+    indicate a likely transversal, strongly negative ones safe rejection;
+    +inf means the supporting lines are too close to degenerate for float
+    arithmetic and the caller must decide exactly.  Coordinates are
     centred and rescaled so thresholds are honest absolute constants.
     """
-    pts = [[float(c) for c in s.p] for s in segquad] + \
-          [[float(c) for c in s.q] for s in segquad]
+    pts = ends_p + ends_q
     cx = sum(p[0] for p in pts) / 8
     cy = sum(p[1] for p in pts) / 8
     cz = sum(p[2] for p in pts) / 8
@@ -386,12 +374,9 @@ def _float_feasibility(segquad) -> float:
         # like 1/skew^2, so reject only beyond that uncertainty
         margin = _regulus_feasibility(p, q, d, mo, best_order)
         uncertainty = 1e-14 / (best_s * best_s) + 1e-9
-        if uncertainty > 0.3 or math.isinf(margin):
-            return _degenerate_feasibility(p, q, d)
-        if margin < -uncertainty:
+        if uncertainty <= 0.3 and -math.inf < margin < -uncertainty:
             return margin
-        return math.inf  # inside the uncertainty band: decide exactly
-    return _degenerate_feasibility(p, q, d)
+    return math.inf
 
 
 def _fsub(a, b):
@@ -475,224 +460,21 @@ def _regulus_feasibility(p, q, d, mo, order) -> float:
     return best
 
 
-def _degenerate_feasibility(p, q, d) -> float:
-    """Margin when no supporting-line triple is comfortably skew.
-
-    Two sound necessary conditions cover the degenerate structures seen in
-    near-spherical drawings: the projection of any transversal along the
-    configuration's thinnest axis must stab the projected segments, and
-    for a two-cluster quadruple the transversal must hug one of the two
-    canonical candidate lines.
-    """
-    pts = p + q
-    # covariance of the 8 endpoints; its smallest axis is the projection
-    cov = [[sum(a[i] * a[j] for a in pts) for j in range(3)] for i in range(3)]
-    normal = _smallest_axis(cov)
-    if normal is None:
-        return math.inf
-    m2d = _stab2d_margin(p, q, normal)
-    if m2d < -REJECT_MARGIN:
-        return m2d
-    mcl = _cluster_feasibility(p, q, d)
-    if mcl is not None:
-        return mcl
-    return math.inf
-
-
-def _smallest_axis(cov):
-    """Unit eigenvector of the smallest eigenvalue of a 3x3 covariance."""
-    try:
-        w, v = np.linalg.eigh(np.array(cov))
-    except np.linalg.LinAlgError:
-        return None
-    axis = v[:, 0]
-    n = math.sqrt(float(axis @ axis))
-    if n == 0:
-        return None
-    return (float(axis[0]) / n, float(axis[1]) / n, float(axis[2]) / n)
-
-
-def _stab2d_margin(p, q, axis) -> float:
-    """Best stabbing margin of the segments projected along ``axis``.
-
-    A 3D transversal projects onto a 2D line (or point) stabbing all four
-    projected segments, and some line through two projected endpoints then
-    stabs them as well, so the margin over those candidates bounds the
-    3D feasibility from above.
-    """
-    ax, ay, az = axis
-    # build two in-plane axes
-    if abs(ax) <= abs(ay) and abs(ax) <= abs(az):
-        e1 = (0.0, -az, ay)
-    elif abs(ay) <= abs(az):
-        e1 = (-az, 0.0, ax)
-    else:
-        e1 = (-ay, ax, 0.0)
-    n1 = math.sqrt(_fdot(e1, e1)) or 1.0
-    e1 = (e1[0] / n1, e1[1] / n1, e1[2] / n1)
-    e2 = _fcross(axis, e1)
-
-    P = [(_fdot(v, e1), _fdot(v, e2)) for v in p]
-    Q = [(_fdot(v, e1), _fdot(v, e2)) for v in q]
-    ends = P + Q
-    best = -math.inf
-    for a in range(8):
-        for b in range(a + 1, 8):
-            pa, pb = ends[a], ends[b]
-            ux, uy = pb[0] - pa[0], pb[1] - pa[1]
-            ln = math.hypot(ux, uy)
-            if ln < 1e-12:
-                continue
-            ux, uy = ux / ln, uy / ln
-            margin = math.inf
-            for i in range(4):
-                sp = (P[i][0] - pa[0]) * uy - (P[i][1] - pa[1]) * ux
-                sq = (Q[i][0] - pa[0]) * uy - (Q[i][1] - pa[1]) * ux
-                if sp * sq <= 0:
-                    m = min(abs(sp), abs(sq))
-                else:
-                    m = -min(abs(sp), abs(sq))
-                margin = min(margin, m)
-                if margin < best:
-                    break
-            best = max(best, margin)
-    return best if best > -math.inf else math.inf
-
-
-def _cluster_feasibility(p, q, d):
-    """Margin for the two-cluster structure, or None when not applicable.
-
-    When the four supporting lines split into two pairs of nearly
-    intersecting lines, every transversal hugs either the join of the two
-    near-intersection points or the meet of the two near-planes.
-    """
-    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-    best_pairing, best_gap = None, math.inf
-    for pairing in pairings:
-        gaps = []
-        ok = True
-        for (i, j) in pairing:
-            info = _line_gap(p[i], d[i], p[j], d[j])
-            if info is None:
-                ok = False
-                break
-            gaps.append(info)
-        if not ok:
-            continue
-        worst = max(g[1] for g in gaps)
-        if worst < best_gap:
-            best_gap = worst
-            best_pairing = gaps
-    if best_pairing is None or best_gap > 0.02:
-        return None
-    (x1, g1, n1), (x2, g2, n2) = best_pairing
-    delta = 8 * (g1 + g2) + 1e-9
-    # a transversal through one near-intersection but inside the other
-    # pair's plane evades both candidates; escalate in that case
-    nn1 = math.sqrt(_fdot(n1, n1)) or 1.0
-    nn2 = math.sqrt(_fdot(n2, n2)) or 1.0
-    if abs(_fdot(_fsub(x1, x2), n2)) / nn2 < delta or \
-            abs(_fdot(_fsub(x2, x1), n1)) / nn1 < delta:
-        return math.inf
-
-    candidates = []
-    axis = _fsub(x2, x1)
-    if math.sqrt(_fdot(axis, axis)) > 1e-9:
-        candidates.append((x1, axis))
-    meet_dir = _fcross(n1, n2)
-    if math.sqrt(_fdot(meet_dir, meet_dir)) > 1e-12 * nn1 * nn2:
-        e2 = -_fdot(n2, x2)
-        w = _fcross(meet_dir, n1)
-        denom = _fdot(w, n2)
-        if abs(denom) > 1e-300:
-            lam = -(e2 + _fdot(n2, x1)) / denom
-            candidates.append((_faxpy(x1, lam, w), meet_dir))
-    if not candidates:
-        return math.inf
-
-    best = -math.inf
-    for origin, direction in candidates:
-        dl = math.sqrt(_fdot(direction, direction))
-        if dl == 0:
-            continue
-        direction = (direction[0] / dl, direction[1] / dl, direction[2] / dl)
-        margin = math.inf
-        for i in range(4):
-            w = _fcross(d[i], direction)
-            wl = math.sqrt(_fdot(w, w))
-            if wl < 1e-6 * math.sqrt(_fdot(d[i], d[i])):
-                margin = math.inf  # candidate parallel to a segment: exact
-                break
-            w0 = _fsub(origin, p[i])
-            u = _fdot(_fcross(w0, direction), w) / (wl * wl)
-            miss = abs(_fdot(w0, w)) / wl
-            slack = delta / wl + 1e-6
-            margin = min(margin, u + slack, 1 + slack - u,
-                         (delta - miss) / wl + 1e-6)
-        if math.isinf(margin):
-            return math.inf
-        best = max(best, margin)
-    return best
-
-
-def _line_gap(p1, d1, p2, d2):
-    """Closest approach of two lines: (midpoint, gap, normal) or None."""
-    a = _fdot(d1, d1)
-    b = _fdot(d1, d2)
-    c = _fdot(d2, d2)
-    den = a * c - b * b
-    if a * c <= 0 or den / (a * c) < 1e-10:
-        return None  # nearly parallel
-    w0 = _fsub(p2, p1)
-    s = (c * _fdot(d1, w0) - b * _fdot(d2, w0)) / den
-    t = (b * _fdot(d1, w0) - a * _fdot(d2, w0)) / den
-    f1 = _faxpy(p1, s, d1)
-    f2 = _faxpy(p2, t, d2)
-    mid = ((f1[0] + f2[0]) / 2, (f1[1] + f2[1]) / 2, (f1[2] + f2[2]) / 2)
-    gap = math.sqrt(_fdot(_fsub(f1, f2), _fsub(f1, f2)))
-    return mid, gap, _fcross(d1, d2)
-
-
-def _tuple_has_transversal_exact(edge_datas, want_witness):
-    """Exact decision over all segment combinations of a k-tuple."""
-    seg_lists = [ed.segments for ed in edge_datas]
-    combo_centers = [ed.seg_center for ed in edge_datas]
-    combo_radii = [ed.seg_radius for ed in edge_datas]
-    k = len(seg_lists)
-    sizes = [len(s) for s in seg_lists]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > 1:
-        grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1)
-        centers = np.stack([combo_centers[i][idx[:, i]] for i in range(k)], axis=1)
-        radii = np.stack([combo_radii[i][idx[:, i]] for i in range(k)], axis=1)
-        keep = _collinear_possible(centers, radii)
-        idx = idx[keep]
-    else:
-        idx = np.zeros((1, k), dtype=int)
-    for row in idx:
-        segs = [seg_lists[i][int(row[i])] for i in range(k)]
-        if k == 4:
-            margin = _float_feasibility(segs)
-            if margin < -REJECT_MARGIN:
-                continue
-        res = transversal_exists_segments(segs)
-        if res.exists:
-            contacts = [(int(row[i]), res.params[i]) for i in range(k)]
-            return True, res.line, contacts
-    return False, None, None
-
-
 def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
                          want_witnesses: bool = False, tol: float = 1e-9,
-                         prefilter: bool = True, threads: int = 1) -> CrossingReport:
+                         prefilter: bool = True) -> CrossingReport:
     """Count vertex-disjoint k-tuples of edges pierced by a common line.
 
     A tuple counts once no matter how many transversal lines it admits.
-    In exact mode every counted tuple carries an exactly verified witness;
-    float mode trusts the numeric feasibility margin against ``tol``.
+    With ``prefilter`` the two-level float filter of the module docstring
+    drops tuples, then segment combinations, before the exact predicate;
+    ``tuples_after_prefilter`` counts the tuples the first level keeps.
+    ``prefilter=False`` turns every float test off: each combination of
+    each tuple goes to the exact predicate, so exact mode is all-exact.
+    In exact mode every counted tuple carries an exactly verified witness.
+    Float mode decides a k = 4 tuple of straight edges by the numeric
+    feasibility margin against ``tol`` when that margin is finite, and
+    everything else as exact mode does.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
@@ -700,12 +482,12 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
         raise ValueError("mode must be 'exact' or 'float'")
     t0 = time.time()
     g = d.graph
-    edge_datas = {e: _edge_data(d, e) for e in g.edges}
-    centers = np.array([edge_datas[e].center for e in g.edges])
-    radii = np.array([edge_datas[e].radius for e in g.edges])
-    chord_p = np.array([edge_datas[e].chord_p for e in g.edges])
-    chord_q = np.array([edge_datas[e].chord_q for e in g.edges])
-    chord_w = np.array([edge_datas[e].chord_width for e in g.edges])
+    eds = [_edge_data(d, e) for e in g.edges]
+    centers = np.array([ed.center for ed in eds])
+    radii = np.array([ed.radius for ed in eds])
+    chord_p = np.array([ed.chord_p for ed in eds])
+    chord_q = np.array([ed.chord_q for ed in eds])
+    chord_w = np.array([ed.chord_width for ed in eds])
 
     count = 0
     witnesses: List[CrossingWitness] = []
@@ -728,39 +510,51 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
     tuples = combos[mask]
     tuples_total = len(tuples)
 
+    survivors = tuples
     if prefilter and len(tuples):
-        kept = []
-        for lo in range(0, len(tuples), 262144):
-            batch = tuples[lo:lo + 262144]
-            keep = _collinear_possible(centers[batch], radii[batch])
-            batch = batch[keep]
-            if k == 4 and len(batch):
-                keep2 = _chord_stab_batch(chord_p, chord_q, chord_w, batch)
-                batch = batch[keep2]
-            kept.append(batch)
-        survivors = np.vstack(kept) if kept else tuples[:0]
-    else:
-        survivors = tuples
+        survivors = np.vstack([
+            batch[_stab_filter(batch, centers, radii, chord_p, chord_q, chord_w)]
+            for batch in (tuples[lo:lo + _CHUNK]
+                          for lo in range(0, len(tuples), _CHUNK))])
 
-    for idx in survivors:
-        eds = [edge_datas[g.edges[i]] for i in idx]
-        if mode == "float" and k == 4 and all(len(ed.segments) == 1 for ed in eds):
-            margin = _float_feasibility([ed.segments[0] for ed in eds])
-            if margin == math.inf:
-                ok, line, contacts = _tuple_has_transversal_exact(eds, want_witnesses)
-            else:
-                ok, line, contacts = margin > -tol, None, None
-        else:
-            ok, line, contacts = _tuple_has_transversal_exact(eds, want_witnesses)
-        if ok:
+    segments = [s for ed in eds for s in ed.segments]
+    first = np.cumsum([0] + [len(ed.segments) for ed in eds])
+    seg_p = np.vstack([ed.seg_p for ed in eds])
+    seg_q = np.vstack([ed.seg_q for ed in eds])
+    seg_center = np.vstack([ed.seg_center for ed in eds])
+    seg_radius = np.concatenate([ed.seg_radius for ed in eds])
+    seg_w = np.zeros(len(segments))
+    straight = (first[1:] - first[:-1] == 1)[survivors].all(axis=1)
+    found = np.zeros(len(survivors), dtype=bool)
+    for t, segs in _segment_combinations(survivors, first):
+        if prefilter:
+            keep = _stab_filter(segs, seg_center, seg_radius, seg_p, seg_q, seg_w)
+            t, segs = t[keep], segs[keep]
+        for ti, row in zip(t.tolist(), segs.tolist()):
+            if found[ti]:
+                continue
+            by_margin = mode == "float" and straight[ti]
+            if k == 4 and (prefilter or by_margin):
+                margin = _float_feasibility(seg_p[row].tolist(),
+                                            seg_q[row].tolist())
+                if by_margin and margin != math.inf:
+                    if margin > -tol:
+                        found[ti] = True
+                        count += 1
+                    continue
+                if margin < -REJECT_MARGIN:
+                    continue
+            res = transversal_exists_segments([segments[i] for i in row])
+            if not res.exists:
+                continue
+            found[ti] = True
             count += 1
-            if want_witnesses and line is not None:
-                edges = tuple(g.edges[i] for i in idx)
+            if want_witnesses:
+                idx = survivors[ti].tolist()
                 witnesses.append(CrossingWitness(
-                    edges,
-                    line,
-                    [(edges[i], contacts[i][0], contacts[i][1])
-                     for i in range(k)]))
+                    tuple(g.edges[j] for j in idx), res.line,
+                    [(g.edges[j], row[i] - int(first[j]), res.params[i])
+                     for i, j in enumerate(idx)]))
 
     return CrossingReport(
         mode=mode, k=k, count=count,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (DegenerateInput, DegeneratePosition, NotDisjoint,
                      ValidationError)
@@ -274,7 +274,8 @@ def find_linked_pair(drawing, embedding) -> LinkedCyclePair:
     to a pair of cycles through those paths.  Returns the first pair with
     odd linking number together with the triangles that produced it.
     """
-    paths = _validated_paths(drawing, embedding)
+    validate_embedding(drawing.graph, embedding)
+    paths = embedding.paths
     positions = drawing.positions
     for tri1, tri2 in triangle_pairs_of_k6():
         cycles = []
@@ -295,27 +296,28 @@ def find_linked_pair(drawing, embedding) -> LinkedCyclePair:
     raise AssertionError("no odd pair found; this contradicts linking parity")
 
 
-def _validated_paths(drawing, embedding) -> Dict[Tuple[int, int], List[int]]:
-    branch = list(embedding.branch_vertices)
+def validate_embedding(g, emb):
+    """Check that ``emb`` (six branch vertices and one path per pair of
+    them) is a K6 subdivision in graph ``g``; raise ValidationError if not."""
+    branch = emb.branch_vertices
     if len(branch) != 6 or len(set(branch)) != 6:
         raise ValidationError("need six distinct branch vertices")
-    paths = dict(embedding.paths)
-    if set(paths) != {(i, j) for i in range(6) for j in range(i + 1, 6)}:
-        raise ValidationError("need one path per K6 edge")
-    interior_seen = set()
-    edge_set = set(drawing.graph.edges)
-    for (i, j), path in paths.items():
-        if path[0] != branch[i] or path[-1] != branch[j]:
+    if set(emb.paths) != {(i, j) for i in range(6) for j in range(i + 1, 6)}:
+        raise ValidationError("need one path per pair of branches")
+    edge_set = set(g.edges)
+    interior_seen: Set[int] = set()
+    for (i, j), path in emb.paths.items():
+        if len(path) < 2 or path[0] != branch[i] or path[-1] != branch[j]:
             raise ValidationError(f"path {(i, j)} does not join its branches")
+        if len(set(path)) != len(path):
+            raise ValidationError(f"path {(i, j)} repeats a vertex")
         for a, b in zip(path, path[1:]):
             if (min(a, b), max(a, b)) not in edge_set:
                 raise ValidationError(f"path {(i, j)} uses a missing edge")
-        interior = path[1:-1]
-        for v in interior:
+        for v in path[1:-1]:
             if v in branch or v in interior_seen:
-                raise ValidationError(f"paths overlap at vertex {v}")
-        interior_seen.update(interior)
-    return paths
+                raise ValidationError(f"paths share interior vertex {v}")
+        interior_seen.update(path[1:-1])
 
 
 # ---------------------------------------------------------------------------

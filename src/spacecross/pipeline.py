@@ -17,7 +17,8 @@ from .counting import CrossingWitness, lift_to_sphere
 from .drawing import Edge, Graph, SpatialDrawing
 from .errors import RetryExhausted, ValidationError
 from .geometry import line_meets_segment, point3, segments_intersect_2d
-from .linking import LinkedCyclePair, find_linked_pair, transversal_through_cycles
+from .linking import (LinkedCyclePair, find_linked_pair,
+                      transversal_through_cycles, validate_embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -74,28 +75,6 @@ class SubdivisionEmbedding:
         return out
 
 
-def validate_embedding(g: Graph, emb: SubdivisionEmbedding):
-    branch = emb.branch_vertices
-    if len(branch) != 6 or len(set(branch)) != 6:
-        raise ValidationError("need six distinct branch vertices")
-    if set(emb.paths) != {(i, j) for i in range(6) for j in range(i + 1, 6)}:
-        raise ValidationError("need one path per pair of branches")
-    edge_set = set(g.edges)
-    interior_seen: Set[int] = set()
-    for (i, j), path in emb.paths.items():
-        if len(path) < 2 or path[0] != branch[i] or path[-1] != branch[j]:
-            raise ValidationError(f"path {(i, j)} does not join its branches")
-        if len(set(path)) != len(path):
-            raise ValidationError(f"path {(i, j)} repeats a vertex")
-        for a, b in zip(path, path[1:]):
-            if (min(a, b), max(a, b)) not in edge_set:
-                raise ValidationError(f"path {(i, j)} uses a missing edge")
-        for v in path[1:-1]:
-            if v in branch or v in interior_seen:
-                raise ValidationError(f"paths share interior vertex {v}")
-        interior_seen.update(path[1:-1])
-
-
 def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
                         ) -> Optional[SubdivisionEmbedding]:
     """Randomized search for a K6 subdivision; None is not a proof of
@@ -123,7 +102,6 @@ def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
             path, cost = _bfs_path(adj, branch[i], branch[j], blocked)
             expansions += cost
             if path is None or expansions >= budget:
-                ok = expansions < budget
                 ok = False
                 break
             paths[(i, j)] = path
@@ -294,7 +272,7 @@ def _hex_center(x: int, y: int) -> Tuple[int, int]:
 @dataclass
 class HexGrid:
     """Truncated hexagonal grid: the hexagons with axial coordinates in
-    [-k, k]^2 except two опposite corner cells (replaced by chords), plus
+    [-k, k]^2 except two opposite corner cells (replaced by chords), plus
     one boundary chord per consecutive pair of degree-2 rim vertices.
 
     The truncation rule is exposed through ``cells``, ``corner_chords``

@@ -212,33 +212,6 @@ def _edge_boxes(s: int, t: int):
     )
 
 
-def _boxes_meet(a, b) -> bool:
-    return all(al <= bh and bl <= ah for (al, ah), (bl, bh) in zip(a, b))
-
-
-def _line_boxes(kind: int, x0, y0, c3, z1):
-    """Pieces of a stair-line.  kind 0 and 1 take (x0, y0, y1, z1) and run
-    to +/- infinity in x; kind 2 takes (x0, y0, x1, z1) and descends to
-    -infinity in y."""
-    if kind < 2:
-        y1 = c3
-        ylo, yhi = min(y0, y1), max(y0, y1)
-        xray = ((x0, _BIG), (y1, y1), (z1, z1)) if kind == 0 else \
-               ((-_BIG, x0), (y1, y1), (z1, z1))
-        return (
-            ((x0, x0), (y0, y0), (0, z1)),
-            ((x0, x0), (ylo, yhi), (z1, z1)),
-            xray,
-        )
-    x1 = c3
-    xlo, xhi = min(x0, x1), max(x0, x1)
-    return (
-        ((x0, x0), (y0, y0), (0, z1)),
-        ((x1, x1), (-_BIG, y0), (z1, z1)),
-        ((xlo, xhi), (y0, y0), (z1, z1)),
-    )
-
-
 @dataclass
 class StairCrossing:
     exists: bool
@@ -265,7 +238,6 @@ def stair_crossing_exists(anchor_pairs: Sequence[Tuple], witness: bool = True
     rank = {v: 10 * (i + 1) for i, v in enumerate(order)}
     # candidate ranks: below all, each anchor, each gap midpoint, above all
     cand_ranks = [5] + [r for v in order for r in (rank[v], rank[v] + 5)]
-    cand_values = [None] * len(cand_ranks)
 
     def unrank(r):
         if r == 5:

@@ -1,0 +1,137 @@
+import json
+
+import pytest
+
+from spacecross import cli, counting
+
+
+def run(capsys, *argv):
+    """Exit code and parsed stdout report (None when stdout is empty)."""
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    return code, (json.loads(out) if out.strip() else None)
+
+
+def write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_gen_fixture_then_count_crossings_through_a_file(tmp_path, capsys):
+    f = str(tmp_path / "f.json")
+    code, status = run(capsys, "gen-fixture", "--kind", "drawing",
+                       "--params", '{"n": 6}', "--output", f)
+    assert (code, status) == (0, {"written": f, "kind": "drawing"})
+    code, doc = run(capsys, "count-crossings", "--input", f)
+    assert code == 0
+    assert doc["count"] == 0 and doc["tuples_total"] == 0
+    assert doc["tuples_after_prefilter"] == 0
+
+
+def test_count_crossings_report_and_missing_input(tmp_path, capsys):
+    f = str(tmp_path / "f.json")
+    run(capsys, "gen-fixture", "--kind", "drawing", "--seed", "3",
+        "--params", '{"n": 9, "p": 0.8}', "--output", f)
+    code, doc = run(capsys, "count-crossings", "--input", f, "--witnesses")
+    assert code == 0
+    assert doc["count"] <= doc["tuples_after_prefilter"] <= doc["tuples_total"]
+    assert len(doc["witnesses"]) == doc["count"]
+    code, doc = run(capsys, "count-crossings", "--input", str(tmp_path / "none"))
+    assert code == 1 and doc["code"] == "FileNotFoundError"
+
+
+def test_count_crossings_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "f.json")
+    run(capsys, "gen-fixture", "--kind", "drawing", "--params", '{"n": 6}',
+        "--output", f)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(counting, "count_line_crossings", broken)
+    code, doc = run(capsys, "count-crossings", "--input", f)
+    assert (code, doc["code"]) == (2, "AssertionError")
+
+
+def test_count_planar_and_lift_sphere(tmp_path, capsys):
+    flat = str(tmp_path / "flat.json")
+    lifted = str(tmp_path / "lifted.json")
+    run(capsys, "gen-fixture", "--kind", "drawing",
+        "--params", '{"n": 7, "flat": true}', "--output", flat)
+    code, doc = run(capsys, "count-planar", "--input", flat)
+    assert code == 0 and doc["count"] >= 0
+    code, status = run(capsys, "lift-sphere", "--input", flat,
+                       "--subdivision", "2", "--output", lifted)
+    assert (code, status) == (0, {"written": lifted, "subdivision": 2})
+    code, doc = run(capsys, "count-crossings", "--input", lifted, "--k", "3")
+    assert code == 0 and doc["tuples_total"] > 0
+    # lifting a non-flat drawing is a validation error
+    code, doc = run(capsys, "lift-sphere", "--input", lifted)
+    assert (code, doc["code"]) == (1, "ValidationError")
+
+
+def test_gen_hexgrid_writes_drawing_and_reports_to_stdout(tmp_path, capsys):
+    f = str(tmp_path / "hex.json")
+    code, doc = run(capsys, "gen-hexgrid", "--k", "2", "--subdivision", "1",
+                    "--output", f)
+    assert code == 0
+    assert (doc["vertices"], doc["edges"], doc["written"]) == (64, 97, f)
+    code, doc = run(capsys, "count-planar", "--input", f)
+    assert code == 1  # the written drawing is lifted, hence not flat
+
+
+def test_gen_stair_and_order_types(capsys):
+    code, doc = run(capsys, "gen-stair", "--n", "8", "--m", "8",
+                    "--check-bounds")
+    assert code == 0 and doc["pass"] is True
+    code, doc = run(capsys, "order-types")
+    assert (code, doc["total"]) == (0, 105)
+
+
+def test_linking_commands(tmp_path, capsys):
+    hopf = str(tmp_path / "hopf.json")
+    stacked = str(tmp_path / "stacked.json")
+    assert run(capsys, "gen-fixture", "--kind", "hopf-pair",
+               "--output", hopf) == (0, None)
+    code, doc = run(capsys, "linking", "--input", hopf)
+    assert (code, abs(doc["lk"])) == (0, 1)
+    run(capsys, "gen-fixture", "--kind", "stacked-pairs", "--output", stacked)
+    code, doc = run(capsys, "transversal-4cycles", "--input", stacked)
+    assert (code, doc["found"]) == (0, True)
+    code, doc = run(capsys, "conway-gordon", "--seed", "1")
+    assert code == 0 and doc["parity_sum"] % 2 == 1
+    code, doc = run(capsys, "linking", "--input", write(tmp_path / "bad.json", {}))
+    assert (code, doc["code"]) == (1, "KeyError")
+
+
+def test_witness_pipeline(tmp_path, capsys):
+    f = str(tmp_path / "f.json")
+    run(capsys, "gen-fixture", "--kind", "drawing", "--params", '{"n": 6}',
+        "--output", f)
+    code, doc = run(capsys, "witness-pipeline", "--input", f)
+    assert (code, doc) == (0, {"witnesses": [], "count": 0})
+
+
+def test_sametype_commands(tmp_path, capsys):
+    pts = write(tmp_path / "pts.json",
+                {"dim": 1, "points": [["0"], ["1"], ["2"], ["3"]]})
+    code, doc = run(capsys, "yao-yao", "--input", pts)
+    assert (code, doc["counts"]) == (0, [2, 2])
+    same = write(tmp_path / "same.json", {
+        "multisets": [{"dim": 1, "points": [["1"], ["-2"], ["3"]]}],
+        "polynomials": [{"blocks": [1], "monomials": [
+            {"coeff": "1", "exponents": {"0:0": 1}}]}]})
+    code, doc = run(capsys, "same-type", "--input", same)
+    assert (code, doc["subsets"], doc["signs"]) == (0, [[0, 2]], [1])
+
+
+def test_unknown_fixture_kind_exits_1(capsys):
+    code, doc = run(capsys, "gen-fixture", "--kind", "nope")
+    assert (code, doc["code"]) == (1, "ValidationError")
+
+
+def test_subcommands_take_only_their_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-planar", "--input", "x", "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()

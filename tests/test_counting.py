@@ -99,19 +99,62 @@ def test_four_edges_through_axis_counts_once_with_witness():
     assert transversal_exists_segments(segs).exists
 
 
+def oracle_count(d, k):
+    """Tuples with a transversal through some choice of one segment per
+    edge, decided by the exact predicate alone."""
+    return sum(
+        1 for tup in enumerate_disjoint_tuples(d.graph, k)
+        if any(transversal_exists_segments(list(segs)).exists
+               for segs in itertools.product(*map(d.edge_segments, tup))))
+
+
+def sphere_lifted_drawing(seed, subdivision=2, n=9, p=0.4):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < p])
+    pts = [point3(Fraction(rng.randint(0, 256), 16),
+                  Fraction(rng.randint(0, 256), 16), 0) for _ in range(n)]
+    return lift_to_sphere(SpatialDrawing(g, pts), subdivision, seed=seed)
+
+
+def polyline_drawing(seed, n=8, p=0.6):
+    """Random 3-D drawing whose edges bend once at a random interior point."""
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < p])
+    pts = [point3(*(Fraction(rng.randint(0, 64), 16) for _ in range(3)))
+           for _ in range(n)]
+    bends = {(u, v): [tuple((a + b) / 2 + Fraction(rng.randint(-32, 32), 16)
+                            for a, b in zip(pts[u], pts[v]))]
+             for u, v in g.edges}
+    return SpatialDrawing(g, pts, bends)
+
+
 def test_count_matches_direct_oracle_on_k8():
     rng = random.Random(7)
+    drawings = []
     for trial in range(3):
         pts = [point3(Fraction(rng.randint(0, 64), 64),
                       Fraction(rng.randint(0, 64), 64),
                       Fraction(rng.randint(0, 64), 64)) for _ in range(8)]
-        d = SpatialDrawing(complete_graph(8), pts)
-        rep = count_line_crossings(d, 4)
-        oracle = sum(
-            1 for tup in enumerate_disjoint_tuples(d.graph, 4)
-            if transversal_exists_segments(
-                [d.edge_segments(e)[0] for e in tup]).exists)
-        assert rep.count == oracle
+        drawings.append(SpatialDrawing(complete_graph(8), pts))
+    drawings += [sphere_lifted_drawing(1), polyline_drawing(1)]
+    for d in drawings:
+        oracle = oracle_count(d, 4)
+        assert count_line_crossings(d, 4).count == oracle
+        assert count_line_crossings(d, 4, prefilter=False).count == oracle
+
+
+def test_sphere_lift_keeps_near_degenerate_crossing():
+    # the lifted quadruple is close to co-spherical and its only
+    # transversal passes through segment combination (2, 0, 1, 2)
+    lifted = sphere_lifted_drawing(1, subdivision=3)
+    keep = [(1, 3), (2, 4), (5, 6), (7, 8)]
+    sub = SpatialDrawing(Graph.from_edges(9, keep), lifted.positions,
+                         {e: lifted.polylines[e] for e in keep})
+    rep = count_line_crossings(sub, 4, want_witnesses=True)
+    assert rep.count == 1
+    assert [c[1] for c in rep.witnesses[0].contacts] == [2, 0, 1, 2]
 
 
 def test_count_k3_mode():
