@@ -5,7 +5,8 @@ One binary with subcommands; every run writes a JSON report (stdout or
 gen-hexgrid, lift-sphere) write the drawing to --output instead, and
 their report then goes to stdout.  Exact scalar values serialize as 'p/q'
 strings, float-mode values as decimals with an explicit mode marker.
-Exit status: 0 success, 1 validation error, 2 internal invariant failure.
+Exit status: 0 success (also --help), 1 validation error, including a
+command-line usage error, 2 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -236,8 +237,17 @@ def cmd_gen_fixture(args) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2, the status kept
+    for internal invariant failures.  Subcommand parsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="spacecross",
         description="space crossing counts, linking numbers and "
                     "stair-convex constructions")

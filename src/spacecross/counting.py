@@ -480,7 +480,7 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
         raise ValueError("k must be 3 or 4")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = d.graph
     eds = [_edge_data(d, e) for e in g.edges]
     centers = np.array([ed.center for ed in eds])
@@ -496,7 +496,7 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
     if n_edges < k:
         return CrossingReport(mode=mode, k=k, count=0,
                               witnesses=[] if want_witnesses else None,
-                              elapsed=time.time() - t0)
+                              elapsed=time.perf_counter() - t0)
     combos = np.array(list(itertools.combinations(range(n_edges), k)),
                       dtype=np.int32)
     eu = np.array([e[0] for e in g.edges])
@@ -559,6 +559,6 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
     return CrossingReport(
         mode=mode, k=k, count=count,
         witnesses=witnesses if want_witnesses else None,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
         tuples_total=tuples_total,
         tuples_after_prefilter=len(survivors))

@@ -1,21 +1,35 @@
 """Exact line and segment geometry in R^3 built on Pluecker coordinates.
 
 Everything here is decision-exact: predicates are computed over rationals
-(or degree-2 extensions for roots of the transversal quadratic) and never
-consult floating point.  The central operation decides whether some line
-meets three or four closed segments, returning a certified witness line.
+and integers, or over degree-2 extensions for roots of the transversal
+quadratic, and never consult floating point.  The central operation
+decides whether some line meets three or four closed segments, returning a
+certified witness line.
 
 A line through points p, q is stored as (direction, moment) with
 direction = q - p and moment = p x q; two lines are coplanar exactly when
 the bilinear incidence form <d1,m2> + <d2,m1> vanishes.
+
+When three supporting lines are pairwise skew, the transversals form the
+regulus T(t) through the point p1 + t*d1 of the first line.  That core
+runs on Python ints: the segment endpoints are scaled by their least common
+denominator ``scale``, and each candidate parameter is t = T/h with
+T = t0 + t1*sqrt(D) in Z[sqrt(D)] and an integer h != 0 (D = 0 for a
+rational t).  The line h^2 * T(t), its range tests and its certification
+against every segment are all computed in Z[sqrt(D)], where the sign of
+a + b*sqrt(D) comes from comparing a^2 with b^2 D.  Only a certified line
+becomes a public ``PluckerLine`` of ``Fraction`` or ``QuadExt`` values.
+``verify_transversal`` and ``line_meets_segment`` stay the independent
+rational verifier of such a witness.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from math import isqrt, lcm
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .scalars import DegenerateInput, QuadExt, rat, sign_of
 
@@ -298,19 +312,76 @@ def verify_transversal(line: PluckerLine, segments: Sequence[Segment3]):
 
 
 # ---------------------------------------------------------------------------
+# integer arithmetic in Z[sqrt(d)]
+# ---------------------------------------------------------------------------
+
+def _zsign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if not sb or sa == sb:
+        return sa
+    if not sa:
+        return sb if d else 0
+    x = a * a - b * b * d
+    return sa if x > 0 else sb if x < 0 else 0
+
+
+class _Param(NamedTuple):
+    """Candidate parameter t = (t0 + t1*sqrt(d)) / h with integers t0, t1,
+    d >= 0 (t1 = 0 whenever d = 0) and h != 0.  ``quad`` marks the roots
+    of a quadratic with positive discriminant, which the public results
+    give as ``QuadExt`` values; every other parameter gives ``Fraction``s.
+    """
+
+    t0: int
+    t1: int
+    d: int
+    h: int
+    quad: bool
+
+    def scalar(self, a: int, b: int, den: int):
+        """The public value of (a + b*sqrt(d)) / den."""
+        if self.quad:
+            return QuadExt(Fraction(a, den), Fraction(b, den), self.d)
+        return Fraction(a, den)
+
+
+def _quadratic_roots(qa: int, qb: int, qc: int) -> Optional[List[_Param]]:
+    """Real roots of qa t^2 + qb t + qc for integer coefficients.
+
+    Returns None when the polynomial vanishes identically.
+    """
+    if qa == 0:
+        if qb == 0:
+            return None if qc == 0 else []
+        return [_Param(-qc, 0, 0, qb, False)]
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [_Param(-qb, 0, 0, 2 * qa, False)]
+    root = isqrt(disc)
+    if root * root == disc:
+        return [_Param(-qb + root, 0, 0, 2 * qa, True),
+                _Param(-qb - root, 0, 0, 2 * qa, True)]
+    return [_Param(-qb, 1, disc, 2 * qa, True),
+            _Param(-qb, -1, disc, 2 * qa, True)]
+
+
+# ---------------------------------------------------------------------------
 # regulus parametrization: transversals through three pairwise skew lines
 # ---------------------------------------------------------------------------
 
 class _Regulus:
     """Transversals T(t) through P(t) = p1 + t*d1 meeting lines 2 and 3.
 
-    Lines are given by (p, d, m) triples with pairwise nonzero incidence
-    form (pairwise skew).  All plane coefficients are linear in t.
+    Lines are given by integer (p, d, m) triples with pairwise nonzero
+    incidence form (pairwise skew).  All plane coefficients are linear in t.
     """
 
     def __init__(self, p1, d1, l2, l3):
         self.p1, self.d1 = p1, d1
-        self.l2, self.l3 = l2, l3
         self.A2, self.B2, self.a2, self.b2 = self._plane_coeffs(l2)
         self.A3, self.B3, self.a3, self.b3 = self._plane_coeffs(l3)
 
@@ -348,37 +419,39 @@ class _Regulus:
         den = (v_dot(B, d), v_dot(A, d))
         return num, den
 
-    def line_at(self, t) -> PluckerLine:
-        """The transversal line at parameter t (t rational or QuadExt)."""
-        n2 = v_add(self.A2, v_scale(self.B2, t))
-        e2 = self.a2 + self.b2 * t
-        n3 = v_add(self.A3, v_scale(self.B3, t))
-        e3 = self.a3 + self.b3 * t
-        d, m = plane_meet(n2, e2, n3, e3)
-        return PluckerLine(d, m)
+    def line_at(self, t: _Param):
+        """The transversal at t, scaled by h^2, as integer vectors
+        (da, db, ma, mb): direction da + db*sqrt(d), moment ma + mb*sqrt(d).
+
+        The planes through P(t) and lines 2 and 3, scaled by h, are
+        (n2, e2) and (n3, e3); the line is d = n2 x n3, m = n3 e2 - n2 e3.
+        """
+        t0, t1, d, h = t.t0, t.t1, t.d, t.h
+        n2a = v_add(v_scale(self.A2, h), v_scale(self.B2, t0))
+        n3a = v_add(v_scale(self.A3, h), v_scale(self.B3, t0))
+        e2a, e3a = self.a2 * h + self.b2 * t0, self.a3 * h + self.b3 * t0
+        da = v_cross(n2a, n3a)
+        ma = v_sub(v_scale(n3a, e2a), v_scale(n2a, e3a))
+        if not t1:
+            return da, (0, 0, 0), ma, (0, 0, 0)
+        n2b, n3b = v_scale(self.B2, t1), v_scale(self.B3, t1)
+        e2b, e3b = self.b2 * t1, self.b3 * t1
+        da = v_add(da, v_scale(v_cross(n2b, n3b), d))
+        db = v_add(v_cross(n2a, n3b), v_cross(n2b, n3a))
+        ma = v_add(ma, v_scale(v_sub(v_scale(n3b, e2b), v_scale(n2b, e3b)), d))
+        mb = v_sub(v_add(v_scale(n3a, e2b), v_scale(n3b, e2a)),
+                   v_add(v_scale(n2a, e3b), v_scale(n2b, e3a)))
+        return da, db, ma, mb
 
 
-def _line_triple(seg_or_line):
-    """Normalize to (p, d, m) with p a point on the line."""
-    if isinstance(seg_or_line, Segment3):
-        p = seg_or_line.p
-        d = seg_or_line.direction
-        return p, d, v_cross(seg_or_line.p, seg_or_line.q)
-    line = seg_or_line
-    return line.base_point(), line.direction, line.moment
-
-
-def _eval_linear(form, t):
-    slope, intercept = form
-    return slope * t + intercept
-
-
-def _param_on_line(p_target, d_target, p_other, u_other, d_other):
-    """Parameter on the target line of the point p_other + u*d_other."""
-    point = v_add(p_other, v_scale(d_other, u_other))
-    diff = v_sub(point, p_target)
-    comp = next(i for i in range(3) if sign_of(d_target[i]) != 0)
-    return diff[comp] / d_target[comp]
+def _public_line(line, t: _Param, scale: int) -> PluckerLine:
+    """The line of ``_Regulus.line_at`` divided by h^2, and its moment also
+    by the space scale."""
+    da, db, ma, mb = line
+    hh = t.h * t.h
+    return PluckerLine(
+        tuple(t.scalar(a, b, hh) for a, b in zip(da, db)),
+        tuple(t.scalar(a, b, hh * scale) for a, b in zip(ma, mb)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,45 +472,38 @@ class TransversalSet:
         return len(self.lines)
 
 
-def _skew_triple_order(lines) -> Optional[Tuple[int, int, int, int]]:
+def _skew_triple_order(lines) -> Optional[Tuple[int, ...]]:
+    """Order of the lines, given as (direction, moment) pairs, that puts
+    three pairwise skew lines first; None when no three are pairwise skew."""
     n = len(lines)
-    forms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            forms[(i, j)] = side_product(lines[i], lines[j])
-    for last in range(n - 1, -1, -1):
-        rest = [i for i in range(n) if i != last]
-        if all(forms[tuple(sorted((a, b)))] != 0
-               for k, a in enumerate(rest) for b in rest[k + 1:]):
-            return (*rest, last)
+    skew = {}
+    for i, j in itertools.combinations(range(n), 2):
+        (di, mi), (dj, mj) = lines[i], lines[j]
+        skew[(i, j)] = v_dot(di, mj) + v_dot(dj, mi) != 0
+    for triple in itertools.combinations(range(n), 3):
+        if all(skew[pair] for pair in itertools.combinations(triple, 2)):
+            return (*triple, *(i for i in range(n) if i not in triple))
     return None
 
 
-def _quadratic_roots(qa, qb, qc):
-    """Real roots of qa t^2 + qb t + qc over the rationals, as exact scalars.
-
-    Returns None when the polynomial vanishes identically.
-    """
-    qa, qb, qc = Fraction(qa), Fraction(qb), Fraction(qc)
-    if qa == 0 and qb == 0 and qc == 0:
-        return None
-    if qa == 0:
-        if qb == 0:
-            return []
-        return [-qc / qb]
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [-qb / (2 * qa)]
-    half = 2 * qa
-    r1 = QuadExt(-qb / half, Fraction(1) / half, disc)
-    r2 = QuadExt(-qb / half, Fraction(-1) / half, disc)
-    return [r1, r2]
+def _int_line_triples(lines):
+    """Integer (p, d, m) triples of rational lines in a space scaled by the
+    returned factor; p is a point of the first line (None for the others)."""
+    dms = []
+    for line in lines:
+        c = lcm(*(Fraction(x).denominator for x in line.direction + line.moment))
+        dms.append((tuple(int(x * c) for x in line.direction),
+                    tuple(int(x * c) for x in line.moment)))
+    # scaling space by |d1|^2 moves the first line's base point
+    # d1 x m1 / |d1|^2 to an integer point
+    scale = v_dot(dms[0][0], dms[0][0])
+    p1 = v_cross(*dms[0])
+    return [(p1 if i == 0 else None, d, v_scale(m, scale))
+            for i, (d, m) in enumerate(dms)], scale
 
 
 def transversals_of_4_lines(lines: Sequence[PluckerLine]) -> TransversalSet:
-    """All lines meeting four given lines at affine points.
+    """All lines meeting four given rational lines at affine points.
 
     With three of the lines pairwise skew this reduces to a quadratic along
     the first line; the identically vanishing case reports an infinite
@@ -446,21 +512,16 @@ def transversals_of_4_lines(lines: Sequence[PluckerLine]) -> TransversalSet:
     """
     if len(lines) != 4:
         raise ValueError("need exactly four lines")
-    order = _skew_triple_order(lines)
+    order = _skew_triple_order([(l.direction, l.moment) for l in lines])
     if order is None:
         return _transversals_degenerate(lines)
-    triples = [_line_triple(lines[i]) for i in order]
+    triples, scale = _int_line_triples([lines[i] for i in order])
     reg = _Regulus(triples[0][0], triples[0][1], triples[1], triples[2])
-    quad = reg.incidence_quadratic(triples[3])
-    roots = _quadratic_roots(*quad)
+    roots = _quadratic_roots(*reg.incidence_quadratic(triples[3]))
     if roots is None:
         return TransversalSet(True, [])
-    found = []
-    for t in roots:
-        cand = reg.line_at(t)
-        if all(side_product(cand, l) == 0 for l in lines):
-            found.append(cand)
-    return TransversalSet(False, found)
+    return TransversalSet(False, [_public_line(reg.line_at(t), t, scale)
+                                  for t in roots])
 
 
 def _coplanar_pair(lines):
@@ -597,16 +658,17 @@ class SegmentTransversal:
 
 
 def _scaled_int_segments(segments):
-    """Clear denominators with one common positive factor (parameters are
-    invariant; a found witness moment is divided back by the factor)."""
+    """Integer endpoint pairs of the segments times one common positive
+    factor, and that factor."""
     denoms = [c.denominator for s in segments for p in (s.p, s.q) for c in p]
     scale = lcm(*denoms) if denoms else 1
-    scaled = []
-    for s in segments:
-        p = tuple(int(c * scale) for c in s.p)
-        q = tuple(int(c * scale) for c in s.q)
-        scaled.append(Segment3(tuple(map(Fraction, p)), tuple(map(Fraction, q))))
-    return scaled, scale
+    return [(tuple(int(c * scale) for c in s.p),
+             tuple(int(c * scale) for c in s.q)) for s in segments], scale
+
+
+def _int_triple(p, q):
+    """(p, d, m) of the supporting line through integer points p and q."""
+    return p, v_sub(q, p), v_cross(p, q)
 
 
 def _unscale_line(line: PluckerLine, scale: int) -> PluckerLine:
@@ -618,8 +680,15 @@ def _unscale_line(line: PluckerLine, scale: int) -> PluckerLine:
 def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransversal:
     """Decide exactly whether one line meets all k closed segments (k in 3, 4).
 
-    Every positive answer carries a witness line that has been re-verified
-    against each segment with exact arithmetic.
+    The endpoints are scaled by the least common denominator ``scale`` to
+    integers.  When three supporting lines are pairwise skew, each candidate
+    line is the regulus transversal at a parameter t = T/h with T in
+    Z[sqrt(D)], and it is certified once against every segment by signs of
+    integers in Z[sqrt(D)].  A certified line is then divided by h^2 (its
+    moment also by ``scale``) and returned with the contact parameter on
+    each of the caller's segments; these equal the parameters on the scaled
+    segments, since scaling space does not move them.  Other configurations
+    are decided by case analysis and certified with ``verify_transversal``.
     """
     k = len(segments)
     if k not in (3, 4):
@@ -627,79 +696,115 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
     for s in segments:
         if not isinstance(s, Segment3):
             raise TypeError("expected Segment3 inputs")
-    scaled, scale = _scaled_int_segments(segments)
-    res = _transversal_scaled(scaled)
-    if res.exists and scale != 1:
-        line = _unscale_line(res.line, scale)
-        params = verify_transversal(line, segments)
-        return SegmentTransversal(True, line, params)
-    return res
+    ints, scale = _scaled_int_segments(segments)
+    return _transversal_scaled(ints, scale)
 
 
-def _int_triple(seg: Segment3):
-    """(p, d, m) of a supporting line with raw integer components."""
-    p = tuple(int(c) for c in seg.p)
-    q = tuple(int(c) for c in seg.q)
-    return p, v_sub(q, p), v_cross(p, q)
-
-
-def _transversal_scaled(segments) -> SegmentTransversal:
-    lines = [plucker_from_segment(s) for s in segments]
-    order = _skew_triple_order(lines)
+def _transversal_scaled(ints, scale) -> SegmentTransversal:
+    triples = [_int_triple(p, q) for p, q in ints]
+    order = _skew_triple_order([(d, m) for _, d, m in triples])
     if order is None:
-        return _transversal_degenerate(segments, lines)
-    segs = [segments[i] for i in order]
-    lns = [lines[i] for i in order]
-    triples = [_int_triple(s) for s in segs]
-    reg = _Regulus(triples[0][0], triples[0][1], triples[1], triples[2])
+        segs = [Segment3(tuple(map(Fraction, p)), tuple(map(Fraction, q)))
+                for p, q in ints]
+        res = _transversal_degenerate(
+            segs, [plucker_from_segment(s) for s in segs])
+        if res.exists:
+            res.line = _unscale_line(res.line, scale)
+        return res
+    tr = [triples[i] for i in order]
+    reg = _Regulus(tr[0][0], tr[0][1], tr[1], tr[2])
+    if len(ints) == 4:
+        roots = _quadratic_roots(*reg.incidence_quadratic(tr[3]))
+        if roots is not None:
+            traces = [reg.trace_fraction(3, tr[1]), reg.trace_fraction(2, tr[2]),
+                      reg.trace_fraction(2, tr[3])]
+            for t in roots:
+                if not _in_unit_range(t, traces):
+                    continue
+                line = reg.line_at(t)
+                params = _certify(line, triples, t.d)
+                if params is not None:
+                    return _public_transversal(line, params, t, scale)
+            return SegmentTransversal(False)
+    # k = 3, or the fourth supporting line meets every transversal of the
+    # ruling: a one-parameter family, cut down by interval conditions in t
+    conds = [[(Fraction(0), Fraction(1))],
+             mobius_in_unit_interval(*reg.trace_fraction(3, tr[1])),
+             mobius_in_unit_interval(*reg.trace_fraction(2, tr[2]))]
+    if len(ints) == 4:
+        conds.append(_fourth_line_condition(reg, tr))
+    return _witness_from_intervals(reg, conds, triples, scale)
 
-    if len(segments) == 3:
-        conds = [[(Fraction(0), Fraction(1))]]
-        conds.append(mobius_in_unit_interval(*reg.trace_fraction(3, triples[1])))
-        conds.append(mobius_in_unit_interval(*reg.trace_fraction(2, triples[2])))
-        return _witness_from_intervals(reg, conds, segments)
 
-    quad = reg.incidence_quadratic(triples[3])
-    roots = _quadratic_roots(*quad)
-    if roots is None:
-        # the fourth supporting line meets every transversal of the ruling
-        conds = [[(Fraction(0), Fraction(1))]]
-        conds.append(mobius_in_unit_interval(*reg.trace_fraction(3, triples[1])))
-        conds.append(mobius_in_unit_interval(*reg.trace_fraction(2, triples[2])))
-        conds.append(_fourth_line_condition(reg, triples, lns, segs))
-        return _witness_from_intervals(reg, conds, segments)
+def _in_unit_range(t: _Param, traces) -> bool:
+    """Division-free range checks of t and of the crossing parameters
+    num(t)/den(t) of the traces, all in Z[sqrt(d)]."""
+    t0, t1, d, h = t.t0, t.t1, t.d, t.h
+    sh = 1 if h > 0 else -1
+    if _zsign(t0, t1, d) * sh < 0 or _zsign(t0 - h, t1, d) * sh > 0:
+        return False
+    for (n1, n0), (d1, d0) in traces:
+        # h*num(t) and h*den(t); the common factor h cancels in the tests
+        na, nb = n1 * t0 + n0 * h, n1 * t1
+        da, db = d1 * t0 + d0 * h, d1 * t1
+        s_n, s_d = _zsign(na, nb, d), _zsign(da, db, d)
+        if s_d == 0:
+            # 0/0: the line may contain the segment; certification decides
+            return s_n == 0  # otherwise the transversal misses this line
+        if s_n * s_d < 0 or _zsign(na - da, nb - db, d) * s_d > 0:
+            return False
+    return True
 
-    traces = [reg.trace_fraction(3, triples[1]),
-              reg.trace_fraction(2, triples[2]),
-              reg.trace_fraction(2, triples[3])]
-    for t in roots:
-        if sign_of(t) < 0 or sign_of(t - 1) > 0:
+
+def _certify(line, triples, d):
+    """Contact parameters of a line of ``_Regulus.line_at`` on every
+    segment (p, q), or None when it misses one.
+
+    With w = (q - p) x dir and r = mom - p x dir the segment is met exactly
+    when w = r = 0 (the line contains it; parameter 0), or w != 0,
+    w x r = 0 and 0 <= r.w <= w.w; then u = r.w / w.w.  Each parameter is
+    returned as the integer pairs (r.w, w.w) of Z[sqrt(d)], (0, 0, 0, 0)
+    standing for a contained segment.
+    """
+    da, db, ma, mb = line
+    params = []
+    for p, ds, _ in triples:
+        wa, wb = v_cross(ds, da), v_cross(ds, db)
+        ra, rb = v_sub(ma, v_cross(p, da)), v_sub(mb, v_cross(p, db))
+        wwa, wwb = v_dot(wa, wa) + d * v_dot(wb, wb), 2 * v_dot(wa, wb)
+        if not wwa:  # w = 0
+            if any(ra) or any(rb):
+                return None
+            params.append((0, 0, 0, 0))
             continue
-        # division-free range checks of the three crossing parameters
-        rejected = False
-        for num, den in traces:
-            nval = num[0] * t + num[1]
-            dval = den[0] * t + den[1]
-            s_n, s_d = sign_of(nval), sign_of(dval)
-            if s_d == 0:
-                if s_n != 0:
-                    rejected = True  # transversal misses this line affinely
-                break  # 0/0: the line may contain the segment; verify below
-            if s_n * s_d < 0 or sign_of(nval - dval) * s_d > 0:
-                rejected = True
-                break
-        if rejected:
+        if (any(v_add(v_cross(wa, ra), v_scale(v_cross(wb, rb), d)))
+                or any(v_add(v_cross(wa, rb), v_cross(wb, ra)))):
+            return None  # skew to the supporting line
+        rwa = v_dot(ra, wa) + d * v_dot(rb, wb)
+        rwb = v_dot(ra, wb) + v_dot(rb, wa)
+        if _zsign(rwa, rwb, d) < 0 or _zsign(wwa - rwa, wwb - rwb, d) < 0:
+            return None
+        params.append((rwa, rwb, wwa, wwb))
+    return params
+
+
+def _public_transversal(line, params, t: _Param, scale) -> SegmentTransversal:
+    """The certified line and parameters as public exact scalars."""
+    us = []
+    for x, y, z, v in params:
+        if not z:
+            us.append(Fraction(0))
             continue
-        cand = reg.line_at(t)
-        params = verify_transversal(cand, segments)
-        if params is not None:
-            return SegmentTransversal(True, cand, params)
-    return SegmentTransversal(False)
+        # (x + y sqrt d) / (z + v sqrt d), with a positive integer norm
+        norm = z * z - v * v * t.d
+        us.append(t.scalar(x * z - y * v * t.d, y * z - x * v, norm))
+    return SegmentTransversal(True, _public_line(line, t, scale), us)
 
 
-def _fourth_line_condition(reg, triples, lns, segs):
+def _fourth_line_condition(reg, triples):
     """Interval condition in t for the fourth segment when its supporting
     line meets every transversal of the regulus."""
+    lns = [PluckerLine(d, m) for _, d, m in triples]
     p4, d4, m4 = triples[3]
     # the fourth line may coincide with a parametrizing line
     for idx in (1, 2):
@@ -707,15 +812,15 @@ def _fourth_line_condition(reg, triples, lns, segs):
             # remap that line's crossing parameter onto segment 4
             other = triples[idx]
             num, den = reg.trace_fraction(3 if idx == 1 else 2, other)
-            comp = next(i for i in range(3) if sign_of(d4[i]) != 0)
+            comp = next(i for i in range(3) if d4[i] != 0)
             shift = Fraction(other[0][comp] - p4[comp], d4[comp])
             ratio = Fraction(other[1][comp], d4[comp])
-            new_num = (Fraction(num[0]) * ratio + Fraction(den[0]) * shift,
-                       Fraction(num[1]) * ratio + Fraction(den[1]) * shift)
+            new_num = (num[0] * ratio + den[0] * shift,
+                       num[1] * ratio + den[1] * shift)
             return mobius_in_unit_interval(new_num, den)
     if same_line(lns[3], lns[0]):
         # transversal meets segment 4 exactly at P(t)
-        comp = next(i for i in range(3) if sign_of(d4[i]) != 0)
+        comp = next(i for i in range(3) if d4[i] != 0)
         p1, d1 = triples[0][0], triples[0][1]
         num = (Fraction(d1[comp], d4[comp]),
                Fraction(p1[comp] - p4[comp], d4[comp]))
@@ -723,19 +828,18 @@ def _fourth_line_condition(reg, triples, lns, segs):
     return mobius_in_unit_interval(*reg.trace_fraction(2, triples[3]))
 
 
-def _witness_from_intervals(reg, conds, segments) -> SegmentTransversal:
+def _witness_from_intervals(reg, conds, triples, scale) -> SegmentTransversal:
     feasible = FULL
     for c in conds:
         feasible = iv_intersect(feasible, c)
         if not feasible:
             return SegmentTransversal(False)
-    for t in iv_sample_points(feasible):
-        cand = reg.line_at(t)
-        if v_is_zero(cand.direction):
-            continue
-        params = verify_transversal(cand, segments)
+    for sample in iv_sample_points(feasible):
+        t = _Param(sample.numerator, 0, 0, sample.denominator, False)
+        line = reg.line_at(t)
+        params = _certify(line, triples, 0)
         if params is not None:
-            return SegmentTransversal(True, cand, params)
+            return _public_transversal(line, params, t, scale)
     return SegmentTransversal(False)
 
 

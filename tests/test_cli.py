@@ -133,5 +133,13 @@ def test_unknown_fixture_kind_exits_1(capsys):
 def test_subcommands_take_only_their_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count-planar", "--input", "x", "--threads", "2"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["count-crossings", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

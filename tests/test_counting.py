@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -271,3 +272,77 @@ def test_lift_determinism():
     c = lift_to_sphere(d, 4, seed=6)
     assert a.polylines == b.polylines
     assert a.polylines != c.polylines
+
+
+# ---------------------------------------------------------------------------
+# parity with recorded witnesses
+# ---------------------------------------------------------------------------
+
+def bundle_drawing(seed, match=(4, 2, 5, 0, 3, 1)):
+    """Six vertex-disjoint segments; segment t joins a point of cell t of a
+    3x2 grid near z = 0 to a point of cell match[t] near z = 2."""
+    rng = random.Random(seed)
+    pts = []
+    for t, top in enumerate(match):
+        for cell, z in ((t, 0), (top, 2)):
+            pts.append(point3(cell % 3 + Fraction(rng.randint(1, 3), 4),
+                              cell // 3 + Fraction(rng.randint(1, 3), 4),
+                              z + Fraction(rng.randint(0, 1), 8)))
+    return SpatialDrawing(Graph.from_edges(12, [(2 * t, 2 * t + 1)
+                                                for t in range(6)]), pts)
+
+
+def small_lifted_drawing(seed=1, n=8):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < 0.5])
+    pts = [point3(Fraction(rng.randint(0, 16), 4),
+                  Fraction(rng.randint(0, 16), 4), 0) for _ in range(n)]
+    return lift_to_sphere(SpatialDrawing(g, pts), 2, seed=seed)
+
+
+def _witness_digest(rep):
+    """Digest of the exact witness lines and contact parameters, types
+    included (the lifted lines run to thousands of digits)."""
+    text = repr([(w.line.direction, w.line.moment, [c[2] for c in w.contacts])
+                 for w in rep.witnesses])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_Q = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11))
+_B = {name: (_Q[a], _Q[b], _Q[c], _Q[d]) for name, (a, b, c, d) in {
+    "0135": (0, 1, 3, 5), "0145": (0, 1, 4, 5), "0235": (0, 2, 3, 5),
+    "0245": (0, 2, 4, 5), "2345": (2, 3, 4, 5)}.items()}
+
+# drawing, then (edges, segment indices) of each witness and the digest
+WITNESS_PARITY = [
+    (lambda: bundle_drawing(0),
+     [(_B[k], [0, 0, 0, 0]) for k in ("0135", "0145", "0235", "0245")],
+     "2777521a341c4dd2"),
+    (lambda: bundle_drawing(1),
+     [(_B[k], [0, 0, 0, 0]) for k in ("0145", "0235", "2345")],
+     "5f5412499a555ac4"),
+    (lambda: bundle_drawing(2),
+     [(_B[k], [0, 0, 0, 0]) for k in ("0135", "0235")],
+     "6d9a6ec06db3d435"),
+    (lambda: bundle_drawing(3),
+     [(_B[k], [0, 0, 0, 0]) for k in ("0135", "0145", "0235", "0245")],
+     "b7cc25f1cb0f9a16"),
+    (small_lifted_drawing,
+     [(((0, 5), (1, 3), (2, 4), (6, 7)), [1, 0, 0, 1]),
+      (((0, 6), (1, 3), (2, 4), (5, 7)), [0, 1, 0, 0]),
+      (((0, 6), (1, 4), (2, 3), (5, 7)), [1, 0, 1, 1])],
+     "d4107c621823ab7e"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(WITNESS_PARITY)))
+def test_witnesses_match_recorded_values(case):
+    make, witnesses, digest = WITNESS_PARITY[case]
+    d = make()
+    rep = count_line_crossings(d, 4, want_witnesses=True)
+    assert rep.count == len(witnesses)
+    assert [(w.edges, [c[1] for c in w.contacts])
+            for w in rep.witnesses] == witnesses
+    assert _witness_digest(rep) == digest
+    assert count_line_crossings(d, 4, prefilter=False).count == rep.count

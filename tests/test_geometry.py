@@ -12,6 +12,7 @@ from spacecross.geometry import (PluckerLine, Segment3, line_through_points,
                                  side_product, transversal_exists_segments,
                                  transversals_of_4_lines, v_add, v_cross,
                                  v_dot, verify_transversal)
+from spacecross.scalars import QuadExt
 
 coord = st.fractions(min_value=0, max_value=4, max_denominator=16)
 points = st.tuples(coord, coord, coord)
@@ -391,3 +392,109 @@ def test_segments_intersect_2d_symmetry(a, b, c, d):
     r1 = segments_intersect_2d((a, b), (c, d))
     assert r1 == segments_intersect_2d((c, d), (a, b))
     assert r1 == segments_intersect_2d((b, a), (c, d))
+
+
+# -- the integer regulus core, one fixture per branch ---------------------------
+
+def q(a, b="0", d=0):
+    return QuadExt(Fraction(a), Fraction(b), d)
+
+
+def _segs(*ends):
+    return [Segment3(tuple(map(Fraction, p)), tuple(map(Fraction, r)))
+            for p, r in ends]
+
+
+# segments, then the witness line (direction, moment) and parameters
+REGULUS_BRANCHES = {
+    # irrational roots: t = (-qb +- sqrt(D)) / 2qa with D = 149904
+    "non-square D": (
+        _segs(((3, -1, 3), (-3, 2, 0)), ((-3, 1, -2), (3, 1, 2)),
+              ((2, 2, -1), (0, -1, 3)), ((-2, -3, -3), (1, 1, 1))),
+        (q("120012/4225", "463/8450", 149904),
+         q("-71316/4225", "-851/12675", 149904),
+         q("99786/4225", "2417/25350", 149904)),
+        (q("113598/4225", "3031/25350", 149904),
+         q("12756/4225", "-331/8450", 149904),
+         q("-28146/845", "-77/845", 149904)),
+        [q("17/65", "-1/2340", 149904), q("427/688", "-1/8256", 149904),
+         q("-2/61", "1/732", 149904), q("515/544", "-1/19584", 149904)]),
+    # two rational roots; the witness touches the last segment at u = 1
+    "perfect-square D": (
+        _segs(((-2, 1, 1), (1, 1, -1)), ((-2, 1, -2), (1, 1, 2)),
+              ((-2, 1, 0), (-1, 2, -2)), ((0, -2, -2), (-2, 2, -2))),
+        (q(18), q(-12), q(24)), (q(24), q(12), q(-12)),
+        [q("1/2"), q("1/2"), q("3/5"), q(1)]),
+    # double root; contacts at u = 0
+    "disc = 0": (
+        _segs(((-1, -2, -1), (2, 1, 1)), ((1, 0, -1), (-2, -2, 0)),
+              ((1, 0, -1), (0, 1, 1)), ((0, 1, -1), (2, 0, -1))),
+        (Fraction(14), Fraction(14), Fraction(0)),
+        (Fraction(14), Fraction(-14), Fraction(14)),
+        [Fraction(0), Fraction(0), Fraction(0), Fraction(2, 3)]),
+    "qa = 0": (
+        _segs(((-2, -1, 1), (2, 1, -1)), ((0, 2, 1), (0, -2, 0)),
+              ((-1, -2, 1), (0, 0, 1)), ((2, -2, -1), (-2, -1, 2))),
+        (Fraction(-88, 25), Fraction(-104, 25), Fraction(84, 25)),
+        (Fraction(-8, 25), Fraction(-32, 25), Fraction(-48, 25)),
+        [Fraction(7, 10), Fraction(7, 11), Fraction(1, 3), Fraction(2, 3)]),
+    # rational endpoints: scale = 2 divides the moment once more
+    "scale != 1": (
+        _segs(((2, -1, "-1/2"), ("-3/2", "-1/2", "3/2")),
+              ((-1, -2, 1), (0, -2, -1)),
+              (("-3/2", -2, 1), ("3/2", -1, "-1/2")),
+              (("3/2", "-3/2", 1), ("-1/2", "-3/2", -1))),
+        (q("4957316/185761", "-68517/1486088", 737280),
+         q("1155456/185761", "-12623/743044", 737280),
+         q("-3020668/185761", "27023/1486088", 737280)),
+        (q("4152312/185761", "-19515/743044", 737280),
+         q("2943434/185761", "-47799/2972176", 737280),
+         q("8392392/185761", "-116903/1486088", 737280)),
+        [q("34/431", "1/6896", 737280), q("7/22", "1/3168", 737280),
+         q("-32/29", "1/464", 737280), q("1/2", "1/12288", 737280)]),
+    "k = 3": (
+        _segs(((1, "-3/2", -1), (1, 1, "3/2")),
+              (("-1/2", "-3/2", 1), ("-1/2", 1, 1)),
+              (("1/2", 0, "1/2"), ("3/2", 1, -1))),
+        (Fraction(-55, 2), Fraction(1345, 72), Fraction(1045, 72)),
+        (Fraction(-65, 8), Fraction(-2915, 144), Fraction(1535, 144)),
+        [Fraction(29, 60), Fraction(49, 55), Fraction(1, 35)]),
+    # the incidence quadratic vanishes identically (roots is None)
+    "full ruling": (
+        _segs(((0, 1, 1), (1, 1, 0)), ((-1, 1, -2), (2, 0, 0)),
+              ((2, -2, -2), (1, -1, 1)), ((-1, 1, 2), (2, 1, -1))),
+        (Fraction(6), Fraction(-18), Fraction(-12)),
+        (Fraction(-12), Fraction(12), Fraction(-24)),
+        [Fraction(1), Fraction(3, 4), Fraction(0), Fraction(2, 3)]),
+}
+
+
+def _same_scalars(got, want):
+    return (len(got) == len(want)
+            and all(type(a) is type(b) and a == b for a, b in zip(got, want)))
+
+
+@pytest.mark.parametrize("branch", sorted(REGULUS_BRANCHES))
+def test_regulus_branch_witness(branch):
+    segs, direction, moment, params = REGULUS_BRANCHES[branch]
+    res = transversal_exists_segments(segs)
+    assert res.exists
+    assert verify_transversal(res.line, segs) == res.params
+    assert _same_scalars(res.line.direction, direction)
+    assert _same_scalars(res.line.moment, moment)
+    assert _same_scalars(res.params, params)
+
+
+@pytest.mark.parametrize("ends", [
+    # segments 2 and 3 share the origin; lines through it meet segment 1
+    (((1, 0, 0), (1, 1, 1)), ((1, 1, 0), (0, 0, 0)), ((0, 0, 0), (1, 0, 1))),
+    # segments 1 and 2 cross at (1, 1/2, 1/2); the line from there to
+    # (0, 0, 1) meets segment 3
+    (((1, 1, 1), (1, 0, 0)), ((1, 0, 1), (1, 1, 0)), ((0, 0, 1), (0, 1, 1))),
+])
+def test_three_segments_with_a_coplanar_pair(ends):
+    # no three supporting lines are pairwise skew: the coplanar pair decides
+    segs = _segs(*ends)
+    res = transversal_exists_segments(segs)
+    assert res.exists
+    assert verify_transversal(res.line, segs) == res.params
