@@ -125,10 +125,11 @@ def cmd_lift_sphere(args) -> dict:
 
 def cmd_gen_stair(args) -> dict:
     n, m = args.n, args.m
-    count = stairs.count_candidate_quadruples(n, m)
+    count, by_r = stairs.count_candidate_quadruples(n, m, breakdown=True)
     b105 = stairs.crossing_bound_105(n, m)
     b6720 = stairs.crossing_bound_explicit(n, m)
     doc = {"n": n, "m": m, "D": stairs.interval_width(n, m), "count": count,
+           "by_components": {str(r): c for r, c in by_r.items()},
            "bound_105": b105, "bound_6720": rat_to_str(b6720)}
     if args.check_bounds:
         doc["pass"] = bool(count <= b105 and count <= b6720)

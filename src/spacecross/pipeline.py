@@ -5,18 +5,18 @@ construction whose sphere drawing has no space crossings.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .counting import CrossingWitness, lift_to_sphere
 from .drawing import Edge, Graph, SpatialDrawing
 from .errors import RetryExhausted, ValidationError
-from .geometry import line_meets_segment, point3, segments_intersect_2d
+from .geometry import line_meets_segment, point3
 from .linking import (LinkedCyclePair, find_linked_pair,
                       transversal_through_cycles, validate_embedding)
 
@@ -387,86 +387,68 @@ def hexgrid_graph(k: int) -> HexGrid:
 
     all_edges = sorted(set(base_edges) | set(closure))
     graph = Graph(n, tuple(all_edges))
-    _validate_hexgrid(graph, verts)
     faces, outer = _trace_faces(n, all_edges, verts)
+    _validate_hexgrid(graph, faces)
     corner = sorted((index[a], index[b]) if index[a] < index[b]
                     else (index[b], index[a]) for a, b in corner_xy)
     return HexGrid(k, graph, verts, cells, corner, closure, faces, outer)
 
 
-def _validate_hexgrid(graph: Graph, coords):
-    for v in range(graph.n):
-        if graph.degree(v) != 3:
-            raise AssertionError(f"vertex {v} has degree {graph.degree(v)}")
-    # connectivity and 3-connectivity by exhaustive 2-vertex removal
-    if not _connected_after_removal(graph, ()):
-        raise AssertionError("grid is not connected")
-    for pair in itertools.combinations(range(graph.n), 2):
-        if not _connected_after_removal(graph, pair):
-            raise AssertionError(f"removing {pair} disconnects the grid")
-    # planarity of the straight-line drawing: exact pairwise segment checks
-    for i in range(graph.m):
-        a, b = graph.edges[i]
-        sa = (tuple(map(Fraction, coords[a])), tuple(map(Fraction, coords[b])))
-        for j in range(i + 1, graph.m):
-            c, d = graph.edges[j]
-            shared = {a, b} & {c, d}
-            sc = (tuple(map(Fraction, coords[c])), tuple(map(Fraction, coords[d])))
-            kind = segments_intersect_2d(sa, sc)
-            if not shared and kind != "disjoint":
-                raise AssertionError(f"edges {(a, b)} and {(c, d)} {kind}")
-            if shared and kind == "crossing":
-                raise AssertionError(f"adjacent edges {(a, b)}, {(c, d)} cross")
-
-
-def _connected_after_removal(graph: Graph, removed) -> bool:
-    removed = set(removed)
-    remaining = [v for v in range(graph.n) if v not in removed]
-    if not remaining:
-        return True
-    adj = {v: [] for v in remaining}
-    for a, b in graph.edges:
-        if a in removed or b in removed:
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {remaining[0]}
-    queue = deque([remaining[0]])
+def _validate_hexgrid(graph: Graph, faces):
+    """Checks linear in the grid size: every vertex has degree 3, the graph
+    is connected, and the faces traced from the drawing's rotation system
+    satisfy Euler's formula V - E + F = 2, so that rotation system is a
+    plane embedding.  The tests also run the exhaustive checks (no two
+    vertices disconnect the grid, no two edges cross) on small grids."""
+    adj = graph.adjacency()
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) != 3:
+            raise AssertionError(f"vertex {v} has degree {len(nbrs)}")
+    seen = {0}
+    queue = deque([0])
     while queue:
-        u = queue.popleft()
-        for w in adj[u]:
+        for w in adj[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == len(remaining)
+    if len(seen) != graph.n:
+        raise AssertionError("grid is not connected")
+    euler = graph.n - graph.m + len(faces)
+    if euler != 2:
+        raise AssertionError(f"V - E + F = {euler}, not 2: the traced faces "
+                             "are not a plane embedding")
 
 
-def _dual_face_distance(grid: HexGrid, u: int, v: int) -> int:
-    """BFS distance in the planar dual between the face sets at u and v."""
+def _vertex_face_distances(grid: HexGrid) -> np.ndarray:
+    """dist[u, v]: least distance in the planar dual, the outer face
+    included, between a face at vertex u and a face at vertex v."""
     edge_faces: Dict[Edge, List[int]] = {}
+    vertex_faces: List[List[int]] = [[] for _ in range(grid.graph.n)]
     for fi, face in enumerate(grid.faces):
-        for i in range(len(face)):
-            a, b = face[i], face[(i + 1) % len(face)]
+        for i, a in enumerate(face):
+            b = face[(i + 1) % len(face)]
             edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
-    dual_adj: Dict[int, Set[int]] = {fi: set() for fi in range(len(grid.faces))}
+            vertex_faces[a].append(fi)
+    dual_adj: List[Set[int]] = [set() for _ in grid.faces]
     for fs in edge_faces.values():
         if len(fs) == 2:
             dual_adj[fs[0]].add(fs[1])
             dual_adj[fs[1]].add(fs[0])
-    def faces_at(w):
-        return {fi for fi, face in enumerate(grid.faces) if w in face}
-    src, dst = faces_at(u), faces_at(v)
-    dist = {fi: 0 for fi in src}
-    queue = deque(src)
-    while queue:
-        f = queue.popleft()
-        if f in dst:
-            return dist[f]
-        for nf in dual_adj[f]:
-            if nf not in dist:
-                dist[nf] = dist[f] + 1
-                queue.append(nf)
-    return math.inf
+    rows = []
+    for src in range(len(grid.faces)):
+        row = [-1] * len(grid.faces)
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            f = queue.popleft()
+            for g in dual_adj[f]:
+                if row[g] < 0:
+                    row[g] = row[f] + 1
+                    queue.append(g)
+        rows.append(row)
+    face_dist = np.array(rows)
+    to_face = np.array([face_dist[fs].min(axis=0) for fs in vertex_faces])
+    return np.array([to_face[:, fs].min(axis=1) for fs in vertex_faces])
 
 
 @dataclass
@@ -480,7 +462,8 @@ class HexGridConstruction:
 def hexgrid_construction(k: int, subdivision: int, seed: int = 0
                          ) -> HexGridConstruction:
     """Spherical drawing of the truncated hexagonal grid plus one straight
-    chord between two vertices far apart in the face metric.
+    chord between two vertices at the largest distance in the face metric
+    (see `_vertex_face_distances`), at least ceil((2k+1)/4).
 
     The grid itself is drawn on a large sphere (crossing-free); a line
     meets the sphere in at most two points, so these edges alone admit no
@@ -488,20 +471,12 @@ def hexgrid_construction(k: int, subdivision: int, seed: int = 0
     to any line's menu.
     """
     grid = hexgrid_graph(k)
-    hx = max(1, k - 1)
-    cu = _hex_center(-hx, 0)
-    cv = _hex_center(hx, 0)
-    coord_u = (cu[0] - 2, cu[1])   # the 180-degree vertex of the left cell
-    coord_v = (cv[0] + 2, cv[1])   # the 0-degree vertex of the right cell
-    index = {c: i for i, c in enumerate(grid.coords)}
-    u, v = index[coord_u], index[coord_v]
-    if grid.graph.has_edge(u, v):
-        raise AssertionError("chord endpoints are adjacent (bug)")
-    rows = 2 * k + 1
-    need = math.ceil(rows / 4)
-    got = _dual_face_distance(grid, u, v)
-    if got < need:
-        raise AssertionError(f"face separation {got} below {need}")
+    dist = _vertex_face_distances(grid)
+    # the farthest pair; argmax takes the first, i.e. the least (u, v)
+    u, v = divmod(int(np.argmax(np.triu(dist))), grid.graph.n)
+    need = math.ceil((2 * k + 1) / 4)
+    if dist[u, v] < need:
+        raise AssertionError(f"face separation {dist[u, v]} below {need}")
 
     flat = SpatialDrawing(grid.graph, [point3(x, y, 0) for x, y in grid.coords])
     lifted = lift_to_sphere(flat, subdivision, seed=seed)

@@ -10,11 +10,10 @@ quadruples together with its closed-form bounds.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -366,47 +365,116 @@ def enumerate_order_types() -> List[IntervalMatching]:
 # candidate quadruple counting and the closed-form bounds
 # ---------------------------------------------------------------------------
 
-_sweep_cache: Dict[int, Tuple[np.ndarray, List[IntervalMatching]]] = {}
+# Largest DP table, in entries, that count_candidate_quadruples builds; its
+# peak memory is about 24 bytes per entry.  Under this limit no block length
+# reaches 128, so an entry is at most 764 partial matchings of 8 points times
+# C(127, 6) gap sequences, and int64 is exact.
+_MAX_TABLE = 1 << 22
 
 
-def _per_width_counts(n: int) -> Tuple[np.ndarray, List[IntervalMatching]]:
-    """counts[r][w] = number of (8-subset, order type) pairs with the given
-    component count r whose four interval spans all fit within width w."""
-    if n in _sweep_cache:
-        return _sweep_cache[n]
-    types = [t for t in enumerate_order_types() if t.components <= 2]
-    subsets = np.array(list(itertools.combinations(range(1, n + 1), 8)),
-                       dtype=np.int16)
-    counts = np.zeros((3, n + 1), dtype=np.int64)
-    for t in types:
-        spans = np.zeros(len(subsets), dtype=np.int16)
-        for a, b in t.pairs:
-            span = subsets[:, b - 1] - subsets[:, a - 1]
-            np.maximum(spans, span, out=spans)
-        hist = np.bincount(spans, minlength=n + 1)
-        cum = np.cumsum(hist)
-        counts[t.components] += cum
-    _sweep_cache[n] = (counts, types)
-    return counts, types
+def _gap_step(a: np.ndarray) -> np.ndarray:
+    """Append one gap g >= 1: out[x + g*(1, ..., 1)] sums a[x] over g.
+
+    Every axis of a DP table is an open interval's span so far or the block
+    length, and one gap lengthens all of them.  What moves past an axis end
+    is dropped, which prunes spans above the width and lengths above n - 1.
+    The sum along the all-ones diagonal is a shift by one and then a
+    doubling prefix sum (shifts 1, 2, 4, ...).
+    """
+    def head(d):
+        return (slice(d, None),) * a.ndim
+
+    def tail(d):
+        return tuple(slice(None, size - d) for size in a.shape)
+
+    out = np.zeros_like(a)
+    out[head(1)] = a[tail(1)]
+    d = 1
+    while d < min(a.shape):
+        out[head(d)] += out[tail(d)]
+        d *= 2
+    return out
+
+
+def _block_lengths(n: int, w: int) -> Dict[int, List[int]]:
+    """blocks[p][L] = number of (connected matching on p positions, gaps
+    >= 1 summing to L) pairs whose matched spans are all at most w, for
+    p = 2, 4, 6, 8 and L < min(n, 4w - 2).  Longer blocks do not occur: the
+    intervals of a block overlap in a chain, each by at least one, so four
+    spans of at most w cover at most 4w - 3, and no block longer than n - 1
+    fits in 1..n.
+
+    One left-to-right DP over positions 1..8 covers every matching at once.
+    A state is keyed by (open intervals k, block start still open) and is a
+    table with one axis per open interval, oldest first, holding its span
+    so far; while the block start is open its span is the block length,
+    afterwards a last axis holds the length.  Each position either opens an
+    interval (span 0) or closes one of the open ones (its axis is summed
+    out; the block start's axis becomes the length axis).  A block ends at
+    the first position where nothing is open.
+    """
+    spans = min(w, n - 1) + 1
+    lengths = min(n, 4 * w - 2)
+    if spans ** 3 * lengths > _MAX_TABLE:
+        raise PreconditionViolated(
+            f"stair count for n={n}, width {w} needs a table of "
+            f"{spans ** 3 * lengths} entries, above {_MAX_TABLE}")
+    blocks = {p: np.zeros(lengths, dtype=np.int64) for p in (2, 4, 6, 8)}
+    start = np.zeros(spans, dtype=np.int64)
+    start[0] = 1
+    states = {(1, True): start}
+    for p in range(2, 9):
+        nxt: Dict[Tuple[int, bool], np.ndarray] = {}
+
+        def add(key, table):
+            if key[0] == 0:
+                blocks[p] += table
+            elif key in nxt:
+                nxt[key] += table
+            else:
+                nxt[key] = table
+
+        for (k, head_open), a in states.items():
+            a = _gap_step(a)
+            if k + 1 <= 8 - p:                      # room to close k + 1
+                b = np.zeros(a.shape[:k] + (spans,) + a.shape[k:], a.dtype)
+                b[(slice(None),) * k + (0,)] = a
+                add((k + 1, head_open), b)
+            for j in range(k):
+                if head_open and j == 0:
+                    pad = [(0, 0)] * (a.ndim - 1) + [(0, lengths - spans)]
+                    add((k - 1, False), np.pad(np.moveaxis(a, 0, -1), pad))
+                else:
+                    add((k - 1, head_open), a.sum(axis=j))
+        states = nxt
+    return {p: v.tolist() for p, v in blocks.items()}
 
 
 def count_candidate_quadruples(n: int, m: int, breakdown: bool = False):
     """Vertex-disjoint edge quadruples of interval_graph(n, m) whose four
     vertex intervals form at most two connected components.
 
-    Counting goes per interval order type: an 8-subset of vertices
-    realizes a type exactly when each of its four matched spans fits the
-    graph's width, so the total is a cumulative histogram lookup.
+    Each quadruple is an 8-subset of vertices with an interval order type
+    whose four matched spans are at most the width w.  A type's connected
+    blocks are counted over their gap lengths (`_block_lengths`), and the
+    placements in 1..n follow from the block lengths: a one-block type of
+    length L has n - L, a two-block type of lengths L1, L2 has
+    C(n - L1 - L2, 2).  Time and memory grow as min(w, n)^3 min(4w, n);
+    a width that needs a table above `_MAX_TABLE` entries raises
+    PreconditionViolated.
     """
     if not (1 <= m <= n * (n - 1) // 2):
         raise ValidationError(f"need 1 <= m <= C({n},2)")
     if n < 8:
         return (0, {1: 0, 2: 0}) if breakdown else 0
-    width = interval_width(n, m)
-    counts, _ = _per_width_counts(n)
-    w = min(width, n)
-    by_r = {1: int(counts[1][w]), 2: int(counts[2][w])}
-    total = by_r[1] + by_r[2]
+    blocks = _block_lengths(n, interval_width(n, m))
+    one = sum(c * (n - L) for L, c in enumerate(blocks[8]))
+    two = sum(c1 * c2 * comb(n - L1 - L2, 2)
+              for p in (2, 4, 6)
+              for L1, c1 in enumerate(blocks[p]) if c1
+              for L2, c2 in enumerate(blocks[8 - p]) if c2 and L1 + L2 < n)
+    by_r = {1: one, 2: two}
+    total = one + two
     return (total, by_r) if breakdown else total
 
 

@@ -80,10 +80,22 @@ def test_gen_hexgrid_writes_drawing_and_reports_to_stdout(tmp_path, capsys):
     assert code == 1  # the written drawing is lifted, hence not flat
 
 
+def test_gen_hexgrid_at_the_smallest_size(capsys):
+    code, doc = run(capsys, "gen-hexgrid", "--k", "1", "--subdivision", "1")
+    assert code == 0
+    assert (doc["vertices"], doc["edges"]) == (24, 37)
+
+
 def test_gen_stair_and_order_types(capsys):
     code, doc = run(capsys, "gen-stair", "--n", "8", "--m", "8",
                     "--check-bounds")
     assert code == 0 and doc["pass"] is True
+    code, doc = run(capsys, "gen-stair", "--n", "200", "--m", "400",
+                    "--check-bounds")
+    assert code == 0 and doc["pass"] is True
+    assert doc["D"] == 4
+    assert doc["count"] == sum(doc["by_components"].values()) > 0
+    assert set(doc["by_components"]) == {"1", "2"}
     code, doc = run(capsys, "order-types")
     assert (code, doc["total"]) == (0, 105)
 

@@ -1,11 +1,15 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import comb
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacecross.errors import ValidationError
+from spacecross.errors import PreconditionViolated, ValidationError
 from spacecross.geometry import Segment3, transversal_exists_segments
 from spacecross.stairs import (IntervalMatching, StretchedGrid,
                                count_candidate_quadruples,
@@ -272,6 +276,69 @@ def _direct_count(n, m):
 def test_candidate_count_matches_direct_enumeration():
     for n, m in [(9, 5), (9, 9), (9, 14), (10, 12), (8, 8)]:
         assert count_candidate_quadruples(n, m) == _direct_count(n, m)
+
+
+def _sweep_counts(n):
+    """counts[r][w]: (8-subset of 1..n, order type with r components) pairs
+    whose four matched spans are all at most w, from every 8-subset."""
+    subsets = np.array(list(itertools.combinations(range(1, n + 1), 8)),
+                       dtype=np.int16)
+    counts = np.zeros((3, n + 1), dtype=np.int64)
+    for t in enumerate_order_types():
+        if t.components > 2:
+            continue
+        spans = np.zeros(len(subsets), dtype=np.int16)
+        for a, b in t.pairs:
+            np.maximum(spans, subsets[:, b - 1] - subsets[:, a - 1], out=spans)
+        counts[t.components] += np.cumsum(np.bincount(spans, minlength=n + 1))
+    return counts
+
+
+def _m_for_width(n, w):
+    m = w * n // 2
+    assert interval_width(n, m) == w
+    return m
+
+
+def test_candidate_count_matches_sweep():
+    # widths 1..n-1 are all a graph can have: 2m/n <= n - 1
+    for n in range(8, 17):
+        counts = _sweep_counts(n)
+        for w in range(1, n):
+            total, by_r = count_candidate_quadruples(
+                n, _m_for_width(n, w), breakdown=True)
+            assert by_r == {1: counts[1][w], 2: counts[2][w]}, (n, w)
+            assert total == counts[1][w] + counts[2][w]
+
+
+def test_candidate_count_paper_sizes():
+    assert count_candidate_quadruples(24, 48, breakdown=True) == (
+        74449, {1: 1740, 2: 72709})
+    # on a complete graph every 8-subset realises each of the 74 one-block
+    # and 24 two-block order types
+    for n in (8, 13, 24):
+        assert count_candidate_quadruples(n, comb(n, 2), breakdown=True) == (
+            98 * comb(n, 8), {1: 74 * comb(n, 8), 2: 24 * comb(n, 8)})
+
+
+def test_candidate_count_at_large_n_follows_the_sweep():
+    """At width 4 no block is longer than 4w - 3 = 13, so from n = 17 on the
+    one-block count is linear and the two-block count quadratic in n; the
+    sweep at n = 17, 18, 19 fixes both polynomials."""
+    points = [_sweep_counts(n)[:, 4] for n in (17, 18, 19)]
+    t0 = time.perf_counter()
+    total, by_r = count_candidate_quadruples(1000, 2000, breakdown=True)
+    assert time.perf_counter() - t0 < 1.0
+    for r in (1, 2):
+        f0, f1, f2 = (int(p[r]) for p in points)
+        d1, d2 = f1 - f0, f2 - 2 * f1 + f0
+        assert by_r[r] == f0 + (1000 - 17) * d1 + comb(1000 - 17, 2) * d2
+    assert total == by_r[1] + by_r[2] == 354980257
+
+
+def test_candidate_count_refuses_a_table_too_large():
+    with pytest.raises(PreconditionViolated):
+        count_candidate_quadruples(100, 4950)
 
 
 def test_candidate_count_small_graphs_zero():
