@@ -3,8 +3,8 @@
 One binary with subcommands; every run writes a JSON report (stdout or
 --output).  The subcommands that produce a drawing (gen-fixture,
 gen-hexgrid, lift-sphere) write the drawing to --output instead, and
-their report then goes to stdout.  Exact scalar values serialize as 'p/q'
-strings, float-mode values as decimals with an explicit mode marker.
+their report then goes to stdout.  Rational values serialize as 'p/q'
+strings, quadratic irrationals as field dicts.
 Exit status: 0 success (also --help), 1 validation error, including a
 command-line usage error, 2 internal invariant failure.
 """
@@ -97,10 +97,9 @@ def _cycles_from_doc(doc) -> List[PolygonalCycle]:
 
 def cmd_count_crossings(args) -> dict:
     d = decode_drawing(_read_input(args.input))
-    rep = counting.count_line_crossings(
-        d, args.k, mode=args.mode, want_witnesses=args.witnesses,
-        tol=args.tol)
-    doc = {"mode": rep.mode, "k": rep.k, "count": rep.count,
+    rep = counting.count_line_crossings(d, args.k,
+                                        want_witnesses=args.witnesses)
+    doc = {"k": rep.k, "count": rep.count,
            "tuples_total": rep.tuples_total,
            "tuples_after_prefilter": rep.tuples_after_prefilter,
            "elapsed": rep.elapsed}
@@ -270,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("count-crossings"))
     p.add_argument("--k", type=int, choices=[3, 4], default=4)
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--witnesses", action="store_true")
     p.set_defaults(func=cmd_count_crossings)
 

@@ -9,21 +9,19 @@ k = 4, ``_stab_batch``, a 2D stabbing test in a projection:
 1. per edge tuple, on the edges' enclosing balls and on their straight
    chords fattened by the polyline width;
 2. per segment combination (one segment of each edge), for all tuples
-   that pass level 1 at once, on the segments themselves.  For k = 4 a
-   combination that passes is also dropped when its numeric regulus
-   margin (``_float_feasibility``) is clearly negative.
+   that pass level 1 at once, on the segments themselves.
 
-Every remaining combination goes to the exact predicate
+Every combination that passes goes to the exact predicate
 ``transversal_exists_segments``, tuple by tuple in lexicographic order of
-the combinations, and a tuple stops at its first transversal.  The float
-rejections carry safety margins but are not certified; with
-``prefilter=False`` no float test runs and exact mode is all-exact.
+the combinations, and a tuple stops at its first transversal.  The ball,
+chord and 2D stabbing tests are the only float rejections; they carry
+fixed slacks but are not certified.  ``prefilter=False`` runs none of
+them and is the all-exact reference.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,10 +33,6 @@ from .drawing import Edge, Graph, SpatialDrawing
 from .errors import ValidationError
 from .geometry import (PluckerLine, Segment3, segments_intersect_2d,
                        transversal_exists_segments)
-
-# margin used by the float prefilter when rejecting; anything closer to
-# feasibility than this goes to the exact path
-REJECT_MARGIN = 1e-6
 
 # rows (tuples or segment combinations) per vectorized filter batch
 _CHUNK = 262144
@@ -55,7 +49,6 @@ class CrossingWitness:
 
 @dataclass
 class CrossingReport:
-    mode: str
     k: int
     count: int
     witnesses: Optional[List[CrossingWitness]] = None
@@ -331,155 +324,23 @@ def _segment_combinations(tuples: np.ndarray, first: np.ndarray):
         yield t, segs
 
 
-def _float_feasibility(ends_p, ends_q) -> float:
-    """Numeric feasibility margin for a 4-segment transversal.
-
-    ends_p, ends_q: the four segments' float endpoints.  Positive margins
-    indicate a likely transversal, strongly negative ones safe rejection;
-    +inf means the supporting lines are too close to degenerate for float
-    arithmetic and the caller must decide exactly.  Coordinates are
-    centred and rescaled so thresholds are honest absolute constants.
-    """
-    pts = ends_p + ends_q
-    cx = sum(p[0] for p in pts) / 8
-    cy = sum(p[1] for p in pts) / 8
-    cz = sum(p[2] for p in pts) / 8
-    spread = max(max(abs(p[0] - cx), abs(p[1] - cy), abs(p[2] - cz))
-                 for p in pts) or 1e-300
-
-    def norm(v):
-        return ((v[0] - cx) / spread, (v[1] - cy) / spread, (v[2] - cz) / spread)
-
-    p = [norm(v) for v in pts[:4]]
-    q = [norm(v) for v in pts[4:]]
-    d = [_fsub(qq, pp) for pp, qq in zip(p, q)]
-    mo = [_fcross(pp, qq) for pp, qq in zip(p, q)]
-
-    def rel_side(i, j):
-        val = _fdot(d[i], mo[j]) + _fdot(d[j], mo[i])
-        ref = (_fnrm(d[i]) * _fnrm(mo[j]) + _fnrm(d[j]) * _fnrm(mo[i]) + 1e-300)
-        return abs(val) / ref
-
-    best_order, best_s = None, 0.0
-    for last in range(3, -1, -1):
-        rest = [i for i in range(4) if i != last]
-        s_min = min(rel_side(rest[0], rest[1]), rel_side(rest[0], rest[2]),
-                    rel_side(rest[1], rest[2]))
-        if s_min > best_s:
-            best_s, best_order = s_min, (*rest, last)
-    if best_s > 1e-5:
-        return _regulus_feasibility(p, q, d, mo, best_order)
-    if best_s > 1e-8:
-        # marginally skew: the regulus margins carry an error that grows
-        # like 1/skew^2, so reject only beyond that uncertainty
-        margin = _regulus_feasibility(p, q, d, mo, best_order)
-        uncertainty = 1e-14 / (best_s * best_s) + 1e-9
-        if uncertainty <= 0.3 and -math.inf < margin < -uncertainty:
-            return margin
-    return math.inf
-
-
-def _fsub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _fcross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _fdot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _fnrm(v):
-    return abs(v[0]) + abs(v[1]) + abs(v[2])
-
-
-def _faxpy(a, s, b):
-    return (a[0] + s * b[0], a[1] + s * b[1], a[2] + s * b[2])
-
-
-def _regulus_feasibility(p, q, d, mo, order) -> float:
-    """Margin via the transversal quadratic on a well-conditioned triple."""
-    i1, i2, i3, i4 = order
-    p1, d1 = p[i1], d[i1]
-    A2 = _faxpy(mo[i2], 1.0, _fcross(d[i2], p1))
-    B2 = _fcross(d[i2], d1)
-    a2, b2 = -_fdot(mo[i2], p1), -_fdot(mo[i2], d1)
-    A3 = _faxpy(mo[i3], 1.0, _fcross(d[i3], p1))
-    B3 = _fcross(d[i3], d1)
-    a3, b3 = -_fdot(mo[i3], p1), -_fdot(mo[i3], d1)
-    d4, m4 = d[i4], mo[i4]
-    qa = _fdot(_fcross(B2, B3), m4) + b2 * _fdot(d4, B3) - b3 * _fdot(d4, B2)
-    qb = (_fdot(_fcross(A2, B3), m4) + _fdot(_fcross(B2, A3), m4)
-          + a2 * _fdot(d4, B3) + b2 * _fdot(d4, A3)
-          - a3 * _fdot(d4, B2) - b3 * _fdot(d4, A2))
-    qc = _fdot(_fcross(A2, A3), m4) + a2 * _fdot(d4, A3) - a3 * _fdot(d4, A2)
-    nd4, nm4 = _fnrm(d4), _fnrm(m4)
-    nA2, nB2, nA3, nB3 = _fnrm(A2), _fnrm(B2), _fnrm(A3), _fnrm(B3)
-    sa = nB2 * nB3 * nm4 + abs(b2) * nd4 * nB3 + abs(b3) * nd4 * nB2 + 1e-300
-    sb = ((nA2 * nB3 + nB2 * nA3) * nm4 + abs(a2) * nd4 * nB3
-          + abs(b2) * nd4 * nA3 + abs(a3) * nd4 * nB2 + abs(b3) * nd4 * nA2
-          + 1e-300)
-    sc = nA2 * nA3 * nm4 + abs(a2) * nd4 * nA3 + abs(a3) * nd4 * nA2 + 1e-300
-    if abs(qa) <= 1e-9 * sa and abs(qb) <= 1e-9 * sb:
-        if abs(qc) <= 1e-9 * sc:
-            return math.inf  # possibly an infinite family: decide exactly
-        return -1.0
-    if abs(qa) <= 1e-12 * sa:
-        roots = [-qc / qb]
-    else:
-        disc = qb * qb - 4 * qa * qc
-        if disc < -1e-9 * (qb * qb + 4 * abs(qa * qc) + 1e-300):
-            return -1.0
-        disc = max(disc, 0.0)
-        roots = [(-qb + math.sqrt(disc)) / (2 * qa),
-                 (-qb - math.sqrt(disc)) / (2 * qa)]
-    best = -math.inf
-    for t in roots:
-        margin = min(t, 1 - t)
-        for (A, B, al, be, j) in ((A3, B3, a3, b3, i2), (A2, B2, a2, b2, i3),
-                                  (A2, B2, a2, b2, i4)):
-            n = _faxpy(A, t, B)
-            e = al + t * be
-            den = _fdot(n, d[j])
-            num = -(_fdot(n, p[j]) + e)
-            den_ref = _fnrm(n) * _fnrm(d[j]) + 1e-300
-            if abs(den) <= 1e-9 * den_ref:
-                num_ref = _fnrm(n) * _fnrm(p[j]) + abs(e) + 1e-300
-                if abs(num) <= 1e-6 * num_ref:
-                    margin = math.inf  # trace degenerates: decide exactly
-                    break
-                margin = -math.inf    # transversal misses the line affinely
-                break
-            u = num / den
-            margin = min(margin, u, 1 - u)
-        best = max(best, margin)
-    return best
-
-
-def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
-                         want_witnesses: bool = False, tol: float = 1e-9,
+def count_line_crossings(d: SpatialDrawing, k: int,
+                         want_witnesses: bool = False,
                          prefilter: bool = True) -> CrossingReport:
     """Count vertex-disjoint k-tuples of edges pierced by a common line.
 
-    A tuple counts once no matter how many transversal lines it admits.
-    With ``prefilter`` the two-level float filter of the module docstring
-    drops tuples, then segment combinations, before the exact predicate;
-    ``tuples_after_prefilter`` counts the tuples the first level keeps.
-    ``prefilter=False`` turns every float test off: each combination of
-    each tuple goes to the exact predicate, so exact mode is all-exact.
-    In exact mode every counted tuple carries an exactly verified witness.
-    Float mode decides a k = 4 tuple of straight edges by the numeric
-    feasibility margin against ``tol`` when that margin is finite, and
-    everything else as exact mode does.
+    A tuple counts once no matter how many transversal lines it admits,
+    and every counted tuple carries an exactly verified witness.  With
+    ``prefilter`` the float ball, chord and 2D stabbing tests of the
+    module docstring drop tuples, then segment combinations, before the
+    exact predicate; ``tuples_after_prefilter`` counts the tuples the
+    first level keeps.  These slack-padded tests are the only uncertified
+    rejections.  ``prefilter=False`` turns them off: each combination of
+    each tuple goes to the exact predicate, which makes it the all-exact
+    reference.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
     t0 = time.perf_counter()
     g = d.graph
     eds = [_edge_data(d, e) for e in g.edges]
@@ -494,7 +355,7 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
 
     n_edges = g.m
     if n_edges < k:
-        return CrossingReport(mode=mode, k=k, count=0,
+        return CrossingReport(k=k, count=0,
                               witnesses=[] if want_witnesses else None,
                               elapsed=time.perf_counter() - t0)
     combos = np.array(list(itertools.combinations(range(n_edges), k)),
@@ -524,7 +385,6 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
     seg_center = np.vstack([ed.seg_center for ed in eds])
     seg_radius = np.concatenate([ed.seg_radius for ed in eds])
     seg_w = np.zeros(len(segments))
-    straight = (first[1:] - first[:-1] == 1)[survivors].all(axis=1)
     found = np.zeros(len(survivors), dtype=bool)
     for t, segs in _segment_combinations(survivors, first):
         if prefilter:
@@ -533,17 +393,6 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
         for ti, row in zip(t.tolist(), segs.tolist()):
             if found[ti]:
                 continue
-            by_margin = mode == "float" and straight[ti]
-            if k == 4 and (prefilter or by_margin):
-                margin = _float_feasibility(seg_p[row].tolist(),
-                                            seg_q[row].tolist())
-                if by_margin and margin != math.inf:
-                    if margin > -tol:
-                        found[ti] = True
-                        count += 1
-                    continue
-                if margin < -REJECT_MARGIN:
-                    continue
             res = transversal_exists_segments([segments[i] for i in row])
             if not res.exists:
                 continue
@@ -557,7 +406,7 @@ def count_line_crossings(d: SpatialDrawing, k: int, mode: str = "exact",
                      for i, j in enumerate(idx)]))
 
     return CrossingReport(
-        mode=mode, k=k, count=count,
+        k=k, count=count,
         witnesses=witnesses if want_witnesses else None,
         elapsed=time.perf_counter() - t0,
         tuples_total=tuples_total,

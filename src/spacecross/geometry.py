@@ -215,7 +215,7 @@ def iv_from_linear_product(l1, l2, nonneg: bool):
     a1, b1, a2, b2 = Fraction(a1), Fraction(b1), Fraction(a2), Fraction(b2)
     if a1 == 0:
         if b1 == 0:
-            return FULL if nonneg else FULL  # identically zero product
+            return FULL  # identically zero product
         return iv_from_linear(a2, b2, nonneg if b1 > 0 else not nonneg)
     if a2 == 0:
         if b2 == 0:
@@ -477,11 +477,15 @@ def _skew_triple_order(lines) -> Optional[Tuple[int, ...]]:
     three pairwise skew lines first; None when no three are pairwise skew."""
     n = len(lines)
     skew = {}
-    for i, j in itertools.combinations(range(n), 2):
-        (di, mi), (dj, mj) = lines[i], lines[j]
-        skew[(i, j)] = v_dot(di, mj) + v_dot(dj, mi) != 0
+
+    def is_skew(i, j):
+        if (i, j) not in skew:
+            (di, mi), (dj, mj) = lines[i], lines[j]
+            skew[(i, j)] = v_dot(di, mj) + v_dot(dj, mi) != 0
+        return skew[(i, j)]
+
     for triple in itertools.combinations(range(n), 3):
-        if all(skew[pair] for pair in itertools.combinations(triple, 2)):
+        if all(is_skew(*pair) for pair in itertools.combinations(triple, 2)):
             return (*triple, *(i for i in range(n) if i not in triple))
     return None
 
@@ -660,10 +664,11 @@ class SegmentTransversal:
 def _scaled_int_segments(segments):
     """Integer endpoint pairs of the segments times one common positive
     factor, and that factor."""
-    denoms = [c.denominator for s in segments for p in (s.p, s.q) for c in p]
-    scale = lcm(*denoms) if denoms else 1
-    return [(tuple(int(c * scale) for c in s.p),
-             tuple(int(c * scale) for c in s.q)) for s in segments], scale
+    coords = [c for s in segments for c in s.p + s.q]
+    scale = lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    return [(tuple(ints[i:i + 3]), tuple(ints[i + 3:i + 6]))
+            for i in range(0, len(ints), 6)], scale
 
 
 def _int_triple(p, q):

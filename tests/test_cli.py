@@ -143,9 +143,11 @@ def test_unknown_fixture_kind_exits_1(capsys):
 
 
 def test_subcommands_take_only_their_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["count-planar", "--input", "x", "--threads", "2"])
-    assert exc.value.code == 1
+    for argv in (["count-planar", "--input", "x", "--threads", "2"],
+                 ["count-crossings", "--input", "x", "--mode", "float"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
     capsys.readouterr()
 
 

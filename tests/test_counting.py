@@ -172,15 +172,50 @@ def test_count_k3_mode():
     assert rep.count == oracle
 
 
-def test_float_mode_matches_exact_on_generic_input():
-    rng = random.Random(13)
-    pts = [point3(Fraction(rng.randint(0, 64), 64),
-                  Fraction(rng.randint(0, 64), 64),
-                  Fraction(rng.randint(0, 64), 64)) for _ in range(8)]
-    d = SpatialDrawing(complete_graph(8), pts)
-    exact = count_line_crossings(d, 4, mode="exact")
-    approx = count_line_crossings(d, 4, mode="float")
-    assert approx.count == exact.count
+def _segment_drawing(pairs):
+    """Each (p, q) endpoint pair as its own edge (2i, 2i + 1)."""
+    pos = [p for pair in pairs for p in pair]
+    return SpatialDrawing(
+        Graph.from_edges(len(pos), [(2 * i, 2 * i + 1) for i in range(len(pairs))]),
+        pos)
+
+
+def near_coplanar_drawing(seed, n_segments=6):
+    """Segments through seeded points of the line y = x/2 + 1 in z = 0,
+    tilted out of that plane by +-2^-e, e in 10..40."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n_segments):
+        x = Fraction(rng.randint(-64, 64), 8)
+        c = (x, x / 2 + 1, Fraction(0))
+        v = (Fraction(rng.randint(-32, 32), 16), Fraction(rng.randint(-32, 32), 16),
+             Fraction(rng.choice((-1, 1)), 2 ** rng.randint(10, 40)))
+        a, b = Fraction(rng.randint(1, 8), 8), Fraction(rng.randint(1, 8), 8)
+        pairs.append((tuple(ci + a * vi for ci, vi in zip(c, v)),
+                      tuple(ci - b * vi for ci, vi in zip(c, v))))
+    return _segment_drawing(pairs)
+
+
+def test_near_coplanar_crossings_are_counted():
+    # an exact transversal meets these four at params 5/8, 1, 1, 1, but in
+    # doubles their regulus quadratic loses its t^2 and t terms to
+    # rounding, so no float margin on it may reject the tuple
+    F = Fraction
+    fixture = _segment_drawing([
+        ((F(-75, 16), F(95, 16), F(-35, 2 ** 20)),
+         (F(-125, 16), F(141, 16), F(21, 2 ** 20))),
+        ((F(-2369, 256), F(2015, 256), F(1, 2 ** 17)),
+         (F(-1889, 256), F(2239, 256), F(0))),
+        ((F(-161, 32), F(221, 32), F(1, 2 ** 17)),
+         (F(-145, 32), F(155, 32), F(0))),
+        ((F(-477, 256), F(931, 256), F(0)),
+         (F(-701, 256), F(611, 256), F(0))),
+    ])
+    # in the corpus one line meets every segment, so all C(6, 4) tuples cross
+    cases = [(fixture, 1)] + [(near_coplanar_drawing(s), 15) for s in range(32)]
+    for i, (d, expect) in enumerate(cases):
+        assert count_line_crossings(d, 4).count == expect, i
+        assert count_line_crossings(d, 4, prefilter=False).count == expect, i
 
 
 def test_affine_invariance_of_count():
