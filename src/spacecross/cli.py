@@ -102,7 +102,10 @@ def cmd_count_crossings(args) -> dict:
     doc = {"k": rep.k, "count": rep.count,
            "tuples_total": rep.tuples_total,
            "tuples_after_prefilter": rep.tuples_after_prefilter,
-           "elapsed": rep.elapsed}
+           "elapsed": rep.elapsed,
+           "stages": [{"name": name, "rows_in": rows_in, "rows_out": rows_out,
+                       "seconds": seconds}
+                      for name, rows_in, rows_out, seconds in rep.stages]}
     if rep.witnesses is not None:
         doc["witnesses"] = [_witness_doc(w) for w in rep.witnesses]
     return doc

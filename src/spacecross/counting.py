@@ -1,29 +1,63 @@
 """Crossing counts for spatial drawings.
 
 ``count_line_crossings`` counts vertex-disjoint k-tuples of edges (k = 3
-or 4) admitting a common transversal line.  A two-level floating-point
-filter runs before the exact predicate, and both levels apply the same
-two vectorized tests, ``_collinear_possible`` on enclosing balls and, for
-k = 4, ``_stab_batch``, a 2D stabbing test in a projection:
+or 4) admitting a common transversal line.  With ``prefilter`` each tuple
+passes a funnel of three steps, and ``CrossingReport.stages`` reports
+rows in, rows out and seconds of each:
 
-1. per edge tuple, on the edges' enclosing balls and on their straight
-   chords fattened by the polyline width;
-2. per segment combination (one segment of each edge), for all tuples
-   that pass level 1 at once, on the segments themselves.
+1. The tuple filter, ``_tuple_filter``, per edge tuple: a line test on
+   the edges' enclosing balls (``_collinear_possible``) and, for k = 4, a
+   2D stabbing test of the straight chords fattened by the polyline width
+   (``_stab_batch``).  Its tests carry fixed slacks and are not
+   certified; they are the only uncertified rejection.
+2. The certified filter, ``_certified_reject``, for k = 4: over blocks of
+   segment combinations (one segment of each edge) of the surviving
+   tuples, it evaluates in float64 the signs that the exact kernel takes
+   on its skew-triple branch, and rejects a combination only when those
+   signs prove that no transversal exists.
+3. The exact predicate ``transversal_exists_segments`` on every
+   combination left, tuple by tuple in lexicographic order of the
+   combinations; a tuple stops at its first transversal.
 
-Every combination that passes goes to the exact predicate
-``transversal_exists_segments``, tuple by tuple in lexicographic order of
-the combinations, and a tuple stops at its first transversal.  The ball,
-chord and 2D stabbing tests are the only float rejections; they carry
-fixed slacks but are not certified.  ``prefilter=False`` runs none of
-them and is the all-exact reference.
+``prefilter=False`` runs neither filter and is the all-exact reference.
+Rejected combinations have no transversal, so both give the same counts
+and witnesses.
+
+Error bound of the certified filter.  A coordinate x of a drawing becomes
+the double x~ with |x~ - x| <= u |x|, u = 2^-53 (beyond the double range
+it becomes +-inf, below the normal range nan; such rows are kept).  Each
+row is moved by its first float endpoint o, an exact translation, to
+x' = fl(x~ - o), so x' is off the exact x - o by at most
+u |x| + u |x'| < eps = 4 u (|x~| + |x'|) (conversion and subtraction),
+and is then scaled by a power of two, which is exact.  Every polynomial
+is evaluated by the kernel's own program (``_Regulus``, ``v_dot``,
+``v_cross``) on ``_Approx`` values that carry, besides the value v, the
+program a run on absolute values, a bound e on how far the inputs' errors
+move the exact result (eps at an input, e + e' for a sum, a e' + e (a' +
+e') for a product) and the number n of roundings on a path from an
+input.  The
+classical bound |v - P(x')| <= gamma_n A(|x'|), gamma_n = n u / (1 - n u),
+for a program with n roundings and absolute-value program A (Higham,
+"Accuracy and Stability of Numerical Algorithms", ch. 3), together with
+A(|x'|) <= a (1 + gamma_n), gives |v - P(x - o)| <= e + 4 n u (a + e)
+with room to spare, which also covers the rounding of a and e
+themselves; ``_ERR_UNIT`` is the 4 u.  A sign counts only when |v|
+exceeds this bound plus ``_ERR_TINY``, which absorbs underflow: after
+scaling every input is below 1, intermediates stay below 2^45 and there
+are under 2^10 operations, so underflow costs below 2^-1000.  This is a
+semi-static filter in the sense of Shewchuk, "Adaptive Precision
+Floating-Point Arithmetic and Fast Robust Geometric Predicates" (1997),
+and Bronnimann, Burnikel & Pion, "Interval arithmetic yields efficient
+dynamic filters" (2001).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -31,11 +65,13 @@ import numpy as np
 
 from .drawing import Edge, Graph, SpatialDrawing
 from .errors import ValidationError
-from .geometry import (PluckerLine, Segment3, segments_intersect_2d,
-                       transversal_exists_segments)
+from .geometry import (PluckerLine, Segment3, _int_triple, _Regulus,
+                       segments_intersect_2d, transversal_exists_segments, v_dot)
 
-# rows (tuples or segment combinations) per vectorized filter batch
-_CHUNK = 262144
+# rows (tuples or segment combinations) per vectorized filter batch; small
+# enough that a batch's arrays stay in cache (the certified filter runs
+# about twice as fast per row at 4,096 rows as at 262,144)
+_CHUNK = 4096
 
 
 @dataclass
@@ -55,6 +91,8 @@ class CrossingReport:
     elapsed: float = 0.0
     tuples_total: int = 0
     tuples_after_prefilter: int = 0
+    # (name, rows in, rows out, seconds) of each step of the funnel
+    stages: List[Tuple[str, int, int, float]] = field(default_factory=list)
 
 
 def enumerate_disjoint_tuples(g: Graph, k: int) -> Iterable[Tuple[Edge, ...]]:
@@ -175,8 +213,7 @@ class _EdgeData:
     segments: List[Segment3]
     seg_p: np.ndarray        # (s, 3) float endpoints
     seg_q: np.ndarray
-    seg_center: np.ndarray   # (s, 3)
-    seg_radius: np.ndarray   # (s,)
+    finite: bool             # every coordinate held to full relative precision
     center: np.ndarray       # (3,) enclosing ball of the whole edge
     radius: float
     chord_p: Tuple[float, float, float]   # straight chord between endpoints
@@ -184,28 +221,39 @@ class _EdgeData:
     chord_width: float                    # max polyline deviation from it
 
 
+def _to_float(c: Fraction) -> float:
+    """Nearest double of c: +-inf beyond the double range, nan for a nonzero
+    c below the normal range, where the relative error bound fails."""
+    try:
+        f = float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+    if c and abs(f) < sys.float_info.min:
+        return math.nan
+    return f
+
+
 def _edge_data(d: SpatialDrawing, e: Edge) -> _EdgeData:
     segs = d.edge_segments(e)
-    p = np.array([[float(c) for c in s.p] for s in segs])
-    q = np.array([[float(c) for c in s.q] for s in segs])
-    mid = (p + q) / 2
-    half = np.linalg.norm(q - p, axis=1) / 2
-    rad = half * (1 + 1e-9) + 1e-12
+    p = np.array([[_to_float(c) for c in s.p] for s in segs])
+    q = np.array([[_to_float(c) for c in s.q] for s in segs])
+    finite = bool(np.isfinite(p).all() and np.isfinite(q).all())
     pts = np.vstack([p, q])
-    center = (pts.min(axis=0) + pts.max(axis=0)) / 2
-    radius = float(np.linalg.norm(pts - center, axis=1).max())
-    radius = radius * (1 + 1e-9) + 1e-12
-    cp, cq = p[0], q[-1]
-    axis = cq - cp
-    alen = float(np.linalg.norm(axis))
-    if alen > 0 and len(segs) > 1:
-        diffs = pts - cp
-        perp = diffs - np.outer(diffs @ axis / (alen * alen), axis)
-        width = float(np.linalg.norm(perp, axis=1).max())
-    else:
-        width = 0.0
+    with np.errstate(all="ignore"):   # non-finite edges are never rejected
+        center = (pts.min(axis=0) + pts.max(axis=0)) / 2
+        radius = float(np.linalg.norm(pts - center, axis=1).max())
+        radius = radius * (1 + 1e-9) + 1e-12
+        cp, cq = p[0], q[-1]
+        axis = cq - cp
+        alen = float(np.linalg.norm(axis))
+        if alen > 0 and len(segs) > 1:
+            diffs = pts - cp
+            perp = diffs - np.outer(diffs @ axis / (alen * alen), axis)
+            width = float(np.linalg.norm(perp, axis=1).max())
+        else:
+            width = 0.0
     width = width * (1 + 1e-9) + 1e-12
-    return _EdgeData(segs, p, q, mid, rad, center, radius,
+    return _EdgeData(segs, p, q, finite, center, radius,
                      tuple(cp), tuple(cq), width)
 
 
@@ -285,20 +333,172 @@ def _collinear_possible(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
         slack = ((dab + ra + rb) * (ra + rc)
                  + (dac + ra + rc) * (ra + rb)
                  + (ra + rb) * (ra + rc))
-        keep &= resid <= slack * (1 + 1e-6) + 1e-18
+        keep &= ~(resid > slack * (1 + 1e-6) + 1e-18)   # nan keeps
     return keep
 
 
-def _stab_filter(idx: np.ndarray, centers, radii, ends_p, ends_q,
-                 widths) -> np.ndarray:
-    """Keep mask of the rows of ``idx`` (item indices, one row per tuple
-    of items) that pass the ball test and, for k = 4, the 2D stabbing test.
-    The items are edges (balls, chords and chord widths) or segments."""
-    keep = _collinear_possible(centers[idx], radii[idx])
-    if idx.shape[1] == 4 and keep.any():
-        sub = idx[keep]
-        keep[keep] = _stab_batch(ends_p[sub], ends_q[sub], widths[sub])
+def _tuple_filter(idx: np.ndarray, finite, centers, radii, chord_p, chord_q,
+                  chord_w) -> np.ndarray:
+    """Keep mask of the edge tuples ``idx`` (rows of edge indices): the
+    ball test and, for k = 4, the 2D stabbing test on the chords fattened by
+    the polyline width.  A tuple with a non-finite edge is always kept."""
+    keep = ~finite[idx].all(axis=1)
+    sub = idx[~keep]
+    with np.errstate(all="ignore"):
+        test = _collinear_possible(centers[sub], radii[sub])
+        if idx.shape[1] == 4 and test.any():
+            s = sub[test]
+            test[test] = _stab_batch(chord_p[s], chord_q[s], chord_w[s])
+    keep[~keep] = test
     return keep
+
+
+# ---------------------------------------------------------------------------
+# certified float filter
+# ---------------------------------------------------------------------------
+
+# Four times the unit roundoff of float64; the factor of every error bound
+# of the certified filter (module docstring).
+_ERR_UNIT = 2.0 ** -51
+# absolute slack for underflow, far above what it can cost once a row's
+# coordinates are scaled below 1
+_ERR_TINY = 2.0 ** -960
+
+
+class _Approx:
+    """float64 values of one polynomial over many rows, with what bounds
+    their error.
+
+    ``v`` holds the computed values and ``a`` the same program run on
+    absolute values with every subtraction made an addition.  ``e`` bounds
+    how far the exact program on the computed inputs is from the exact
+    program on the exact inputs (the inputs carry absolute errors), and
+    ``n`` is the largest number of roundings on a path from an input.  The
+    geometry kernel's vector helpers and ``_Regulus`` run on it unchanged,
+    so the filter evaluates the kernel's own polynomials.
+    """
+
+    __slots__ = ("v", "a", "e", "n")
+
+    def __init__(self, v, a, e, n):
+        self.v, self.a, self.e, self.n = v, a, e, n
+
+    def __add__(self, o):
+        return _Approx(self.v + o.v, self.a + o.a, self.e + o.e,
+                       max(self.n, o.n) + 1)
+
+    def __sub__(self, o):
+        return _Approx(self.v - o.v, self.a + o.a, self.e + o.e,
+                       max(self.n, o.n) + 1)
+
+    def __mul__(self, o):
+        return _Approx(self.v * o.v, self.a * o.a,
+                       self.a * o.e + self.e * (o.a + o.e), self.n + o.n + 1)
+
+    def __neg__(self):
+        return _Approx(-self.v, self.a, self.e, self.n)
+
+    def sign(self) -> np.ndarray:
+        """Per row +1 or -1 where the sign is certain, else 0 (nan too)."""
+        err = self.e + self.n * _ERR_UNIT * (self.a + self.e) + _ERR_TINY
+        return (np.asarray(self.v > err, dtype=np.int8)
+                - np.asarray(self.v < -err, dtype=np.int8))
+
+
+_ZERO, _ONE, _TWO, _FOUR = (_Approx(c, c, 0.0, 0) for c in (0.0, 1.0, 2.0, 4.0))
+
+
+def _root_signs(qa, qb, qc, sa, l1, l0):
+    """Certain signs (0 if not) of h * L(t) at the roots t = T / h,
+    T = -qb +- sqrt(D), h = 2 qa, D = qb^2 - 4 qa qc, of the quadratic, for
+    the linear form L(t) = l1 t + l0; ``sa`` is the certain sign of qa.
+
+    h L(t) = a + b sqrt(D) with a = 2 l0 qa - l1 qb and b = +-l1, and
+    a^2 - b^2 D = 4 qa R with R = qa l0^2 - qb l0 l1 + qc l1^2, so the sign
+    that ``_zsign`` takes comes from a, l1 and R, with no cancelling
+    subtraction of a^2 and b^2 D.
+    """
+    a = (l0 * qa) * _TWO - l1 * qb
+    r = (qa * l0 - qb * l1) * l0 + (qc * l1) * l1
+    s_a, s_l, s_x = a.sign(), l1.sign(), sa * r.sign()
+    out = []
+    for root in (1, -1):
+        s_b = root * s_l
+        out.append(np.where((s_a != 0) & ((s_a == s_b) | (s_x > 0)), s_a,
+                            np.where((s_b != 0) & (s_x < 0), s_b, 0)))
+    return out
+
+
+def _certified_reject(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Rows of four segments, P, Q: (rows, 4, 3) float endpoints, that
+    certainly have no common transversal line; returns the reject mask.
+
+    The signs are those ``transversal_exists_segments`` takes on its
+    skew-triple branch: the skew tests of three supporting lines, the
+    regulus quadratic (qa, qb, qc) along the first, its discriminant and
+    the range tests of each root.  A row is rejected only when qa and all
+    signs used are certain and either the discriminant is negative or
+    every root fails a range test.  Rows with a non-finite coordinate, no
+    certainly skew triple or an uncertain sign are kept.
+    """
+    reject = np.zeros(len(P), dtype=bool)
+    # move each row's first endpoint to the origin; each coordinate then
+    # carries its conversion error plus the rounding of the subtraction
+    with np.errstate(all="ignore"):
+        P0, Q0 = P - P[:, :1], Q - P[:, :1]
+        eP = _ERR_UNIT * (np.abs(P) + np.abs(P0))
+        eQ = _ERR_UNIT * (np.abs(Q) + np.abs(Q0))
+    rows = np.flatnonzero(np.isfinite(eP).all(axis=(1, 2))
+                          & np.isfinite(eQ).all(axis=(1, 2)))
+    if not len(rows):
+        return reject
+    # an exact power of two per row brings every coordinate below 1, so
+    # no product overflows and underflow stays far below _ERR_TINY
+    P0, Q0, eP, eQ = P0[rows], Q0[rows], eP[rows], eQ[rows]
+    big = np.maximum(np.abs(P0).max(axis=(1, 2)), np.abs(Q0).max(axis=(1, 2)))
+    shift = -np.frexp(big)[1][:, None, None]
+    P0, Q0, eP, eQ = (np.ldexp(X, shift) for X in (P0, Q0, eP, eQ))
+
+    def lines_of(P, Q, eP, eQ):
+        return [_int_triple(*(
+            tuple(_Approx(X[:, i, j], np.abs(X[:, i, j]), E[:, i, j], 0)
+                  for j in range(3)) for X, E in ((P, eP), (Q, eQ))))
+            for i in range(4)]
+
+    # the first triple of certainly skew supporting lines goes first
+    lines = lines_of(P0, Q0, eP, eQ)
+    skew = {(i, j): (v_dot(lines[i][1], lines[j][2])
+                     + v_dot(lines[j][1], lines[i][2])).sign() != 0
+            for i, j in itertools.combinations(range(4), 2)}
+    order = np.zeros((len(rows), 4), dtype=np.intp)
+    has = np.zeros(len(rows), dtype=bool)
+    for tri in reversed(list(itertools.combinations(range(4), 3))):
+        ok = skew[tri[0], tri[1]] & skew[tri[0], tri[2]] & skew[tri[1], tri[2]]
+        order[ok] = (*tri, *(i for i in range(4) if i not in tri))
+        has |= ok
+    if not has.any():
+        return reject
+    pick = (np.flatnonzero(has)[:, None], order[has])
+    rows = rows[has]
+    lines = lines_of(P0[pick], Q0[pick], eP[pick], eQ[pick])
+
+    reg = _Regulus(lines[0][0], lines[0][1], lines[1], lines[2])
+    qa, qb, qc = reg.incidence_quadratic(lines[3])
+    sa = qa.sign()
+    s_disc = (qb * qb - (qa * qc) * _FOUR).sign()
+    t_pos = _root_signs(qa, qb, qc, sa, _ONE, _ZERO)       # h t
+    t_le1 = _root_signs(qa, qb, qc, sa, _ONE, -_ONE)       # h (t - 1)
+    out = [(s * sa < 0) | (s1 * sa > 0) for s, s1 in zip(t_pos, t_le1)]
+    for num, den in (reg.trace_fraction(3, lines[1]),
+                     reg.trace_fraction(2, lines[2]),
+                     reg.trace_fraction(2, lines[3])):
+        diff = (num[0] - den[0], num[1] - den[1])
+        signs = [_root_signs(qa, qb, qc, sa, *form) for form in (num, den, diff)]
+        for r in range(2):
+            s_n, s_d, s_nd = (s[r] for s in signs)
+            out[r] |= (s_d != 0) & ((s_n * s_d < 0) | (s_nd * s_d > 0))
+    reject[rows] = (sa != 0) & ((s_disc < 0) | ((s_disc > 0) & out[0] & out[1]))
+    return reject
 
 
 def _segment_combinations(tuples: np.ndarray, first: np.ndarray):
@@ -331,35 +531,26 @@ def count_line_crossings(d: SpatialDrawing, k: int,
 
     A tuple counts once no matter how many transversal lines it admits,
     and every counted tuple carries an exactly verified witness.  With
-    ``prefilter`` the float ball, chord and 2D stabbing tests of the
-    module docstring drop tuples, then segment combinations, before the
-    exact predicate; ``tuples_after_prefilter`` counts the tuples the
-    first level keeps.  These slack-padded tests are the only uncertified
-    rejections.  ``prefilter=False`` turns them off: each combination of
-    each tuple goes to the exact predicate, which makes it the all-exact
-    reference.
+    ``prefilter`` the funnel of the module docstring runs: the tuple filter
+    (ball, chord and 2D stabbing tests; ``tuples_after_prefilter`` counts
+    the tuples it keeps), then, for k = 4, the certified float filter on
+    every segment combination, then the exact predicate on what is left.
+    The tuple filter's slack-padded tests are the only uncertified
+    rejections; the certified filter rejects a combination only when float
+    signs beyond their error bounds prove it has no transversal.
+    ``prefilter=False`` turns both off: each combination of each tuple goes
+    to the exact predicate, which makes it the all-exact reference.
+    ``stages`` gives rows in, rows out and seconds of each step, all
+    counted in edge tuples.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
     t0 = time.perf_counter()
     g = d.graph
     eds = [_edge_data(d, e) for e in g.edges]
-    centers = np.array([ed.center for ed in eds])
-    radii = np.array([ed.radius for ed in eds])
-    chord_p = np.array([ed.chord_p for ed in eds])
-    chord_q = np.array([ed.chord_q for ed in eds])
-    chord_w = np.array([ed.chord_width for ed in eds])
-
-    count = 0
-    witnesses: List[CrossingWitness] = []
-
     n_edges = g.m
-    if n_edges < k:
-        return CrossingReport(k=k, count=0,
-                              witnesses=[] if want_witnesses else None,
-                              elapsed=time.perf_counter() - t0)
     combos = np.array(list(itertools.combinations(range(n_edges), k)),
-                      dtype=np.int32)
+                      dtype=np.int32).reshape(-1, k)
     eu = np.array([e[0] for e in g.edges])
     ev = np.array([e[1] for e in g.edges])
     disjoint = ((eu[:, None] != eu[None, :]) & (eu[:, None] != ev[None, :])
@@ -369,27 +560,38 @@ def count_line_crossings(d: SpatialDrawing, k: int,
         for j in range(i + 1, k):
             mask &= disjoint[combos[:, i], combos[:, j]]
     tuples = combos[mask]
-    tuples_total = len(tuples)
+    t1 = time.perf_counter()
 
     survivors = tuples
     if prefilter and len(tuples):
+        finite = np.array([ed.finite for ed in eds])
+        edge_arrays = (finite, np.array([ed.center for ed in eds]),
+                       np.array([ed.radius for ed in eds]),
+                       np.array([ed.chord_p for ed in eds]),
+                       np.array([ed.chord_q for ed in eds]),
+                       np.array([ed.chord_width for ed in eds]))
         survivors = np.vstack([
-            batch[_stab_filter(batch, centers, radii, chord_p, chord_q, chord_w)]
+            batch[_tuple_filter(batch, *edge_arrays)]
             for batch in (tuples[lo:lo + _CHUNK]
                           for lo in range(0, len(tuples), _CHUNK))])
+    t2 = time.perf_counter()
 
+    count = 0
+    witnesses: List[CrossingWitness] = []
+    filter_s = exact_s = 0.0
     segments = [s for ed in eds for s in ed.segments]
     first = np.cumsum([0] + [len(ed.segments) for ed in eds])
-    seg_p = np.vstack([ed.seg_p for ed in eds])
-    seg_q = np.vstack([ed.seg_q for ed in eds])
-    seg_center = np.vstack([ed.seg_center for ed in eds])
-    seg_radius = np.concatenate([ed.seg_radius for ed in eds])
-    seg_w = np.zeros(len(segments))
+    seg_p = np.vstack([np.empty((0, 3))] + [ed.seg_p for ed in eds])
+    seg_q = np.vstack([np.empty((0, 3))] + [ed.seg_q for ed in eds])
+    reached = np.zeros(len(survivors), dtype=bool)
     found = np.zeros(len(survivors), dtype=bool)
     for t, segs in _segment_combinations(survivors, first):
-        if prefilter:
-            keep = _stab_filter(segs, seg_center, seg_radius, seg_p, seg_q, seg_w)
+        ta = time.perf_counter()
+        if prefilter and k == 4:
+            keep = ~_certified_reject(seg_p[segs], seg_q[segs])
             t, segs = t[keep], segs[keep]
+        reached[t] = True
+        tb = time.perf_counter()
         for ti, row in zip(t.tolist(), segs.tolist()):
             if found[ti]:
                 continue
@@ -404,10 +606,17 @@ def count_line_crossings(d: SpatialDrawing, k: int,
                     tuple(g.edges[j] for j in idx), res.line,
                     [(g.edges[j], row[i] - int(first[j]), res.params[i])
                      for i, j in enumerate(idx)]))
+        filter_s += tb - ta
+        exact_s += time.perf_counter() - tb
 
+    n_reached = int(reached.sum())
     return CrossingReport(
         k=k, count=count,
         witnesses=witnesses if want_witnesses else None,
         elapsed=time.perf_counter() - t0,
-        tuples_total=tuples_total,
-        tuples_after_prefilter=len(survivors))
+        tuples_total=len(tuples),
+        tuples_after_prefilter=len(survivors),
+        stages=[("enumerate", len(combos), len(tuples), t1 - t0),
+                ("tuple_filter", len(tuples), len(survivors), t2 - t1),
+                ("certified_filter", len(survivors), n_reached, filter_s),
+                ("exact", n_reached, count, exact_s)])

@@ -36,6 +36,12 @@ def test_count_crossings_report_and_missing_input(tmp_path, capsys):
     assert code == 0
     assert doc["count"] <= doc["tuples_after_prefilter"] <= doc["tuples_total"]
     assert len(doc["witnesses"]) == doc["count"]
+    stages = doc["stages"]
+    assert [s["name"] for s in stages] == ["enumerate", "tuple_filter",
+                                           "certified_filter", "exact"]
+    assert stages[1]["rows_in"] == doc["tuples_total"]
+    assert stages[1]["rows_out"] == doc["tuples_after_prefilter"]
+    assert stages[-1]["rows_out"] == doc["count"]
     code, doc = run(capsys, "count-crossings", "--input", str(tmp_path / "none"))
     assert code == 1 and doc["code"] == "FileNotFoundError"
 
