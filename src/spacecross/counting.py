@@ -1,15 +1,18 @@
 """Crossing counts for spatial drawings.
 
 ``count_line_crossings`` counts vertex-disjoint k-tuples of edges (k = 3
-or 4) admitting a common transversal line.  With ``prefilter`` each tuple
-passes a funnel of three steps, and ``CrossingReport.stages`` reports
-rows in, rows out and seconds of each:
+or 4) admitting a common transversal line.  ``_disjoint_blocks`` streams
+the disjoint tuples (the ``enumerate`` stage: C(m, k) in, never built) in
+blocks, each filtered as it comes, so memory is bounded by the survivors.
+With ``prefilter`` each tuple passes a funnel of three steps, and
+``CrossingReport.stages`` reports rows in, rows out and seconds of each:
 
 1. The tuple filter, ``_tuple_filter``, per edge tuple: a line test on
    the edges' enclosing balls (``_collinear_possible``) and, for k = 4, a
-   2D stabbing test of the straight chords fattened by the polyline width
-   (``_stab_batch``).  Its tests carry fixed slacks and are not
-   certified; they are the only uncertified rejection.
+   2D stabbing test of the straight chords fattened by the largest
+   distance of the polyline from its chord segment (``_stab_batch``).
+   Its tests carry fixed slacks and are not certified; they are the only
+   uncertified rejection.
 2. The certified filter, ``_certified_reject``, for k = 4: over blocks of
    segment combinations (one segment of each edge) of the surviving
    tuples, it evaluates in float64 the signs that the exact kernel takes
@@ -59,7 +62,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,34 +98,34 @@ class CrossingReport:
     stages: List[Tuple[str, int, int, float]] = field(default_factory=list)
 
 
+def _disjoint_blocks(g: Graph, k: int) -> Iterator[np.ndarray]:
+    """Every k-set of pairwise vertex-disjoint edges as rows of edge indices,
+    lexicographically, in int arrays of at most ``_CHUNK`` rows.
+
+    ``later[i, j]``: j > i and edges i and j share no vertex.  A block of
+    prefixes grows by every edge ``later`` than all its entries; row-major
+    ``nonzero`` keeps the order."""
+    e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    shares = (e[:, None, :, None] == e[None, :, None, :]).any(axis=(2, 3))
+    later = np.triu(~shares, 1)
+
+    def grow(rows: np.ndarray) -> Iterator[np.ndarray]:
+        for lo in range(0, len(rows), _CHUNK):
+            block = rows[lo:lo + _CHUNK]
+            if block.shape[1] == k:
+                yield block
+                continue
+            r, c = np.nonzero(later[block].all(axis=1))
+            yield from grow(np.column_stack([block[r], c]))
+
+    yield from grow(np.empty((1, 0), dtype=np.intp))
+
+
 def enumerate_disjoint_tuples(g: Graph, k: int) -> Iterable[Tuple[Edge, ...]]:
     """All k-sets of pairwise vertex-disjoint edges, lexicographically."""
-    for idx in enumerate_disjoint_index_tuples(g, k):
-        yield tuple(g.edges[i] for i in idx)
-
-
-def enumerate_disjoint_index_tuples(g: Graph, k: int) -> Iterable[Tuple[int, ...]]:
-    edges = g.edges
-    n_edges = len(edges)
-
-    def rec(start: int, used: set, acc: List[int]):
-        if len(acc) == k:
-            yield tuple(acc)
-            return
-        # not enough edges left to finish
-        for i in range(start, n_edges - (k - len(acc)) + 1):
-            u, v = edges[i]
-            if u in used or v in used:
-                continue
-            used.add(u)
-            used.add(v)
-            acc.append(i)
-            yield from rec(i + 1, used, acc)
-            acc.pop()
-            used.discard(u)
-            used.discard(v)
-
-    yield from rec(0, set(), [])
+    for block in _disjoint_blocks(g, k):
+        for row in block.tolist():
+            yield tuple(g.edges[i] for i in row)
 
 
 def count_planar_crossings(d: SpatialDrawing) -> int:
@@ -218,7 +221,7 @@ class _EdgeData:
     radius: float
     chord_p: Tuple[float, float, float]   # straight chord between endpoints
     chord_q: Tuple[float, float, float]
-    chord_width: float                    # max polyline deviation from it
+    chord_width: float                    # max polyline distance from it
 
 
 def _to_float(c: Fraction) -> float:
@@ -247,9 +250,10 @@ def _edge_data(d: SpatialDrawing, e: Edge) -> _EdgeData:
         axis = cq - cp
         alen = float(np.linalg.norm(axis))
         if alen > 0 and len(segs) > 1:
+            # to the chord segment, not its line: a polyline may overshoot
             diffs = pts - cp
-            perp = diffs - np.outer(diffs @ axis / (alen * alen), axis)
-            width = float(np.linalg.norm(perp, axis=1).max())
+            t = np.clip(diffs @ axis / (alen * alen), 0.0, 1.0)
+            width = float(np.linalg.norm(diffs - np.outer(t, axis), axis=1).max())
         else:
             width = 0.0
     width = width * (1 + 1e-9) + 1e-12
@@ -530,11 +534,13 @@ def count_line_crossings(d: SpatialDrawing, k: int,
     """Count vertex-disjoint k-tuples of edges pierced by a common line.
 
     A tuple counts once no matter how many transversal lines it admits,
-    and every counted tuple carries an exactly verified witness.  With
-    ``prefilter`` the funnel of the module docstring runs: the tuple filter
-    (ball, chord and 2D stabbing tests; ``tuples_after_prefilter`` counts
-    the tuples it keeps), then, for k = 4, the certified float filter on
-    every segment combination, then the exact predicate on what is left.
+    and every counted tuple carries an exactly verified witness.  Tuples
+    are streamed in blocks and only the tuple filter's survivors are kept.
+    With ``prefilter`` the funnel of the module docstring runs: the tuple
+    filter (ball, chord and 2D stabbing tests; ``tuples_after_prefilter``
+    counts the tuples it keeps), then, for k = 4, the certified float
+    filter on every segment combination, then the exact predicate on what
+    is left.
     The tuple filter's slack-padded tests are the only uncertified
     rejections; the certified filter rejects a combination only when float
     signs beyond their error bounds prove it has no transversal.
@@ -548,33 +554,22 @@ def count_line_crossings(d: SpatialDrawing, k: int,
     t0 = time.perf_counter()
     g = d.graph
     eds = [_edge_data(d, e) for e in g.edges]
-    n_edges = g.m
-    combos = np.array(list(itertools.combinations(range(n_edges), k)),
-                      dtype=np.int32).reshape(-1, k)
-    eu = np.array([e[0] for e in g.edges])
-    ev = np.array([e[1] for e in g.edges])
-    disjoint = ((eu[:, None] != eu[None, :]) & (eu[:, None] != ev[None, :])
-                & (ev[:, None] != eu[None, :]) & (ev[:, None] != ev[None, :]))
-    mask = np.ones(len(combos), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            mask &= disjoint[combos[:, i], combos[:, j]]
-    tuples = combos[mask]
-    t1 = time.perf_counter()
-
-    survivors = tuples
-    if prefilter and len(tuples):
-        finite = np.array([ed.finite for ed in eds])
-        edge_arrays = (finite, np.array([ed.center for ed in eds]),
-                       np.array([ed.radius for ed in eds]),
-                       np.array([ed.chord_p for ed in eds]),
-                       np.array([ed.chord_q for ed in eds]),
-                       np.array([ed.chord_width for ed in eds]))
-        survivors = np.vstack([
-            batch[_tuple_filter(batch, *edge_arrays)]
-            for batch in (tuples[lo:lo + _CHUNK]
-                          for lo in range(0, len(tuples), _CHUNK))])
-    t2 = time.perf_counter()
+    edge_arrays = (np.array([ed.finite for ed in eds]),
+                   np.array([ed.center for ed in eds]),
+                   np.array([ed.radius for ed in eds]),
+                   np.array([ed.chord_p for ed in eds]),
+                   np.array([ed.chord_q for ed in eds]),
+                   np.array([ed.chord_width for ed in eds]))
+    n_tuples, tuple_s = 0, 0.0
+    kept = [np.empty((0, k), dtype=np.intp)]
+    for block in _disjoint_blocks(g, k):
+        ta = time.perf_counter()
+        n_tuples += len(block)
+        kept.append(block[_tuple_filter(block, *edge_arrays)] if prefilter
+                    else block)
+        tuple_s += time.perf_counter() - ta
+    survivors = np.vstack(kept)
+    enum_s = time.perf_counter() - t0 - tuple_s
 
     count = 0
     witnesses: List[CrossingWitness] = []
@@ -614,9 +609,9 @@ def count_line_crossings(d: SpatialDrawing, k: int,
         k=k, count=count,
         witnesses=witnesses if want_witnesses else None,
         elapsed=time.perf_counter() - t0,
-        tuples_total=len(tuples),
+        tuples_total=n_tuples,
         tuples_after_prefilter=len(survivors),
-        stages=[("enumerate", len(combos), len(tuples), t1 - t0),
-                ("tuple_filter", len(tuples), len(survivors), t2 - t1),
+        stages=[("enumerate", math.comb(g.m, k), n_tuples, enum_s),
+                ("tuple_filter", n_tuples, len(survivors), tuple_s),
                 ("certified_filter", len(survivors), n_reached, filter_s),
                 ("exact", n_reached, count, exact_s)])

@@ -465,10 +465,10 @@ def hexgrid_construction(k: int, subdivision: int, seed: int = 0
     chord between two vertices at the largest distance in the face metric
     (see `_vertex_face_distances`), at least ceil((2k+1)/4).
 
-    The grid itself is drawn on a large sphere (crossing-free); a line
-    meets the sphere in at most two points, so these edges alone admit no
-    common transversal quadruple, and the chord only adds one more edge
-    to any line's menu.
+    The grid is lifted crossing-free by `lift_to_sphere` as polylines of
+    chords inside a large sphere, not arcs on it, so the grid edges alone
+    can have transversal quadruples: for k = 3, subdivision 2, one line
+    meets grid edges (0, 1), (3, 6), (5, 9) and (12, 17).
     """
     grid = hexgrid_graph(k)
     dist = _vertex_face_distances(grid)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.errors import ValidationError
 from spacecross.geometry import Segment3, point3, transversal_exists_segments
 from spacecross.linking import PolygonalCycle
-from spacecross.pipeline import hexgrid_construction
+from spacecross.pipeline import hexgrid_construction, hexgrid_graph
 
 
 def complete_graph(n):
@@ -27,6 +28,22 @@ def convex_drawing(n):
                           [point3(i, i * i, 0) for i in range(n)])
 
 
+def disjoint_combinations(g, k):
+    """Reference enumeration: k-subsets of edge indices, lexicographically,
+    that are pairwise vertex-disjoint."""
+    return [c for c in itertools.combinations(range(g.m), k)
+            if len({v for i in c for v in g.edges[i]}) == 2 * k]
+
+
+ENUMERATION_GRAPHS = [
+    complete_graph(4), complete_graph(6), complete_graph(8), complete_graph(9),
+    Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),      # m < 4
+    Graph.from_edges(5, []),
+    hexgrid_graph(1).graph,
+]
+
+
 def test_enumerate_disjoint_tuples_counts():
     assert sum(1 for _ in enumerate_disjoint_tuples(complete_graph(4), 4)) == 0
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -34,14 +51,27 @@ def test_enumerate_disjoint_tuples_counts():
     assert tuples == [((0, 1), (2, 3), (4, 5), (6, 7))]
     assert sum(1 for _ in enumerate_disjoint_tuples(complete_graph(8), 4)) == 105
     assert sum(1 for _ in enumerate_disjoint_tuples(complete_graph(6), 3)) == 15
+    for g in ENUMERATION_GRAPHS:
+        for k in (3, 4):
+            assert list(enumerate_disjoint_tuples(g, k)) == [
+                tuple(g.edges[i] for i in c) for c in disjoint_combinations(g, k)]
 
 
-def test_enumeration_is_lexicographic_and_disjoint():
+def test_enumeration_is_lexicographic_and_disjoint(monkeypatch):
     g = complete_graph(8)
     seen = list(enumerate_disjoint_tuples(g, 4))
     assert seen == sorted(seen)
     for tup in seen:
         assert len({v for e in tup for v in e}) == 8
+    for chunk in (counting._CHUNK, 3):
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+        for g in ENUMERATION_GRAPHS:
+            for k in range(5):
+                blocks = list(counting._disjoint_blocks(g, k))
+                assert all(1 <= len(b) <= chunk and b.shape[1] == k
+                           for b in blocks)
+                rows = [tuple(r) for b in blocks for r in b.tolist()]
+                assert rows == disjoint_combinations(g, k)
 
 
 def test_planar_crossings_examples():
@@ -135,6 +165,22 @@ def polyline_drawing(seed, n=8, p=0.6):
     return SpatialDrawing(g, pts, bends)
 
 
+def overshooting_drawing():
+    """Edge (0, 1) bends at (5, 0, 1/1000), far past the end of its chord
+    from (0, 0, 0) to (1, 0, 0), and the line L(s) through (3, 0, 3/5000)
+    meets it there; edges (2, 3), (4, 5), (6, 7) cross L at s = 2, 4, 6."""
+    base, direction = (3, 0, Fraction(3, 5000)), (Fraction(1, 2), 1, -1)
+    pts = [point3(0, 0, 0), point3(1, 0, 0)]
+    for s, dv in ((2, (Fraction(1, 8), 0, 0)),
+                  (4, (Fraction(1, 8), Fraction(1, 8), 0)),
+                  (6, (Fraction(1, 8), 0, Fraction(1, 8)))):
+        c = [b + s * t for b, t in zip(base, direction)]
+        pts += [point3(*(x - y for x, y in zip(c, dv))),
+                point3(*(x + y for x, y in zip(c, dv)))]
+    return SpatialDrawing(Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+                          pts, {(0, 1): [point3(5, 0, Fraction(1, 1000))]})
+
+
 def test_count_matches_direct_oracle_on_k8():
     rng = random.Random(7)
     drawings = []
@@ -143,7 +189,8 @@ def test_count_matches_direct_oracle_on_k8():
                       Fraction(rng.randint(0, 64), 64),
                       Fraction(rng.randint(0, 64), 64)) for _ in range(8)]
         drawings.append(SpatialDrawing(complete_graph(8), pts))
-    drawings += [sphere_lifted_drawing(1), polyline_drawing(1)]
+    drawings += [sphere_lifted_drawing(1), polyline_drawing(1),
+                 overshooting_drawing()]
     for d in drawings:
         oracle = oracle_count(d, 4)
         assert count_line_crossings(d, 4).count == oracle
@@ -409,11 +456,26 @@ def test_stages_chain_from_tuples_to_count(k, prefilter):
             assert rows_out == rows_in
         assert all(rows_in >= rows_out >= 0 and seconds >= 0
                    for _, rows_in, rows_out, seconds in rep.stages)
+        assert rep.stages[0][1] == math.comb(d.graph.m, k)
         assert rep.stages[0][2] == rep.tuples_total
         assert rep.stages[1][2] == rep.tuples_after_prefilter
         assert rep.stages[-1][2] == rep.count
         if not prefilter:
             assert rep.stages[0][2] == rep.stages[-1][1]
+
+
+def test_count_is_independent_of_block_size(monkeypatch):
+    drawings = [small_lifted_drawing(), polyline_drawing(1), bundle_drawing(0)]
+    for k in (3, 4):
+        for d in drawings:
+            reps = []
+            for chunk in (counting._CHUNK, 3):
+                monkeypatch.setattr(counting, "_CHUNK", chunk)
+                reps.append(count_line_crossings(d, k, want_witnesses=True))
+            a, b = reps
+            assert (a.count, a.tuples_total, a.tuples_after_prefilter) == \
+                (b.count, b.tuples_total, b.tuples_after_prefilter)
+            assert _witness_digest(a) == _witness_digest(b)
 
 
 def certified_rejections(d):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from spacecross import generators
-from spacecross.geometry import line_meets_segment, segments_intersect_2d
+from spacecross.geometry import (line_meets_segment, segments_intersect_2d,
+                                 transversal_exists_segments)
 from spacecross.pipeline import (_bisection_bound_met, boost_witness_pipeline,
                                  hexgrid_construction, hexgrid_graph,
                                  random_bisection)
@@ -121,6 +122,20 @@ def test_hexgrid_construction_chord_is_far_apart(k):
     if k <= 2:
         pairs = itertools.combinations(range(hc.grid.graph.n), 2)
         assert sep == max(_face_separation(hc.grid, a, b) for a, b in pairs)
+
+
+def test_hexgrid_grid_edges_alone_can_have_a_transversal():
+    # lifted edges are chords inside the sphere, not arcs on it, so a line
+    # can meet four vertex-disjoint grid edges
+    hc = hexgrid_construction(3, 2)
+    picks = (((0, 1), 1), ((3, 6), 0), ((5, 9), 1), ((12, 17), 0))
+    edges = [e for e, _ in picks]
+    assert all(hc.grid.graph.has_edge(*e) for e in edges)
+    assert len({v for e in edges for v in e}) == 8
+    segs = [hc.drawing.edge_segments(e)[i] for e, i in picks]
+    res = transversal_exists_segments(segs)
+    assert res.exists
+    assert all(line_meets_segment(res.line, s)[0] for s in segs)
 
 
 def _random_multiset(rng, dim, size):
