@@ -661,14 +661,20 @@ class SegmentTransversal:
     params: Optional[List[Scalar]] = None
 
 
+def _scaled_int_points(points):
+    """Integer triples of the points times one common positive factor, and
+    that factor."""
+    coords = [c for p in points for c in p]
+    scale = lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)], scale
+
+
 def _scaled_int_segments(segments):
     """Integer endpoint pairs of the segments times one common positive
     factor, and that factor."""
-    coords = [c for s in segments for c in s.p + s.q]
-    scale = lcm(*(c.denominator for c in coords))
-    ints = [c.numerator * (scale // c.denominator) for c in coords]
-    return [(tuple(ints[i:i + 3]), tuple(ints[i + 3:i + 6]))
-            for i in range(0, len(ints), 6)], scale
+    pts, scale = _scaled_int_points([x for s in segments for x in (s.p, s.q)])
+    return list(zip(pts[::2], pts[1::2])), scale
 
 
 def _int_triple(p, q):

@@ -1,25 +1,27 @@
 """Linking numbers of polygonal cycles and intrinsic linking of K6.
 
-The linking number is computed from signed crossings in an exactly
-validated generic projection; all over/under decisions compare rational
-depth coordinates, so results are exact integers.
+The points of both cycles are scaled to integers by one positive factor,
+which changes no sign below.  The linking number is the sum of crossing
+signs in the projection along w = (1, t, t^2) for the first t = 1, 2, ...
+that is generic.  Every decision on the way (a segment whose image
+collapses, images that touch, the sign of a crossing, which strand passes
+over) is the sign of one integer determinant det(u, v, w) = (u x v) . w,
+so results are exact integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import (DegenerateInput, DegeneratePosition, NotDisjoint,
-                     ValidationError)
-from .geometry import (PluckerLine, Segment3, line_through_points,
-                       plucker_from_segment, transversal_exists_segments,
-                       v_cross, v_dot, v_sub, v_is_zero)
-from .scalars import rat, sign_of
+from .errors import DegeneratePosition, NotDisjoint, ValidationError
+from .geometry import (Segment3, _scaled_int_points, _scaled_int_segments,
+                       segments_intersect_2d, transversal_exists_segments,
+                       v_cross, v_dot, v_sub)
 
 Vec3 = Tuple
+_ZERO = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -46,171 +48,112 @@ class PolygonalCycle:
                 for i in range(len(pts))]
 
 
-def _segments_meet_3d(s: Segment3, r: Segment3) -> bool:
-    """Exact test whether two closed 3D segments share a point."""
-    line_r = plucker_from_segment(r)
-    d_s = s.direction
-    w = v_cross(d_s, line_r.direction)
-    if v_is_zero(w):
-        # parallel or collinear
-        if not v_is_zero(v_sub(v_cross(s.p, line_r.direction), line_r.moment)):
-            return False
-        comp = next(i for i in range(3) if sign_of(d_s[i]) != 0)
-        u0 = (r.p[comp] - s.p[comp]) / d_s[comp]
-        u1 = (r.q[comp] - s.p[comp]) / d_s[comp]
-        lo, hi = min(u0, u1), max(u0, u1)
-        return lo <= 1 and hi >= 0
-    ok, u = _line_param_hit(s, r)
-    return ok
+def _det(u, v, w):
+    return v_dot(v_cross(u, v), w)
 
 
-def _line_param_hit(s: Segment3, r: Segment3):
-    """Intersection of the supporting lines clipped to both segments."""
-    d1, d2 = s.direction, r.direction
-    n = v_cross(d1, d2)
-    diff = v_sub(r.p, s.p)
-    if sign_of(v_dot(diff, n)) != 0:
-        return False, None  # skew
-    denom = v_dot(n, n)
-    u = v_dot(v_cross(diff, d2), n) / denom
-    t = v_dot(v_cross(diff, d1), n) / denom
-    if 0 <= u <= 1 and 0 <= t <= 1:
-        return True, (u, t)
-    return False, None
+def _segments_meet(s, r) -> bool:
+    """Whether two closed segments with integer endpoints share a point."""
+    (a, b), (c, d) = s, r
+    u, ac = v_sub(b, a), v_sub(c, a)
+    n = v_cross(u, v_sub(d, c))
+    if n == _ZERO:
+        if v_cross(u, ac) != _ZERO:
+            return False                  # distinct parallel lines
+        # all four ends on one line: keep a coordinate that moves along it
+        k = next((i for i in range(3) if u[i] == 0), 0)
+    elif v_dot(n, ac) != 0:
+        return False                      # skew lines
+    else:
+        # dropping a coordinate in which the normal n is nonzero maps their
+        # plane one to one onto the other two
+        k = next(i for i in range(3) if n[i] != 0)
+
+    def image(p):
+        return p[:k] + p[k + 1:]
+
+    return segments_intersect_2d((image(a), image(b)),
+                                 (image(c), image(d))) != "disjoint"
 
 
 def _check_simple(pts):
     n = len(pts)
-    segs = [Segment3(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    segs, _ = _scaled_int_segments(
+        [Segment3(pts[i], pts[(i + 1) % n]) for i in range(n)])
     for i in range(n):
         for j in range(i + 1, n):
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
             if adjacent:
                 # consecutive segments may only share the common vertex;
                 # collinear back-tracking would repeat interior points
-                a, b = segs[i], segs[j]
-                if v_is_zero(v_cross(a.direction, b.direction)):
-                    shared = a.q if j == i + 1 else a.p
-                    other = b.q if j == i + 1 else b.p
-                    prev = a.p if j == i + 1 else a.q
-                    back = sign_of(v_dot(v_sub(other, shared),
-                                         v_sub(prev, shared)))
-                    if back > 0:
+                (a, b), (c, d) = segs[i], segs[j]
+                if v_cross(v_sub(b, a), v_sub(d, c)) == _ZERO:
+                    shared, other, prev = (b, d, a) if j == i + 1 else (a, c, b)
+                    if v_dot(v_sub(other, shared), v_sub(prev, shared)) > 0:
                         raise ValidationError(
                             f"cycle backtracks at point {j}")
                 continue
-            if _segments_meet_3d(segs[i], segs[j]):
+            if _segments_meet(segs[i], segs[j]):
                 raise ValidationError(
                     f"cycle self-intersects between segments {i} and {j}")
 
 
 # ---------------------------------------------------------------------------
-# generic projections
+# linking numbers from generic projections
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Projection:
-    w: Vec3          # direction projected out (depth axis)
-    a: Vec3          # first image coordinate
-    b: Vec3          # second image coordinate
+def _linking_along(S1, S2, t: int) -> Optional[int]:
+    """Linking number of two disjoint cycles, given as integer endpoint
+    pairs, from the projection along w = (1, t, t^2); None when that
+    projection is not generic.
 
-    def image(self, p) -> Tuple[Fraction, Fraction]:
-        return (v_dot(p, self.a), v_dot(p, self.b))
-
-    def depth(self, p) -> Fraction:
-        return v_dot(p, self.w)
-
-
-def _projection_for(t: int) -> _Projection:
-    t = Fraction(t)
-    w = (Fraction(1), t, t * t)
-    return _Projection(w, (-t, Fraction(1), Fraction(0)),
-                       (-t * t, Fraction(0), Fraction(1)))
-
-
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _projection_is_generic(proj, c1: PolygonalCycle, c2: PolygonalCycle) -> bool:
-    for cycle in (c1, c2):
-        pts = cycle.points
-        for i in range(len(pts)):
-            p, q = pts[i], pts[(i + 1) % len(pts)]
-            if proj.image(p) == proj.image(q):
-                return False  # segment collapses
-    for s in c1.segments():
-        sp, sq = proj.image(s.p), proj.image(s.q)
-        for r in c2.segments():
-            rp, rq = proj.image(r.p), proj.image(r.q)
-            d1 = _cross2(v_sub2(sq, sp), v_sub2(rp, sp))
-            d2 = _cross2(v_sub2(sq, sp), v_sub2(rq, sp))
-            d3 = _cross2(v_sub2(rq, rp), v_sub2(sp, rp))
-            d4 = _cross2(v_sub2(rq, rp), v_sub2(sq, rp))
-            crossing = d1 * d2 < 0 and d3 * d4 < 0
-            disjoint = (d1 * d2 > 0) or (d3 * d4 > 0)
-            if not crossing and not disjoint:
-                return False  # endpoint contact or collinear overlap
-    return True
+    For a segment from a along u, let g = w x u.  Then
+    det(u, x - a, w) = g . (x - a) tells on which side of the segment's
+    image the image of x lies, and g = 0 when the image collapses.
+    """
+    w = (1, t, t * t)
+    segs = [[(a, b, v_sub(b, a), v_cross(w, v_sub(b, a))) for a, b in S]
+            for S in (S1, S2)]
+    if any(g == _ZERO for S in segs for *_, g in S):
+        return None
+    total = 0
+    for a, b, u1, g1 in segs[0]:
+        for c, d, u2, g2 in segs[1]:
+            s12 = v_dot(g1, v_sub(c, a)) * v_dot(g1, v_sub(d, a))
+            s34 = v_dot(g2, v_sub(a, c)) * v_dot(g2, v_sub(b, c))
+            if s12 > 0 or s34 > 0:
+                continue                  # images disjoint
+            if s12 == 0 or s34 == 0:
+                return None               # images touch or overlap
+            # the images cross at p1 on (a, b) and p2 on (c, d), where
+            # p1 - p2 = (lam / den) w with den = det(u1, u2, w)
+            den = v_dot(g1, u2)
+            lam = _det(u1, u2, v_sub(a, c))
+            if (lam > 0) == (den > 0):    # (a, b) passes over (c, d)
+                total -= 1 if den > 0 else -1
+    return total
 
 
-def v_sub2(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def find_generic_projection(c1: PolygonalCycle, c2: PolygonalCycle,
-                            start: int = 1, limit: int = 10000) -> _Projection:
-    """First valid direction from the deterministic family (1, t, t^2)."""
-    for t in range(start, limit):
-        proj = _projection_for(t)
-        if _projection_is_generic(proj, c1, c2):
-            return proj
-    raise RuntimeError("generic projection search exhausted")
-
-
-def linking_number(c1: PolygonalCycle, c2: PolygonalCycle,
-                   projection: Optional[_Projection] = None) -> int:
+def linking_number(c1: PolygonalCycle, c2: PolygonalCycle) -> int:
     """Sum of crossing signs where the first cycle passes over the second.
 
     Sign convention: with the right-handed frame, the positively oriented
     polygonal Hopf pair links to +1.
     """
-    for s in c1.segments():
-        for r in c2.segments():
-            if _segments_meet_3d(s, r):
-                raise NotDisjoint("cycles share a point")
-    proj = projection or find_generic_projection(c1, c2)
-    total = 0
-    for s in c1.segments():
-        sp, sq = proj.image(s.p), proj.image(s.q)
-        u1 = v_sub2(sq, sp)
-        for r in c2.segments():
-            rp, rq = proj.image(r.p), proj.image(r.q)
-            u2 = v_sub2(rq, rp)
-            den = _cross2(u1, u2)
-            if den == 0:
-                continue
-            alpha = _cross2(v_sub2(rp, sp), u2) / den
-            beta = _cross2(v_sub2(rp, sp), u1) / den
-            if not (0 < alpha < 1 and 0 < beta < 1):
-                continue
-            p1 = tuple(s.p[i] + alpha * s.direction[i] for i in range(3))
-            p2 = tuple(r.p[i] + beta * r.direction[i] for i in range(3))
-            h = sign_of(proj.depth(v_sub(p1, p2)))
-            if h == 0:
-                raise NotDisjoint("cycles share a point at a crossing")
-            if h > 0:
-                total -= sign_of(den)
-    return total
+    ints, _ = _scaled_int_segments(c1.segments() + c2.segments())
+    S1, S2 = ints[:len(c1)], ints[len(c1):]
+    if any(_segments_meet(s, r) for s in S1 for r in S2):
+        raise NotDisjoint("cycles share a point")
+    for t in range(1, 10000):
+        lk = _linking_along(S1, S2, t)
+        if lk is not None:
+            return lk
+    raise RuntimeError("generic projection search exhausted")
 
 
 # ---------------------------------------------------------------------------
 # intrinsic linking of K6
 # ---------------------------------------------------------------------------
-
-def _coplanar(p, q, r, s) -> bool:
-    return sign_of(v_dot(v_sub(q, p), v_cross(v_sub(r, p), v_sub(s, p)))) == 0
-
 
 @dataclass
 class ConwayGordonResult:
@@ -236,8 +179,10 @@ def conway_gordon_check(points: Sequence[Vec3]) -> ConwayGordonResult:
     """
     if len(points) != 6:
         raise ValidationError("need exactly six points")
+    ints, _ = _scaled_int_points(points)
     for quad in itertools.combinations(range(6), 4):
-        if _coplanar(*(points[i] for i in quad)):
+        p, q, r, s = (ints[i] for i in quad)
+        if _det(v_sub(q, p), v_sub(r, p), v_sub(s, p)) == 0:
             raise DegeneratePosition(f"points {quad} are coplanar")
     lks = {}
     odd_pair = None

@@ -188,7 +188,9 @@ def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
 
     Bisect the graph, extract edge-disjoint K6 subdivisions on each side,
     convert each to an odd-linked cycle pair, and search a transversal for
-    every cross pair of linked pairs.  Because a fair bisection rarely
+    every cross pair of linked pairs.  Each witness contact is the
+    parameter on the drawn edge, from its lower to its higher vertex, as
+    ``count_line_crossings`` reports it.  Because a fair bisection rarely
     keeps whole subdivisions inside one side on small graphs, bisections
     are retried (deterministically seeded) until both sides are
     productive or the attempt budget runs out.
@@ -235,13 +237,13 @@ def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
                 continue
             edges = []
             contacts = []
-            for cycle, loop in zip(cycles, loops):
+            for loop in loops:
                 hit = None
-                for si, seg in enumerate(cycle.segments()):
-                    ok, u = line_meets_segment(line, seg)
+                for a, b in zip(loop, loop[1:] + loop[:1]):
+                    edge = (min(a, b), max(a, b))
+                    ok, u = line_meets_segment(line, d.edge_segments(edge)[0])
                     if ok:
-                        a, b = loop[si], loop[(si + 1) % len(loop)]
-                        hit = ((min(a, b), max(a, b)), u)
+                        hit = (edge, u)
                         break
                 if hit is None:
                     break

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_linking_commands(tmp_path, capsys):
     assert run(capsys, "gen-fixture", "--kind", "hopf-pair",
                "--output", hopf) == (0, None)
     code, doc = run(capsys, "linking", "--input", hopf)
-    assert (code, abs(doc["lk"])) == (0, 1)
+    assert (code, doc) == (0, {"lk": 1})
     run(capsys, "gen-fixture", "--kind", "stacked-pairs", "--output", stacked)
     code, doc = run(capsys, "transversal-4cycles", "--input", stacked)
     assert (code, doc["found"]) == (0, True)
@@ -120,6 +121,33 @@ def test_linking_commands(tmp_path, capsys):
     assert code == 0 and doc["parity_sum"] % 2 == 1
     code, doc = run(capsys, "linking", "--input", write(tmp_path / "bad.json", {}))
     assert (code, doc["code"]) == (1, "KeyError")
+
+
+def test_conway_gordon_reads_six_points_and_rejects_coplanar(tmp_path,
+                                                           capsys):
+    six = str(tmp_path / "six.json")
+    assert run(capsys, "gen-fixture", "--kind", "six-points", "--seed", "2",
+               "--output", six) == (0, None)
+    code, doc = run(capsys, "conway-gordon", "--input", six)
+    assert code == 0 and doc == run(capsys, "conway-gordon", "--seed", "2")[1]
+    assert len(doc["linking_numbers"]) == 10 and doc["parity_sum"] == 1
+    flat = write(tmp_path / "flat.json", {"points": [
+        [str(i), str(i * i), "0"] for i in range(6)]})
+    code, doc = run(capsys, "conway-gordon", "--input", flat)
+    assert (code, doc["code"]) == (1, "DegeneratePosition")
+
+
+def test_transversal_4cycles_reports_none_for_far_triangles(tmp_path, capsys):
+    # the triangles of test_linking.test_far_unlinked_triangles_have_none
+    rng = random.Random(11)
+    cycles = []
+    for i in range(4):
+        center = (50 * i, 37 * i * i % 91, (13 * i) % 17)
+        cycles.append([[f"{64 * c + rng.randint(-8, 8)}/64" for c in center]
+                       for _ in range(3)])
+    far = write(tmp_path / "far.json", {"cycles": cycles})
+    assert run(capsys, "transversal-4cycles", "--input", far) == (
+        0, {"found": False})
 
 
 def test_witness_pipeline(tmp_path, capsys):

@@ -149,6 +149,110 @@ def test_one_ruling_gives_infinite_family():
     assert res.infinite
 
 
+def _direction_is(line, d):
+    return v_cross(line.direction, d) == (0, 0, 0)
+
+
+def _no_pairwise_skew_triple(lines):
+    return not any(all(side_product(a, b) != 0
+                       for a, b in itertools.combinations(t, 2))
+                   for t in itertools.combinations(lines, 3))
+
+
+_X_AXIS = line_through_points(point3(0, 0, 0), point3(1, 0, 0))
+_Y_AXIS = line_through_points(point3(0, 0, 0), point3(0, 1, 0))
+_L3 = line_through_points(point3(1, 1, -1), point3(1, 2, 1))
+_L4 = line_through_points(point3(-1, 2, -1), point3(2, -1, 1))
+
+
+def test_two_axes_and_two_skew_lines():
+    res = transversals_of_4_lines([_X_AXIS, _Y_AXIS, _L3, _L4])
+    assert not res.infinite and len(res.lines) == 2
+    through_origin, in_plane = sorted(
+        res.lines, key=lambda l: not _direction_is(l, (7, 10, -1)))
+    assert _direction_is(through_origin, (7, 10, -1))
+    assert v_cross(through_origin.direction, through_origin.moment) == (0, 0, 0)
+    assert _direction_is(in_plane, (1, 2, 0))
+    assert in_plane.moment[0] == in_plane.moment[1] == 0   # inside z = 0
+
+
+def test_parallel_pair_and_two_skew_lines():
+    x_up = line_through_points(point3(0, 0, 1), point3(1, 0, 1))
+    res = transversals_of_4_lines([_X_AXIS, x_up, _L3, _L4])
+    assert not res.infinite and len(res.lines) == 1
+    assert same_line(res.lines[0],
+                     line_through_points(point3(1, 0, 0), point3(1, 0, 1)))
+
+
+def test_two_meeting_pairs_give_two_transversals():
+    # the x and y axes meet at 0, l3 and l4 at (1, 1, 1): the transversals
+    # are the line through both points and the meet of the two planes
+    l3 = line_through_points(point3(1, 1, 1), point3(2, 1, 3))
+    l4 = line_through_points(point3(1, 1, 1), point3(1, 3, 2))
+    lines = [_X_AXIS, _Y_AXIS, l3, l4]
+    assert _no_pairwise_skew_triple(lines)
+    res = transversals_of_4_lines(lines)
+    assert not res.infinite and len(res.lines) == 2
+    expected = [line_through_points(point3(0, 0, 0), point3(1, 1, 1)),
+                line_through_points(point3(0, 3, 0), point3(1, -1, 0))]
+    assert all(any(same_line(l, e) for l in res.lines) for e in expected)
+
+
+def test_parallel_pair_and_meeting_pair_give_one_transversal():
+    x_up = line_through_points(point3(0, 0, 1), point3(1, 0, 1))
+    l3 = line_through_points(point3(1, 1, 1), point3(2, 2, 3))
+    l4 = line_through_points(point3(1, 1, 1), point3(1, 2, 2))
+    lines = [_X_AXIS, x_up, l3, l4]
+    assert _no_pairwise_skew_triple(lines)
+    res = transversals_of_4_lines(lines)
+    assert not res.infinite and len(res.lines) == 1
+    assert same_line(res.lines[0],
+                     line_through_points(point3(0, 0, -1), point3(1, 0, 0)))
+
+
+def test_four_concurrent_lines_are_infinite():
+    x = point3(1, 2, 3)
+    lines = [line_through_points(x, v_add(x, d))
+             for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
+    assert transversals_of_4_lines(lines).infinite
+    # three through x and one missing it: the pencil through x in the
+    # plane of x and the fourth line
+    away = line_through_points(point3(2, 0, 0), point3(0, 1, 5))
+    assert transversals_of_4_lines(lines[:3] + [away]).infinite
+
+
+def _meeting_or_parallel_pair(rng):
+    def pt():
+        return point3(*(rng.randint(-3, 3) for _ in range(3)))
+
+    while True:
+        x, d1, d2 = pt(), pt(), pt()
+        if d1 == (0, 0, 0) or d2 == (0, 0, 0):
+            continue
+        if rng.random() < 0.5:   # parallel: the second line is a translate
+            y = v_add(x, pt())
+            l1 = line_through_points(x, v_add(x, d1))
+            l2 = line_through_points(y, v_add(y, d1))
+        else:                    # meeting at x
+            l1 = line_through_points(x, v_add(x, d1))
+            l2 = line_through_points(x, v_add(x, d2))
+        if not same_line(l1, l2):
+            return [l1, l2]
+
+
+def test_degenerate_transversals_meet_all_four_lines():
+    rng = random.Random(13)
+    found = 0
+    for _ in range(300):
+        lines = _meeting_or_parallel_pair(rng) + _meeting_or_parallel_pair(rng)
+        assert _no_pairwise_skew_triple(lines)
+        res = transversals_of_4_lines(lines)
+        for l in res.lines:
+            assert all(side_product(l, m) == 0 for m in lines)
+        found += len(res.lines)
+    assert found > 0
+
+
 def test_random_lines_count_matches_numeric_roots():
     mp = pytest.importorskip("mpmath")
     mp.mp.prec = 256

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from spacecross.errors import (DegeneratePosition, NotDisjoint, ValidationError)
-from spacecross.geometry import point3, v_add, v_sub
+from spacecross.geometry import _scaled_int_segments, point3, v_add, v_sub
 from spacecross.linking import (PolygonalCycle, conway_gordon_check,
-                                find_generic_projection, find_linked_pair,
-                                linking_number, transversal_through_cycles,
-                                _projection_for)
+                                find_linked_pair, linking_number,
+                                transversal_through_cycles, _linking_along,
+                                _segments_meet)
 from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.generators import hopf_pair, stacked_pairs
 from spacecross.pipeline import SubdivisionEmbedding
@@ -102,16 +102,11 @@ def test_gauss_integral_agrees_on_random_pairs():
 
 def test_linking_independent_of_direction():
     c1, c2 = hopf_pair()
-    found = 0
-    t = 1
-    while found < 10:
-        proj = _projection_for(t)
-        t += 1
-        from spacecross.linking import _projection_is_generic
-        if not _projection_is_generic(proj, c1, c2):
-            continue
-        assert linking_number(c1, c2, projection=proj) == 1
-        found += 1
+    ints, _ = _scaled_int_segments(c1.segments() + c2.segments())
+    values = [_linking_along(ints[:len(c1)], ints[len(c1):], t)
+              for t in range(1, 40)]
+    generic = [v for v in values if v is not None]
+    assert len(generic) >= 10 and set(generic) == {1}
 
 
 def _subdivide_cycle(cycle, rng):
@@ -156,6 +151,45 @@ def test_intersecting_cycles_rejected():
     c2 = PolygonalCycle((point3(1, 0, -1), point3(1, 0, 1), point3(3, 3, 1)))
     with pytest.raises(NotDisjoint):
         linking_number(c1, c2)
+
+
+_SEGMENT_PAIRS = {
+    "skew": (((0, 0, 0), (2, 0, 0)), ((1, -1, 1), (1, 1, 1))),
+    "coplanar crossing": (((0, 0, 0), (2, 2, 2)), ((0, 2, 2), (2, 0, 0))),
+    "coplanar apart": (((0, 0, 0), (2, 0, 2)), ((3, 0, 0), (4, 0, 3))),
+    "T-junction": (((0, 0, 0), (4, 0, 0)), ((2, 0, 0), (2, 3, 1))),
+    "lines meet outside": (((0, 0, 0), (4, 0, 0)), ((2, 1, 0), (2, 3, 0))),
+    "shared endpoint": (((0, 0, 0), (1, 2, 3)), ((1, 2, 3), (3, 1, 0))),
+    "parallel": (((0, 0, 0), (1, 1, 0)), ((0, 0, 1), (2, 2, 1))),
+    "collinear overlapping": (((0, 0, 0), (3, 3, 3)), ((2, 2, 2), (5, 5, 5))),
+    "collinear nested": (((0, 1, 0), (0, 5, 0)), ((0, 4, 0), (0, 2, 0))),
+    "collinear touching": (((1, 0, 0), (3, 1, 0)), ((5, 2, 0), (3, 1, 0))),
+    "collinear disjoint": (((0, 0, 1), (0, 0, 2)), ((0, 0, 3), (0, 0, 7))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEGMENT_PAIRS))
+def test_segments_meet_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    s, r = _SEGMENT_PAIRS[name]
+    expected = bool(sympy.Segment3D(*s).intersection(sympy.Segment3D(*r)))
+    for a, b in ((s, r), (r, s), (s[::-1], r), (s, r[::-1])):
+        assert _segments_meet(a, b) == expected
+
+
+def test_segments_meet_matches_sympy_on_random_pairs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    checked = 0
+    while checked < 150:
+        a, b, c, d = (tuple(rng.randint(0, 2) for _ in range(3))
+                      for _ in range(4))
+        if a == b or c == d:
+            continue
+        expected = bool(sympy.Segment3D(a, b).intersection(
+            sympy.Segment3D(c, d)))
+        assert _segments_meet((a, b), (c, d)) == expected
+        checked += 1
 
 
 def test_cycle_validation():

@@ -53,8 +53,11 @@ def test_witness_pipeline_on_four_k6():
     assert witnesses
     for w in witnesses:
         assert len({v for e in w.edges for v in e}) == 8
-        for e in w.edges:
-            assert line_meets_segment(w.line, d.edge_segments(e)[0])[0]
+        assert [e for e, _, _ in w.contacts] == list(w.edges)
+        for e, seg, u in w.contacts:
+            assert seg == 0
+            # the parameter on the drawn edge, from its lower vertex
+            assert line_meets_segment(w.line, d.edge_segments(e)[0]) == (True, u)
 
 
 def _connected_without(adj, removed):
