@@ -9,6 +9,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -75,10 +76,16 @@ class SubdivisionEmbedding:
         return out
 
 
+# searches that succeed mostly do so within a few hundred expansions
+_ABSENCE_CHECK_AT = 1000
+_ABSENCE_STEP_LIMIT = 20000
+
+
 def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
                         ) -> Optional[SubdivisionEmbedding]:
-    """Randomized search for a K6 subdivision; None is not a proof of
-    absence, only that the budget ran out."""
+    """Randomized search for a K6 subdivision.  None when the budget ran
+    out, or when, after `_ABSENCE_CHECK_AT` expansions without success,
+    `_k6_subdivision_absent` proves there is nothing to find."""
     if g.m < 15:
         return None
     adj = g.adjacency()
@@ -87,47 +94,92 @@ def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
     cand = [v for v in range(g.n) if len(adj[v]) >= 5]
     if len(cand) < 6:
         return None
+    weights = [len(adj[v]) for v in cand]
     rng = random.Random(seed)
     expansions = 0
+    check_at = _ABSENCE_CHECK_AT
     while expansions < budget:
-        weights = [len(adj[v]) for v in cand]
+        if expansions >= check_at:
+            if _k6_subdivision_absent(adj, cand):
+                return None
+            check_at = budget
         branch = _weighted_sample(rng, cand, weights, 6)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         rng.shuffle(pairs)
         used: Set[int] = set()
         paths: Dict[Tuple[int, int], List[int]] = {}
-        ok = True
         for (i, j) in pairs:
             blocked = used | (set(branch) - {branch[i], branch[j]})
             path, cost = _bfs_path(adj, branch[i], branch[j], blocked)
             expansions += cost
             if path is None or expansions >= budget:
-                ok = False
                 break
             paths[(i, j)] = path
             used.update(path[1:-1])
-        if ok and len(paths) == 15:
+        else:
             emb = SubdivisionEmbedding(tuple(branch), paths)
             validate_embedding(g, emb)
             return emb
     return None
 
 
+def _k6_subdivision_absent(adj, cand) -> bool:
+    """True only when no six of `cand` are the branch vertices of a K6
+    subdivision.  Adjacent branch vertices are joined by their edge and
+    the other pairs, one after another, by chordless paths; this loses no
+    subdivision, as the edge or a shortcut along a chord frees vertices.
+    False when a subdivision is found or `_ABSENCE_STEP_LIMIT` steps run
+    out."""
+    nbr = [set(a) for a in adj]
+    steps = 0
+
+    def step():
+        nonlocal steps
+        steps += 1
+        if steps > _ABSENCE_STEP_LIMIT:
+            raise RetryExhausted("K6 absence search")
+
+    def interiors(path, v, blocked):
+        # inner vertices of the chordless paths to v that extend `path`
+        for w in adj[path[-1]]:
+            if w in blocked or w in path or any(p in nbr[w] for p in path[:-1]):
+                continue
+            step()
+            if v in nbr[w]:
+                yield path[1:] + [w]
+            else:
+                yield from interiors(path + [w], v, blocked)
+
+    def linked(branch, todo, blocked):
+        if not todo:
+            return True
+        step()
+        # each pair left needs its own free neighbour at both ends
+        ends = [x for pair in todo for x in pair]
+        if any(ends.count(x) > sum(w not in blocked for w in adj[x])
+               for x in branch):
+            return False
+        (u, v), rest = todo[0], todo[1:]
+        return any(linked(branch, rest, blocked | set(inner))
+                   for inner in interiors([u], v, blocked))
+
+    try:
+        return not any(
+            linked(branch, [(u, v) for u, v in combinations(branch, 2)
+                            if v not in nbr[u]], set(branch))
+            for branch in combinations(cand, 6))
+    except RetryExhausted:
+        return False
+
+
 def _weighted_sample(rng, items, weights, k):
     chosen = []
     pool = list(zip(items, weights))
     for _ in range(k):
-        total = sum(w for _, w in pool)
-        r = rng.uniform(0, total)
-        acc = 0.0
-        for idx, (v, w) in enumerate(pool):
-            acc += w
-            if r <= acc:
-                chosen.append(v)
-                pool.pop(idx)
-                break
-        else:
-            chosen.append(pool.pop()[0])
+        r = rng.uniform(0, sum(w for _, w in pool))
+        sums = accumulate(w for _, w in pool)
+        idx = next((i for i, acc in enumerate(sums) if r <= acc), -1)
+        chosen.append(pool.pop(idx)[0])
     return chosen
 
 
@@ -135,23 +187,18 @@ def _bfs_path(adj, src, dst, blocked):
     if src == dst:
         return [src], 1
     prev = {src: None}
-    queue = deque([src])
-    cost = 0
-    while queue:
-        u = queue.popleft()
-        cost += 1
+    queue = [src]
+    for cost, u in enumerate(queue, 1):  # cost: vertices expanded so far
+        if dst in adj[u]:
+            path = [dst, u]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1], cost
         for w in adj[u]:
-            if w == dst:
-                path = [w, u]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path, cost
-            if w in blocked or w in prev:
-                continue
-            prev[w] = u
-            queue.append(w)
-    return None, cost
+            if w not in blocked and w not in prev:
+                prev[w] = u
+                queue.append(w)
+    return None, len(queue)
 
 
 def extract_disjoint_subdivisions(g: Graph, budget: int = 200000, seed: int = 0

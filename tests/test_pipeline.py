@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from spacecross import generators
+from spacecross import generators, pipeline
 from spacecross.geometry import (line_meets_segment, segments_intersect_2d,
                                  transversal_exists_segments)
-from spacecross.pipeline import (_bisection_bound_met, boost_witness_pipeline,
+from spacecross.drawing import Graph
+from spacecross.pipeline import (_bisection_bound_met, _k6_subdivision_absent,
+                                 boost_witness_pipeline, find_k6_subdivision,
                                  hexgrid_construction, hexgrid_graph,
                                  random_bisection)
 from spacecross.sametype import (PointMultiset, SparsePolynomial,
@@ -58,6 +60,78 @@ def test_witness_pipeline_on_four_k6():
             assert seg == 0
             # the parameter on the drawn edge, from its lower vertex
             assert line_meets_segment(w.line, d.edge_segments(e)[0]) == (True, u)
+
+
+def _icosahedron():
+    """5-regular and planar, so it has no K5 subdivision, let alone K6."""
+    edges = [(0, i) for i in range(1, 6)] + [(i, 11) for i in range(6, 11)]
+    for i in range(5):
+        edges += [(1 + i, 1 + (i + 1) % 5), (6 + i, 6 + (i + 1) % 5),
+                  (1 + i, 6 + i), (1 + i, 6 + (i + 1) % 5)]
+    return Graph.from_edges(12, edges)
+
+
+def _absent(g):
+    adj = [sorted(a) for a in g.adjacency()]
+    return _k6_subdivision_absent(adj, [v for v in range(g.n)
+                                        if len(adj[v]) >= 5])
+
+
+def test_k6_search_on_the_icosahedron_stops_at_the_absence_proof(
+        monkeypatch):
+    g = _icosahedron()
+    assert sorted(g.degree(v) for v in range(g.n)) == [5] * 12
+    assert _absent(g)
+    spent = []
+
+    def counted(*args):
+        path, cost = bfs_path(*args)
+        spent.append(cost)
+        return path, cost
+
+    bfs_path = pipeline._bfs_path
+    monkeypatch.setattr(pipeline, "_bfs_path", counted)
+    assert find_k6_subdivision(g, budget=10 ** 6) is None
+    assert pipeline._ABSENCE_CHECK_AT <= sum(spent) < 2 * pipeline._ABSENCE_CHECK_AT
+
+
+def _brute_k6_subdivision(n, edges):
+    """Independent check for n <= 8: six branch vertices and at most two
+    more, each on at most one path of one or two inner vertices."""
+    e = {frozenset(p) for p in edges}
+    for branch in itertools.combinations(range(n), 6):
+        rest = [v for v in range(n) if v not in branch]
+        routes = []
+        for u, v in itertools.combinations(branch, 2):
+            if frozenset((u, v)) in e:
+                continue
+            walks = [(u,) + inner + (v,) for k in (1, 2)
+                     for inner in itertools.permutations(rest, k)]
+            routes.append([w[1:-1] for w in walks
+                           if all(frozenset(s) in e for s in zip(w, w[1:]))])
+        for choice in itertools.product(*routes):
+            inner = [x for r in choice for x in r]
+            if len(inner) == len(set(inner)):
+                return True
+    return False
+
+
+def test_k6_absence_proof_against_brute_force():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(300):
+        n = rng.choice([6, 7, 8])
+        p = rng.uniform(0.6, 1.0)
+        edges = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < p]
+        g = Graph.from_edges(n, edges)
+        has = _brute_k6_subdivision(n, edges)
+        found += has
+        assert _absent(g) is not has, edges
+        if has:
+            emb = find_k6_subdivision(g, budget=10 ** 6)
+            assert emb is not None and len(emb.paths) == 15
+    assert 50 < found < 250
 
 
 def _connected_without(adj, removed):
