@@ -158,9 +158,13 @@ def _jitter(seed: int, e: Edge, idx: int, comp: int, scale: Fraction) -> Fractio
     return Fraction(rng.randint(-2 ** 30, 2 ** 30), 2 ** 30) * scale
 
 
-def lift_to_sphere(planar: SpatialDrawing, subdivision: int, seed: int = 0,
-                   radius_factor: int = 2 ** 16,
-                   jitter_scale: Fraction = Fraction(1, 2 ** 40)) -> SpatialDrawing:
+# sphere radius per unit of drawing extent, and jitter per unit of radius
+_RADIUS_FACTOR = 2 ** 16
+_JITTER_SCALE = Fraction(1, 2 ** 40)
+
+
+def lift_to_sphere(planar: SpatialDrawing, subdivision: int,
+                   seed: int = 0) -> SpatialDrawing:
     """Map a flat straight-line drawing onto a large rational sphere.
 
     Inverse stereographic projection from a pole far above the drawing:
@@ -179,7 +183,7 @@ def lift_to_sphere(planar: SpatialDrawing, subdivision: int, seed: int = 0,
     extent = (max(xs) - min(xs)) + (max(ys) - min(ys))
     if extent == 0:
         extent = Fraction(1)
-    radius = radius_factor * extent
+    radius = _RADIUS_FACTOR * extent
 
     def to_sphere(p) -> Tuple[Fraction, Fraction, Fraction]:
         ux, uy = p[0] - cx, p[1] - cy
@@ -190,7 +194,7 @@ def lift_to_sphere(planar: SpatialDrawing, subdivision: int, seed: int = 0,
 
     positions = [to_sphere(p) for p in planar.positions]
     polylines: Dict[Edge, List] = {}
-    amp = jitter_scale * radius
+    amp = _JITTER_SCALE * radius
     for e in planar.graph.edges:
         u, v = e
         pu, pv = planar.positions[u], planar.positions[v]

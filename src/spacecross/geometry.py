@@ -21,6 +21,14 @@ a + b*sqrt(D) comes from comparing a^2 with b^2 D.  Only a certified line
 becomes a public ``PluckerLine`` of ``Fraction`` or ``QuadExt`` values.
 ``verify_transversal`` and ``line_meets_segment`` stay the independent
 rational verifier of such a witness.
+
+For three segments, or four whose fourth line meets the whole regulus,
+the candidates form the family T(t), t in [0, 1], and T(t) meets each
+other segment at a ratio num/den of linear forms in t (its trace).  No
+sign of num, den or num - den changes between their neighbouring roots,
+so range tests at those roots and the midpoints between them find each
+connected component of the transversals as a run of accepted sites, and
+one candidate per run decides: its midpoint, then its ends.
 """
 
 from __future__ import annotations
@@ -180,98 +188,6 @@ def plane_eval(n, e, x):
 
 
 # ---------------------------------------------------------------------------
-# rational interval sets (closed; None stands for an unbounded end)
-# ---------------------------------------------------------------------------
-
-FULL = [(None, None)]
-
-
-def iv_intersect(xs, ys):
-    out = []
-    for (a1, b1) in xs:
-        for (a2, b2) in ys:
-            lo = a1 if a2 is None else a2 if a1 is None else max(a1, a2)
-            hi = b1 if b2 is None else b2 if b1 is None else min(b1, b2)
-            if lo is None or hi is None or lo <= hi:
-                out.append((lo, hi))
-    out.sort(key=lambda iv: (iv[0] is not None, iv[0]))
-    return out
-
-
-def iv_from_linear(a, b, nonneg: bool):
-    """Solution set of a*t + b >= 0 (or <= 0 when nonneg is False)."""
-    a, b = Fraction(a), Fraction(b)
-    if not nonneg:
-        a, b = -a, -b
-    if a == 0:
-        return FULL if b >= 0 else []
-    root = -b / a
-    return [(root, None)] if a > 0 else [(None, root)]
-
-
-def iv_from_linear_product(l1, l2, nonneg: bool):
-    """Solution set of (a1 t + b1)(a2 t + b2) >= 0 (or <= 0)."""
-    (a1, b1), (a2, b2) = l1, l2
-    a1, b1, a2, b2 = Fraction(a1), Fraction(b1), Fraction(a2), Fraction(b2)
-    if a1 == 0:
-        if b1 == 0:
-            return FULL  # identically zero product
-        return iv_from_linear(a2, b2, nonneg if b1 > 0 else not nonneg)
-    if a2 == 0:
-        if b2 == 0:
-            return FULL
-        return iv_from_linear(a1, b1, nonneg if b2 > 0 else not nonneg)
-    r1, r2 = -b1 / a1, -b2 / a2
-    if r1 > r2:
-        r1, r2 = r2, r1
-    positive_leading = (a1 > 0) == (a2 > 0)
-    if positive_leading == nonneg:
-        # outside the roots (closed); a double root leaves the whole line
-        return [(None, r1), (r2, None)] if r1 != r2 else FULL
-    # between the roots
-    return [(r1, r2)]
-
-
-def mobius_in_unit_interval(num, den):
-    """Closed algebraic set where (n1 t + n0)/(d1 t + d0) lies in [0, 1].
-
-    num and den are (slope, intercept) pairs.  Pole points where the
-    numerator does not also vanish appear only as isolated spurious points
-    and are weeded out by exact witness verification downstream.
-    """
-    n1, n0 = num
-    d1, d0 = den
-    if n1 == 0 and n0 == 0:
-        # ratio identically zero wherever defined
-        if d1 == 0:
-            return FULL if d0 != 0 else []
-        return FULL
-    if d1 == 0 and d0 == 0:
-        return []
-    ge0 = iv_from_linear_product((n1, n0), (d1, d0), nonneg=True)
-    le1 = iv_from_linear_product((n1 - d1, n0 - d0), (d1, d0), nonneg=False)
-    return iv_intersect(ge0, le1)
-
-
-def iv_sample_points(intervals):
-    """Candidate rational points: finite endpoints plus one interior point."""
-    pts = []
-    for lo, hi in intervals:
-        if lo is not None and hi is not None:
-            if lo == hi:
-                pts.append(lo)
-            else:
-                pts.extend([(lo + hi) / 2, lo, hi])
-        elif lo is not None:
-            pts.extend([lo + 1, lo])
-        elif hi is not None:
-            pts.extend([hi - 1, hi])
-        else:
-            pts.append(Fraction(0))
-    return pts
-
-
-# ---------------------------------------------------------------------------
 # segment / line incidence
 # ---------------------------------------------------------------------------
 
@@ -418,6 +334,15 @@ class _Regulus:
         num = (-(v_dot(B, p) + beta), -(v_dot(A, p) + alpha))
         den = (v_dot(B, d), v_dot(A, d))
         return num, den
+
+    def segment_trace(self, target):
+        """``trace_fraction`` of plane 2, or of plane 3 when both forms
+        vanish identically: the target then lies on line 2, which every
+        plane 2 contains."""
+        num, den = self.trace_fraction(2, target)
+        if any(num) or any(den):
+            return num, den
+        return self.trace_fraction(3, target)
 
     def line_at(self, t: _Param):
         """The transversal at t, scaled by h^2, as integer vectors
@@ -698,8 +623,12 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
     integers in Z[sqrt(D)].  A certified line is then divided by h^2 (its
     moment also by ``scale``) and returned with the contact parameter on
     each of the caller's segments; these equal the parameters on the scaled
-    segments, since scaling space does not move them.  Other configurations
-    are decided by case analysis and certified with ``verify_transversal``.
+    segments, since scaling space does not move them.  A one-parameter
+    family (k = 3, or a fourth line meeting the whole regulus) is
+    range-tested at the trace roots and the midpoints between them; each
+    run of accepted sites is one component, whose midpoint, then ends, are
+    certified.  Other configurations are decided by case analysis and
+    certified with ``verify_transversal``.
     """
     k = len(segments)
     if k not in (3, 4):
@@ -724,32 +653,37 @@ def _transversal_scaled(ints, scale) -> SegmentTransversal:
         return res
     tr = [triples[i] for i in order]
     reg = _Regulus(tr[0][0], tr[0][1], tr[1], tr[2])
+    traces = [reg.segment_trace(x) for x in tr[1:]]
+    roots = None
     if len(ints) == 4:
         roots = _quadratic_roots(*reg.incidence_quadratic(tr[3]))
-        if roots is not None:
-            traces = [reg.trace_fraction(3, tr[1]), reg.trace_fraction(2, tr[2]),
-                      reg.trace_fraction(2, tr[3])]
-            for t in roots:
-                if not _in_unit_range(t, traces):
-                    continue
-                line = reg.line_at(t)
-                params = _certify(line, triples, t.d)
-                if params is not None:
-                    return _public_transversal(line, params, t, scale)
-            return SegmentTransversal(False)
-    # k = 3, or the fourth supporting line meets every transversal of the
-    # ruling: a one-parameter family, cut down by interval conditions in t
-    conds = [[(Fraction(0), Fraction(1))],
-             mobius_in_unit_interval(*reg.trace_fraction(3, tr[1])),
-             mobius_in_unit_interval(*reg.trace_fraction(2, tr[2]))]
-    if len(ints) == 4:
-        conds.append(_fourth_line_condition(reg, tr))
-    return _witness_from_intervals(reg, conds, triples, scale)
+    if roots is None:
+        # k = 3, or the fourth supporting line meets every transversal of
+        # the regulus: a one-parameter family
+        candidates = _family_samples(traces)
+    else:
+        candidates = (t for t in roots if _in_unit_range(t, traces))
+    for t in candidates:
+        line = reg.line_at(t)
+        params = _certify(line, triples, t.d)
+        if params is not None:
+            return _public_transversal(line, params, t, scale)
+    return SegmentTransversal(False)
+
+
+def _rational_param(x: Fraction) -> _Param:
+    return _Param(x.numerator, 0, 0, x.denominator, False)
 
 
 def _in_unit_range(t: _Param, traces) -> bool:
     """Division-free range checks of t and of the crossing parameters
-    num(t)/den(t) of the traces, all in Z[sqrt(d)]."""
+    num(t)/den(t) of the traces, all in Z[sqrt(d)].
+
+    A trace with den(t) = 0 fails when num(t) != 0: the transversal is then
+    parallel to the segment's line and misses it.  At 0/0 the segment's
+    line lies in the plane of the trace, so the trace says nothing; the
+    test goes on with the next trace and certification decides.
+    """
     t0, t1, d, h = t.t0, t.t1, t.d, t.h
     sh = 1 if h > 0 else -1
     if _zsign(t0, t1, d) * sh < 0 or _zsign(t0 - h, t1, d) * sh > 0:
@@ -759,12 +693,33 @@ def _in_unit_range(t: _Param, traces) -> bool:
         na, nb = n1 * t0 + n0 * h, n1 * t1
         da, db = d1 * t0 + d0 * h, d1 * t1
         s_n, s_d = _zsign(na, nb, d), _zsign(da, db, d)
-        if s_d == 0:
-            # 0/0: the line may contain the segment; certification decides
-            return s_n == 0  # otherwise the transversal misses this line
-        if s_n * s_d < 0 or _zsign(na - da, nb - db, d) * s_d > 0:
+        if ((s_n and not s_d) or s_n * s_d < 0
+                or _zsign(na - da, nb - db, d) * s_d > 0):
             return False
     return True
+
+
+def _family_samples(traces):
+    """Rational t to certify along the family: the midpoint, then the
+    ends, of each run of accepted sites, left to right.  The cuts are 0, 1
+    and the roots in (0, 1) of every trace's num, den and num - den."""
+    cuts = {Fraction(0), Fraction(1)}
+    for (n1, n0), (d1, d0) in traces:
+        for a, b in ((n1, n0), (d1, d0), (n1 - d1, n0 - d0)):
+            if a and 0 < Fraction(-b, a) < 1:
+                cuts.add(Fraction(-b, a))
+    cuts = sorted(cuts)
+    sites = cuts[:1]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sites += [(lo + hi) / 2, hi]
+    runs = itertools.groupby(
+        sites, lambda x: _in_unit_range(_rational_param(x), traces))
+    for accepted, run in runs:
+        if accepted:
+            run = list(run)
+            lo, hi = run[0], run[-1]
+            ends = ((lo + hi) / 2, lo, hi) if lo != hi else (lo,)
+            yield from map(_rational_param, ends)
 
 
 def _certify(line, triples, d):
@@ -810,48 +765,6 @@ def _public_transversal(line, params, t: _Param, scale) -> SegmentTransversal:
         norm = z * z - v * v * t.d
         us.append(t.scalar(x * z - y * v * t.d, y * z - x * v, norm))
     return SegmentTransversal(True, _public_line(line, t, scale), us)
-
-
-def _fourth_line_condition(reg, triples):
-    """Interval condition in t for the fourth segment when its supporting
-    line meets every transversal of the regulus."""
-    lns = [PluckerLine(d, m) for _, d, m in triples]
-    p4, d4, m4 = triples[3]
-    # the fourth line may coincide with a parametrizing line
-    for idx in (1, 2):
-        if same_line(lns[3], lns[idx]):
-            # remap that line's crossing parameter onto segment 4
-            other = triples[idx]
-            num, den = reg.trace_fraction(3 if idx == 1 else 2, other)
-            comp = next(i for i in range(3) if d4[i] != 0)
-            shift = Fraction(other[0][comp] - p4[comp], d4[comp])
-            ratio = Fraction(other[1][comp], d4[comp])
-            new_num = (num[0] * ratio + den[0] * shift,
-                       num[1] * ratio + den[1] * shift)
-            return mobius_in_unit_interval(new_num, den)
-    if same_line(lns[3], lns[0]):
-        # transversal meets segment 4 exactly at P(t)
-        comp = next(i for i in range(3) if d4[i] != 0)
-        p1, d1 = triples[0][0], triples[0][1]
-        num = (Fraction(d1[comp], d4[comp]),
-               Fraction(p1[comp] - p4[comp], d4[comp]))
-        return mobius_in_unit_interval(num, (Fraction(0), Fraction(1)))
-    return mobius_in_unit_interval(*reg.trace_fraction(2, triples[3]))
-
-
-def _witness_from_intervals(reg, conds, triples, scale) -> SegmentTransversal:
-    feasible = FULL
-    for c in conds:
-        feasible = iv_intersect(feasible, c)
-        if not feasible:
-            return SegmentTransversal(False)
-    for sample in iv_sample_points(feasible):
-        t = _Param(sample.numerator, 0, 0, sample.denominator, False)
-        line = reg.line_at(t)
-        params = _certify(line, triples, 0)
-        if params is not None:
-            return _public_transversal(line, params, t, scale)
-    return SegmentTransversal(False)
 
 
 # -- degenerate configurations ----------------------------------------------

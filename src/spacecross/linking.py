@@ -124,6 +124,11 @@ def _linking_along(S1, S2, t: int) -> Optional[int]:
             if s12 > 0 or s34 > 0:
                 continue                  # images disjoint
             if s12 == 0 or s34 == 0:
+                if (v_cross(u1, v_sub(c, a)) == _ZERO
+                        and v_cross(u1, v_sub(d, a)) == _ZERO):
+                    # disjoint segments of one line in space: g1 != 0
+                    # makes the projection one to one on that line
+                    continue
                 return None               # images touch or overlap
             # the images cross at p1 on (a, b) and p2 on (c, d), where
             # p1 - p2 = (lam / den) w with den = det(u1, u2, w)

@@ -42,11 +42,15 @@ def _bisection_bound_met(e_i: int, n_edges: int, n_vertices: int) -> bool:
     return (n_edges - 4 * e_i) ** 2 <= 16 * n_vertices * n_edges
 
 
-def random_bisection(g: Graph, seed: int = 0, max_retries: int = 1000) -> Bisection:
+_BISECTION_RETRIES = 1000     # draws before random_bisection gives up
+_BISECTION_ATTEMPTS = 2000    # bisections boost_witness_pipeline tries
+
+
+def random_bisection(g: Graph, seed: int = 0) -> Bisection:
     """Fair vertex bisection retried until both sides hold at least
     E/4 - sqrt(V E) induced edges; a retry cap guards nontermination."""
     rng = random.Random(seed)
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, _BISECTION_RETRIES + 1):
         colors = [rng.randint(0, 1) for _ in range(g.n)]
         e1 = sum(1 for u, v in g.edges if colors[u] == 0 and colors[v] == 0)
         e2 = sum(1 for u, v in g.edges if colors[u] == 1 and colors[v] == 1)
@@ -54,7 +58,8 @@ def random_bisection(g: Graph, seed: int = 0, max_retries: int = 1000) -> Bisect
             side1 = tuple(v for v in range(g.n) if colors[v] == 0)
             side2 = tuple(v for v in range(g.n) if colors[v] == 1)
             return Bisection(side1, side2, e1, e2, attempt)
-    raise RetryExhausted(f"no valid bisection in {max_retries} attempts")
+    raise RetryExhausted(
+        f"no valid bisection in {_BISECTION_RETRIES} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +233,7 @@ def _induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
 
 
 def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
-                           budget: int = 100000,
-                           bisection_attempts: int = 2000
-                           ) -> List[CrossingWitness]:
+                           budget: int = 100000) -> List[CrossingWitness]:
     """Explicit space-crossing witnesses from linked cycle pairs.
 
     Bisect the graph, extract edge-disjoint K6 subdivisions on each side,
@@ -246,7 +249,7 @@ def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
         raise ValidationError("witness pipeline needs a straight-line drawing")
     g = d.graph
     best: Optional[Tuple[List[SubdivisionEmbedding], List[SubdivisionEmbedding]]] = None
-    for attempt in range(bisection_attempts):
+    for attempt in range(_BISECTION_ATTEMPTS):
         bis = random_bisection(g, seed=seed * 1000003 + attempt)
         sides = []
         productive = True

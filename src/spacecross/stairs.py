@@ -218,8 +218,7 @@ class StairCrossing:
     coords: Optional[Tuple] = None    # the witness stair-line coordinates
 
 
-def stair_crossing_exists(anchor_pairs: Sequence[Tuple], witness: bool = True
-                          ) -> StairCrossing:
+def stair_crossing_exists(anchor_pairs: Sequence[Tuple]) -> StairCrossing:
     """Decide whether a stair-line meets all four diagonal stair-paths.
 
     anchor_pairs are four (s, t) value pairs with eight distinct values.
@@ -266,8 +265,6 @@ def stair_crossing_exists(anchor_pairs: Sequence[Tuple], witness: bool = True
                     meets = hit if meets is None else (meets | hit)
             feasible = meets if feasible is None else (feasible & meets)
         if feasible.any():
-            if not witness:
-                return StairCrossing(True, kind, None)
             idx = np.argwhere(feasible)[0]
             coords = tuple(unrank(cand_ranks[i]) for i in idx)
             result = StairCrossing(True, kind, coords)

@@ -123,6 +123,14 @@ def test_linking_commands(tmp_path, capsys):
     assert (code, doc["code"]) == (1, "KeyError")
 
 
+def test_linking_with_collinear_edges(tmp_path, capsys):
+    cycles = [[[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+              [[2, 0, 0], [3, 0, 0], [2, 0, 1]]]
+    pair = write(tmp_path / "pair.json", {
+        "cycles": [[[str(c) for c in p] for p in cyc] for cyc in cycles]})
+    assert run(capsys, "linking", "--input", pair) == (0, {"lk": 0})
+
+
 def test_conway_gordon_reads_six_points_and_rejects_coplanar(tmp_path,
                                                            capsys):
     six = str(tmp_path / "six.json")

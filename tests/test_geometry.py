@@ -563,13 +563,49 @@ REGULUS_BRANCHES = {
         (Fraction(-55, 2), Fraction(1345, 72), Fraction(1045, 72)),
         (Fraction(-65, 8), Fraction(-2915, 144), Fraction(1535, 144)),
         [Fraction(29, 60), Fraction(49, 55), Fraction(1, 35)]),
-    # the incidence quadratic vanishes identically (roots is None)
+    # the family meets all three segments for t in [0, 1/2] and [2/3, 1]
+    "k = 3, two components": (
+        _segs(((2, 2, -1), (2, -1, 0)), ((1, 0, 0), (-1, -1, -2)),
+              ((-2, 0, 1), (1, 0, -1))),
+        (Fraction(-69, 4), Fraction(-255, 16), Fraction(-3, 16)),
+        (Fraction(-195, 16), Fraction(213, 16), Fraction(-165, 16)),
+        [Fraction(1, 4), Fraction(5, 13), Fraction(15, 17)]),
+    # the incidence quadratic vanishes identically (roots is None); the
+    # fourth segment lies on the first line
     "full ruling": (
         _segs(((0, 1, 1), (1, 1, 0)), ((-1, 1, -2), (2, 0, 0)),
               ((2, -2, -2), (1, -1, 1)), ((-1, 1, 2), (2, 1, -1))),
         (Fraction(6), Fraction(-18), Fraction(-12)),
         (Fraction(-12), Fraction(12), Fraction(-24)),
         [Fraction(1), Fraction(3, 4), Fraction(0), Fraction(2, 3)]),
+    "full ruling, fourth on line 2": (
+        _segs(((1, 2, -1), (0, -2, 0)), ((2, -1, 0), (2, 2, 2)),
+              ((-2, -1, 2), (0, 0, -2)), ((2, "1/2", 1), (2, "7/2", 3))),
+        (Fraction(1931072, 5625), Fraction(1163888, 5625),
+         Fraction(2847328, 5625)),
+        (Fraction(1753576, 5625), Fraction(-2835184, 5625),
+         Fraction(-2024, 375)),
+        [Fraction(61, 150), Fraction(77, 104), Fraction(181, 196),
+         Fraction(25, 104)]),
+    "full ruling, fourth on line 3": (
+        _segs(((-1, -2, 2), (0, -2, -1)), ((-2, -2, 2), (-1, 1, 2)),
+              ((-2, -2, 1), (-2, -1, 2)),
+              ((-2, "-5/2", "1/2"), (-2, "-1/2", "5/2"))),
+        (Fraction(48), Fraction(-48), Fraction(0)),
+        (Fraction(96), Fraction(96), Fraction(144)),
+        [Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3, 4)]),
+    # four lines of one ruling of x^2 + y^2 - z^2 = 1, through
+    # ((1 - m^2)/(1 + m^2), 2m/(1 + m^2), 0) along (-y, x, 1) for
+    # m = 0, 1/2, 3, 1
+    "full ruling, hyperboloid": (
+        _segs(((1, -1, -1), (1, 1, 1)),
+              (("9/5", "-1/10", "-3/2"), (-1, 2, 2)),
+              (("2/5", "11/5", -2), (-2, -1, 2)),
+              ((1, 1, -1), ("1/2", 1, "-1/2"))),
+        (Fraction(80000), Fraction(-3328000, 21), Fraction(3728000, 21)),
+        (Fraction(80000), Fraction(-3328000, 21), Fraction(-3728000, 21)),
+        [Fraction(13, 21), Fraction(17, 47), Fraction(7, 72),
+         Fraction(10, 13)]),
 }
 
 

@@ -72,6 +72,21 @@ def test_split_link_is_zero():
     assert linking_number(c1, far) == 0
 
 
+@pytest.mark.parametrize("first, second, lk", [
+    # the first edges of both triangles lie on the x axis
+    (((0, 0, 0), (1, 0, 0), (0, 1, 0)), ((2, 0, 0), (3, 0, 0), (2, 0, 1)), 0),
+    # the loop's first edge runs on the line of the square's first edge
+    (((0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)),
+     ((6, 0, 0), (8, 0, 0), (2, 2, -1), (2, 2, 1)), -1),
+])
+def test_linking_with_collinear_edges(first, second, lk):
+    c1, c2 = (PolygonalCycle(tuple(point3(*p) for p in pts))
+              for pts in (first, second))
+    assert linking_number(c1, c2) == lk
+    assert linking_number(c2, c1) == lk
+    assert round(gauss_linking_numeric(c1, c2)) == lk
+
+
 def test_double_wrap_is_two_and_matches_gauss_integral():
     big = PolygonalCycle((point3(3, 3, 0), point3(-3, 3, 0),
                           point3(-3, -3, 0), point3(3, -3, 0)))
