@@ -13,18 +13,46 @@ With ``prefilter`` each tuple passes a funnel of three steps, and
    distance of the polyline from its chord segment (``_stab_batch``).
    Its tests carry fixed slacks and are not certified; they are the only
    uncertified rejection.
-2. The certified filter, ``_certified_reject``, for k = 4: over blocks of
+2. The certified filter, ``_certified_decide``, for k = 4: over blocks of
    segment combinations (one segment of each edge) of the surviving
    tuples, it evaluates in float64 the signs that the exact kernel takes
-   on its skew-triple branch, and rejects a combination only when those
-   signs prove that no transversal exists.
+   on its skew-triple branch.  It rejects a combination when those signs
+   prove that no transversal exists, and accepts it when they prove that
+   one does; without ``want_witnesses`` an accepted combination counts
+   its tuple, whose other combinations are then skipped.
 3. The exact predicate ``transversal_exists_segments`` on every
-   combination left, tuple by tuple in lexicographic order of the
-   combinations; a tuple stops at its first transversal.
+   combination left (with ``want_witnesses`` also the accepted ones),
+   tuple by tuple in lexicographic order of the combinations; a tuple
+   stops at its first transversal.
 
 ``prefilter=False`` runs neither filter and is the all-exact reference.
-Rejected combinations have no transversal, so both give the same counts
-and witnesses.
+Rejected combinations have no transversal and accepted ones have one, so
+both give the same counts, and with ``want_witnesses`` the same
+witnesses.
+
+Why an accepted combination has a transversal.  The filter takes the
+regulus of the kernel, ``_Regulus``, on three pairwise skew supporting
+lines: P(t) = p1 + t d1 runs along line 1, and T(t) is the meet of
+plane 2(t), through P(t) and line 2, with plane 3(t), through P(t) and
+line 3.  Both planes are proper, since P(t) lies on neither skew line,
+and distinct, since one plane holding lines 2 and 3 would make them
+coplanar; so T(t) is a line through P(t), and its Pluecker coordinates
+(n2 x n3, n3 e2 - n2 e3) do not vanish.  The regulus quadratic is the
+side product of T(t) with line 4.  With qa != 0 and a positive
+discriminant each root t is real and T(t) is coplanar with line 4.  If,
+at that root, 0 < t < 1, T(t) meets segment 1 inside it.  A trace
+num/den is the parameter at which a segment's line crosses plane 3 (for
+segment 2) or plane 2 (segments 3 and 4).  With den != 0 the line
+crosses the plane in exactly one point.  Line 2 lies in plane 2, so its
+crossing with plane 3 lies on T(t); likewise for line 3.  Line 4 is
+coplanar with T(t) and, as den != 0, not parallel to plane 2, which
+holds T(t), so it meets T(t), and only at its crossing with plane 2.
+With 0 < num/den < 1 each of these points lies inside its segment.  These
+conditions are the strict form of ``geometry._in_unit_range``, and
+den != 0 rules out the 0/0 and parallel cases that leave ``_certify``
+something to decide.  The filter evaluates them on the translated,
+scaled exact coordinates, which have a transversal exactly when the
+originals do; the error bound below makes every sign it uses certain.
 
 Error bound of the certified filter.  A coordinate x of a drawing becomes
 the double x~ with |x~ - x| <= u |x|, u = 2^-53 (beyond the double range
@@ -76,6 +104,9 @@ from .geometry import (PluckerLine, Segment3, _int_triple, _Regulus,
 # about twice as fast per row at 4,096 rows as at 262,144)
 _CHUNK = 4096
 
+# seconds between progress lines of a count on the ``spacecross`` logger
+_PROGRESS_S = 5.0
+
 
 @dataclass
 class CrossingWitness:
@@ -94,7 +125,11 @@ class CrossingReport:
     elapsed: float = 0.0
     tuples_total: int = 0
     tuples_after_prefilter: int = 0
-    # (name, rows in, rows out, seconds) of each step of the funnel
+    # (name, rows in, rows out, seconds) of each step of the funnel, in
+    # edge tuples; each step's rows out are the next one's rows in.
+    # ``certified_filter`` puts out the tuples it did not refute, and
+    # ``exact`` puts out ``count``, including tuples that the certified
+    # filter accepted
     stages: List[Tuple[str, int, int, float]] = field(default_factory=list)
 
 
@@ -437,19 +472,24 @@ def _root_signs(qa, qb, qc, sa, l1, l0):
     return out
 
 
-def _certified_reject(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Rows of four segments, P, Q: (rows, 4, 3) float endpoints, that
-    certainly have no common transversal line; returns the reject mask.
+def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Decide rows of four segments, P, Q: (rows, 4, 3) float endpoints,
+    by certain float signs: -1 where no common transversal line exists,
+    +1 where one does, 0 where the signs do not settle it.
 
     The signs are those ``transversal_exists_segments`` takes on its
     skew-triple branch: the skew tests of three supporting lines, the
     regulus quadratic (qa, qb, qc) along the first, its discriminant and
-    the range tests of each root.  A row is rejected only when qa and all
-    signs used are certain and either the discriminant is negative or
-    every root fails a range test.  Rows with a non-finite coordinate, no
-    certainly skew triple or an uncertain sign are kept.
+    the range tests of each root.  Both answers need qa certainly nonzero.
+    A row is rejected when the discriminant is certainly negative, or
+    certainly positive and each root certainly fails a range test; it is
+    accepted when the discriminant is certainly positive and, for one
+    root, every range test certainly holds strictly (the module
+    docstring says why that proves a transversal).  Rows with a
+    non-finite coordinate, no certainly skew triple or an uncertain sign
+    are undecided.
     """
-    reject = np.zeros(len(P), dtype=bool)
+    decide = np.zeros(len(P), dtype=np.int8)
     # move each row's first endpoint to the origin; each coordinate then
     # carries its conversion error plus the rounding of the subtraction
     with np.errstate(all="ignore"):
@@ -459,7 +499,7 @@ def _certified_reject(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(np.isfinite(eP).all(axis=(1, 2))
                           & np.isfinite(eQ).all(axis=(1, 2)))
     if not len(rows):
-        return reject
+        return decide
     # an exact power of two per row brings every coordinate below 1, so
     # no product overflows and underflow stays far below _ERR_TINY
     P0, Q0, eP, eQ = P0[rows], Q0[rows], eP[rows], eQ[rows]
@@ -485,7 +525,7 @@ def _certified_reject(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         order[ok] = (*tri, *(i for i in range(4) if i not in tri))
         has |= ok
     if not has.any():
-        return reject
+        return decide
     pick = (np.flatnonzero(has)[:, None], order[has])
     rows = rows[has]
     lines = lines_of(P0[pick], Q0[pick], eP[pick], eQ[pick])
@@ -496,7 +536,9 @@ def _certified_reject(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     s_disc = (qb * qb - (qa * qc) * _FOUR).sign()
     t_pos = _root_signs(qa, qb, qc, sa, _ONE, _ZERO)       # h t
     t_le1 = _root_signs(qa, qb, qc, sa, _ONE, -_ONE)       # h (t - 1)
+    # per root: some range test certainly fails, or all certainly hold
     out = [(s * sa < 0) | (s1 * sa > 0) for s, s1 in zip(t_pos, t_le1)]
+    inside = [(s * sa > 0) & (s1 * sa < 0) for s, s1 in zip(t_pos, t_le1)]
     for num, den in (reg.trace_fraction(3, lines[1]),
                      reg.trace_fraction(2, lines[2]),
                      reg.trace_fraction(2, lines[3])):
@@ -505,8 +547,12 @@ def _certified_reject(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         for r in range(2):
             s_n, s_d, s_nd = (s[r] for s in signs)
             out[r] |= (s_d != 0) & ((s_n * s_d < 0) | (s_nd * s_d > 0))
-    reject[rows] = (sa != 0) & ((s_disc < 0) | ((s_disc > 0) & out[0] & out[1]))
-    return reject
+            inside[r] &= (s_n * s_d > 0) & (s_nd * s_d < 0)
+    real = (sa != 0) & (s_disc > 0)
+    accept = real & (inside[0] | inside[1])
+    reject = (sa != 0) & ((s_disc < 0) | (real & out[0] & out[1]))
+    decide[rows] = accept.astype(np.int8) - reject
+    return decide
 
 
 def _segment_combinations(tuples: np.ndarray, first: np.ndarray):
@@ -537,21 +583,26 @@ def count_line_crossings(d: SpatialDrawing, k: int,
                          prefilter: bool = True) -> CrossingReport:
     """Count vertex-disjoint k-tuples of edges pierced by a common line.
 
-    A tuple counts once no matter how many transversal lines it admits,
-    and every counted tuple carries an exactly verified witness.  Tuples
-    are streamed in blocks and only the tuple filter's survivors are kept.
-    With ``prefilter`` the funnel of the module docstring runs: the tuple
+    A tuple counts once no matter how many transversal lines it admits.
+    With ``want_witnesses`` every counted tuple carries an exactly
+    verified witness; without, a tuple may also be counted on a
+    transversal proved by certain float signs.  Tuples are streamed in
+    blocks and only the tuple filter's survivors are kept.  With
+    ``prefilter`` the funnel of the module docstring runs: the tuple
     filter (ball, chord and 2D stabbing tests; ``tuples_after_prefilter``
     counts the tuples it keeps), then, for k = 4, the certified float
     filter on every segment combination, then the exact predicate on what
     is left.
     The tuple filter's slack-padded tests are the only uncertified
-    rejections; the certified filter rejects a combination only when float
-    signs beyond their error bounds prove it has no transversal.
+    rejections; the certified filter decides a combination only when float
+    signs beyond their error bounds prove that it has, or has not, a
+    transversal.
     ``prefilter=False`` turns both off: each combination of each tuple goes
     to the exact predicate, which makes it the all-exact reference.
     ``stages`` gives rows in, rows out and seconds of each step, all
-    counted in edge tuples.
+    counted in edge tuples.  The ``spacecross`` logger gets an INFO line
+    with blocks done, tuples seen and the count so far at most every
+    ``_PROGRESS_S`` seconds.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
@@ -564,7 +615,26 @@ def count_line_crossings(d: SpatialDrawing, k: int,
                    np.array([ed.chord_p for ed in eds]),
                    np.array([ed.chord_q for ed in eds]),
                    np.array([ed.chord_width for ed in eds]))
-    n_tuples, tuple_s = 0, 0.0
+    t_enum = time.perf_counter()
+    n_tuples, n_blocks, tuple_s = 0, 0, 0.0
+    next_log = t_enum + _PROGRESS_S
+    found = np.zeros(0, dtype=bool)
+
+    def progress():
+        """Log blocks done, tuples seen and the count at most every
+        ``_PROGRESS_S`` seconds; called once per block."""
+        nonlocal n_blocks, next_log
+        n_blocks += 1
+        now = time.perf_counter()
+        if now >= next_log:
+            next_log = now + _PROGRESS_S
+            # imported here: only long counts log, and importing logging
+            # adds about 10 ms to every process start
+            import logging
+            logging.getLogger("spacecross").info(
+                "count_line_crossings k=%d: %d blocks done, %d tuples seen, "
+                "count %d so far", k, n_blocks, n_tuples, int(found.sum()))
+
     kept = [np.empty((0, k), dtype=np.intp)]
     for block in _disjoint_blocks(g, k):
         ta = time.perf_counter()
@@ -572,10 +642,10 @@ def count_line_crossings(d: SpatialDrawing, k: int,
         kept.append(block[_tuple_filter(block, *edge_arrays)] if prefilter
                     else block)
         tuple_s += time.perf_counter() - ta
+        progress()
     survivors = np.vstack(kept)
-    enum_s = time.perf_counter() - t0 - tuple_s
+    enum_s = time.perf_counter() - t_enum - tuple_s
 
-    count = 0
     witnesses: List[CrossingWitness] = []
     filter_s = exact_s = 0.0
     segments = [s for ed in eds for s in ed.segments]
@@ -587,9 +657,17 @@ def count_line_crossings(d: SpatialDrawing, k: int,
     for t, segs in _segment_combinations(survivors, first):
         ta = time.perf_counter()
         if prefilter and k == 4:
-            keep = ~_certified_reject(seg_p[segs], seg_q[segs])
+            decide = _certified_decide(seg_p[segs], seg_q[segs])
+            keep = decide >= 0
+            reached[t[keep]] = True
+            if not want_witnesses:
+                # a transversal proved by float signs counts its tuple;
+                # witnesses come from the exact predicate alone, in order
+                found[t[decide > 0]] = True
+                keep = decide == 0
             t, segs = t[keep], segs[keep]
-        reached[t] = True
+        else:
+            reached[t] = True
         tb = time.perf_counter()
         for ti, row in zip(t.tolist(), segs.tolist()):
             if found[ti]:
@@ -598,7 +676,6 @@ def count_line_crossings(d: SpatialDrawing, k: int,
             if not res.exists:
                 continue
             found[ti] = True
-            count += 1
             if want_witnesses:
                 idx = survivors[ti].tolist()
                 witnesses.append(CrossingWitness(
@@ -607,7 +684,9 @@ def count_line_crossings(d: SpatialDrawing, k: int,
                      for i, j in enumerate(idx)]))
         filter_s += tb - ta
         exact_s += time.perf_counter() - tb
+        progress()
 
+    count = int(found.sum())
     n_reached = int(reached.sum())
     return CrossingReport(
         k=k, count=count,

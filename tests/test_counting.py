@@ -478,30 +478,31 @@ def test_count_is_independent_of_block_size(monkeypatch):
             assert _witness_digest(a) == _witness_digest(b)
 
 
-def certified_rejections(d):
-    """Segment combinations the certified filter rejects while d is
-    counted (k = 4), as lists of segments."""
+def certified_decisions(d, want_witnesses=True):
+    """Segment combinations the certified filter rejects and accepts while
+    d is counted (k = 4), as lists of segments, and the report."""
     segments = [s for e in d.graph.edges for s in d.edge_segments(e)]
-    blocks, rejected = [], []
-    combinations, reject = (counting._segment_combinations,
-                            counting._certified_reject)
+    blocks, rejected, accepted = [], [], []
+    combinations, decide = (counting._segment_combinations,
+                            counting._certified_decide)
 
     def recorded_combinations(*args):
         for t, segs in combinations(*args):
             blocks.append(segs)
             yield t, segs
 
-    def recorded_reject(P, Q):
-        mask = reject(P, Q)
-        rejected.extend([segments[i] for i in row]
+    def recorded_decide(P, Q):
+        out = decide(P, Q)
+        for rows, mask in ((rejected, out < 0), (accepted, out > 0)):
+            rows.extend([segments[i] for i in row]
                         for row in blocks[-1][mask].tolist())
-        return mask
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_segment_combinations", recorded_combinations)
-        mp.setattr(counting, "_certified_reject", recorded_reject)
-        rep = count_line_crossings(d, 4, want_witnesses=True)
-    return rep, rejected
+        mp.setattr(counting, "_certified_decide", recorded_decide)
+        rep = count_line_crossings(d, 4, want_witnesses=want_witnesses)
+    return rep, rejected, accepted
 
 
 # drawing, and its (count, tuples_total) where the all-exact count is too
@@ -518,7 +519,7 @@ AUDIT_CORPUS = (
 def test_certified_rejections_have_no_transversal(case):
     make, recorded = AUDIT_CORPUS[case]
     d = make()
-    rep, rejected = certified_rejections(d)
+    rep, rejected, _ = certified_decisions(d)
     # the hexgrid rejects about 25,000 rows; every third keeps this quick
     stride = 3 if len(rejected) > 5000 else 1
     for row in rejected[::stride]:
@@ -529,6 +530,20 @@ def test_certified_rejections_have_no_transversal(case):
     exact = count_line_crossings(d, 4, want_witnesses=True, prefilter=False)
     assert (rep.count, rep.tuples_total) == (exact.count, exact.tuples_total)
     assert _witness_digest(rep) == _witness_digest(exact)
+
+
+@pytest.mark.parametrize("case", range(len(AUDIT_CORPUS)))
+def test_certified_acceptances_have_a_transversal(case):
+    make, recorded = AUDIT_CORPUS[case]
+    d = make()
+    rep, _, accepted = certified_decisions(d, want_witnesses=False)
+    for row in accepted:
+        assert transversal_exists_segments(row).exists is True
+    if recorded:
+        assert (rep.count, rep.tuples_total) == recorded
+        return
+    exact = count_line_crossings(d, 4, prefilter=False)
+    assert (rep.count, rep.tuples_total) == (exact.count, exact.tuples_total)
 
 
 small = st.integers(-4, 4)
@@ -570,13 +585,25 @@ def near_degenerate_segments(draw):
     return segs
 
 
+def decide_row(segs):
+    """``_certified_decide`` on one row of four segments."""
+    P, Q = (np.array([[[counting._to_float(c) for c in getattr(s, end)]
+                       for s in segs]]) for end in "pq")
+    return counting._certified_decide(P, Q)[0]
+
+
 @given(near_degenerate_segments())
 @settings(max_examples=300, deadline=None)
 def test_certified_rejection_implies_no_transversal(segs):
-    P = np.array([[[counting._to_float(c) for c in s.p] for s in segs]])
-    Q = np.array([[[counting._to_float(c) for c in s.q] for s in segs]])
-    if counting._certified_reject(P, Q)[0]:
+    if decide_row(segs) < 0:
         assert transversal_exists_segments(segs).exists is False
+
+
+@given(near_degenerate_segments())
+@settings(max_examples=300, deadline=None)
+def test_certified_acceptance_implies_a_transversal(segs):
+    if decide_row(segs) > 0:
+        assert transversal_exists_segments(segs).exists is True
 
 
 def endpoint_contact_drawing(seed):
@@ -605,6 +632,74 @@ def test_error_bound_is_load_bearing(monkeypatch):
     monkeypatch.setattr(counting, "_ERR_UNIT", 0.0)
     lost = [expect - count_line_crossings(d, 4).count for d, expect in cases]
     assert min(lost) == 0 and sum(lost[:8]) > 0 and sum(lost[8:]) > 0
+
+
+def near_miss_drawing(seed):
+    """Four segments around a line L through seeded points: the first
+    three cross L at their midpoints, and the fourth stops 2^-50 of its
+    length short of it (its line meets L at parameter 1 + 2^-50)."""
+    rng = random.Random(seed)
+    base = [Fraction(rng.randint(-9, 9), 3) for _ in range(3)]
+    axis = [Fraction(rng.randint(-9, 9), 7) for _ in range(3)]
+    pairs = []
+    half, miss = Fraction(1, 2), 1 + Fraction(1, 2 ** 50)
+    for s, u in ((0, half), (Fraction(1, 3), half), (Fraction(2, 3), half),
+                 (1, miss)):
+        c = [b + s * a for b, a in zip(base, axis)]
+        v = [Fraction(rng.randint(-30, 30), 10) for _ in range(3)]
+        p = tuple(ci - u * vi for ci, vi in zip(c, v))
+        pairs.append((p, tuple(pi + vi for pi, vi in zip(p, v))))
+    return _segment_drawing(pairs)
+
+
+def test_accept_error_bound_is_load_bearing(monkeypatch):
+    # the fourth range test at L is -2^-50 in exact arithmetic, below the
+    # float noise; without the error bound some of these rows are accepted
+    drawings = [near_miss_drawing(s) for s in range(24)]
+    exact = [count_line_crossings(d, 4, prefilter=False).count
+             for d in drawings]
+    assert [count_line_crossings(d, 4).count for d in drawings] == exact
+    monkeypatch.setattr(counting, "_ERR_UNIT", 0.0)
+    loose = [count_line_crossings(d, 4).count for d in drawings]
+    assert all(a >= b for a, b in zip(loose, exact))
+    assert sum(loose) > sum(exact)
+
+
+def tangent_drawing(delta):
+    """Three segments on lines of one ruling of x^2 + y^2 - z^2 = 1 and one
+    on the line x = 1 - delta, z = 2y.  At delta = 0 that line touches the
+    surface at (1, 0, 0) and the other ruling's line through that point is
+    the only transversal (a double root); for delta > 0 there is none, and
+    for delta < 0 there are two."""
+    pairs = []
+    for u in (Fraction(1, 3), Fraction(1, 2), Fraction(2)):
+        c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+        x, d = (1, u, -u), (-s, c, 1)
+        pairs.append((tuple(a - Fraction(1, 3) * b for a, b in zip(x, d)),
+                      tuple(a + Fraction(1, 2) * b for a, b in zip(x, d))))
+    pairs.append(((1 - delta, Fraction(-1, 2), -1),
+                  (1 - delta, Fraction(1, 2), 1)))
+    return _segment_drawing(pairs)
+
+
+def test_near_tangent_rows_need_a_certain_discriminant():
+    # the regulus discriminant is 0 or about +-2^-50: only a certainly
+    # positive one may accept
+    tiny = Fraction(1, 2 ** 50)
+    for delta, expect in ((0, 1), (tiny, 0), (-tiny, 1), (tiny * 2 ** 10, 0)):
+        d = tangent_drawing(delta)
+        assert count_line_crossings(d, 4, prefilter=False).count == expect
+        assert count_line_crossings(d, 4).count == expect
+
+
+def test_progress_is_logged(monkeypatch, caplog):
+    monkeypatch.setattr(counting, "_PROGRESS_S", 0.0)
+    with caplog.at_level("INFO", logger="spacecross"):
+        rep = count_line_crossings(bundle_drawing(0), 4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "spacecross"]
+    assert lines and all("blocks done" in m for m in lines)
+    assert lines[-1].endswith(f"{rep.tuples_total} tuples seen, "
+                              f"count {rep.count} so far")
 
 
 def test_coordinates_beyond_double_range():
