@@ -8,7 +8,7 @@ from .errors import (DegenerateInput, DegeneratePosition, NotDisjoint,
                      PreconditionViolated, RetryExhausted, ValidationError)
 from .geometry import (PluckerLine, Segment3, plucker_from_segment, point3,
                        segments_intersect_2d, side_product,
-                       transversal_exists_segments, transversals_of_4_lines)
+                       transversal_exists_segments)
 from .linking import (PolygonalCycle, conway_gordon_check, find_linked_pair,
                       linking_number, transversal_through_cycles)
 from .pipeline import (Bisection, SubdivisionEmbedding, boost_witness_pipeline,

@@ -178,11 +178,6 @@ def plane_through_line_point(line_d, line_m, x):
     return n, e
 
 
-def plane_meet(n1, e1, n2, e2):
-    """Line of intersection of two distinct planes as (direction, moment)."""
-    return v_cross(n1, n2), v_sub(v_scale(n2, e1), v_scale(n1, e2))
-
-
 def plane_eval(n, e, x):
     return v_dot(n, x) + e
 
@@ -379,24 +374,6 @@ def _public_line(line, t: _Param, scale: int) -> PluckerLine:
         tuple(t.scalar(a, b, hh * scale) for a, b in zip(ma, mb)))
 
 
-# ---------------------------------------------------------------------------
-# transversals of four lines
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TransversalSet:
-    """Result of a four-line transversal query."""
-
-    infinite: bool
-    lines: List[PluckerLine]
-
-    @property
-    def count(self) -> int:
-        if self.infinite:
-            raise ValueError("infinite family has no finite count")
-        return len(self.lines)
-
-
 def _skew_triple_order(lines) -> Optional[Tuple[int, ...]]:
     """Order of the lines, given as (direction, moment) pairs, that puts
     three pairwise skew lines first; None when no three are pairwise skew."""
@@ -413,164 +390,6 @@ def _skew_triple_order(lines) -> Optional[Tuple[int, ...]]:
         if all(is_skew(*pair) for pair in itertools.combinations(triple, 2)):
             return (*triple, *(i for i in range(n) if i not in triple))
     return None
-
-
-def _int_line_triples(lines):
-    """Integer (p, d, m) triples of rational lines in a space scaled by the
-    returned factor; p is a point of the first line (None for the others)."""
-    dms = []
-    for line in lines:
-        c = lcm(*(Fraction(x).denominator for x in line.direction + line.moment))
-        dms.append((tuple(int(x * c) for x in line.direction),
-                    tuple(int(x * c) for x in line.moment)))
-    # scaling space by |d1|^2 moves the first line's base point
-    # d1 x m1 / |d1|^2 to an integer point
-    scale = v_dot(dms[0][0], dms[0][0])
-    p1 = v_cross(*dms[0])
-    return [(p1 if i == 0 else None, d, v_scale(m, scale))
-            for i, (d, m) in enumerate(dms)], scale
-
-
-def transversals_of_4_lines(lines: Sequence[PluckerLine]) -> TransversalSet:
-    """All lines meeting four given rational lines at affine points.
-
-    With three of the lines pairwise skew this reduces to a quadratic along
-    the first line; the identically vanishing case reports an infinite
-    family (a full ruling).  Configurations without a pairwise skew triple
-    are resolved by explicit case analysis on a coplanar pair.
-    """
-    if len(lines) != 4:
-        raise ValueError("need exactly four lines")
-    order = _skew_triple_order([(l.direction, l.moment) for l in lines])
-    if order is None:
-        return _transversals_degenerate(lines)
-    triples, scale = _int_line_triples([lines[i] for i in order])
-    reg = _Regulus(triples[0][0], triples[0][1], triples[1], triples[2])
-    roots = _quadratic_roots(*reg.incidence_quadratic(triples[3]))
-    if roots is None:
-        return TransversalSet(True, [])
-    return TransversalSet(False, [_public_line(reg.line_at(t), t, scale)
-                                  for t in roots])
-
-
-def _coplanar_pair(lines):
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if side_product(lines[i], lines[j]) == 0:
-                return i, j
-    return None
-
-
-def _lines_intersection_point(l1: PluckerLine, l2: PluckerLine):
-    """Affine intersection point of two coplanar non-parallel lines."""
-    w = v_cross(l1.direction, l2.direction)
-    if v_is_zero(w):
-        return None
-    p1 = l1.base_point()
-    # point p1 + u d1 lying on l2:  (p1 + u d1) x d2 = m2
-    rhs = v_sub(l2.moment, v_cross(p1, l2.direction))
-    den = v_cross(l1.direction, l2.direction)
-    comp = next(i for i in range(3) if sign_of(den[i]) != 0)
-    u = rhs[comp] / den[comp]
-    return v_add(p1, v_scale(l1.direction, u))
-
-
-def _plane_of_coplanar_lines(l1: PluckerLine, l2: PluckerLine):
-    x = _lines_intersection_point(l1, l2)
-    if x is not None:
-        # plane through l1 and a point of l2 away from x
-        p2 = l2.base_point()
-        probe = p2 if p2 != x else v_add(p2, l2.direction)
-        n, e = plane_through_line_point(l1.direction, l1.moment, probe)
-    else:
-        n, e = plane_through_line_point(l1.direction, l1.moment, l2.base_point())
-    if v_is_zero(n):
-        return None  # identical lines
-    return n, e
-
-
-def _line_plane_relation(line: PluckerLine, n, e):
-    """Classify a line against a plane: ('in',), ('parallel',) or ('point', x)."""
-    dn = v_dot(line.direction, n)
-    p = line.base_point()
-    h = plane_eval(n, e, p)
-    if sign_of(dn) == 0:
-        if sign_of(h) == 0:
-            return ("in", None)
-        return ("parallel", None)
-    u = -h / dn
-    return ("point", v_add(p, v_scale(line.direction, u)))
-
-
-def _transversals_degenerate(lines) -> TransversalSet:
-    """Four-line transversals when no three of the lines are pairwise skew."""
-    # identical pair: reduces to a three-line problem, always an infinite
-    # family (meeting three lines is a codimension-3 condition on lines)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if same_line(lines[i], lines[j]):
-                return TransversalSet(True, [])
-    pair = _coplanar_pair(lines)
-    if pair is None:  # cannot happen: no skew triple forces a coplanar pair
-        raise RuntimeError("inconsistent skew classification")
-    i, j = pair
-    others = [lines[k] for k in range(4) if k not in (i, j)]
-    li, lj = lines[i], lines[j]
-    x = _lines_intersection_point(li, lj)
-    candidates: List[PluckerLine] = []
-
-    if x is not None:
-        # transversals through the intersection point
-        rel = []
-        for l in others:
-            on = v_is_zero(v_sub(v_cross(x, l.direction), l.moment))
-            rel.append(on)
-        if all(rel):
-            return TransversalSet(True, [])  # pencil through x works wholesale
-        if any(rel):
-            # any line joining x to a point of the free line qualifies
-            free = others[rel.index(False)]
-            y = free.base_point()
-            if y == x:
-                y = v_add(y, free.direction)
-            candidates.append(line_through_points(x, y))
-            # a one-parameter family exists: x sits on one of the others
-            cand_ok = [c for c in candidates
-                       if all(side_product(c, l) == 0 for l in lines)]
-            if cand_ok:
-                return TransversalSet(True, [])
-        else:
-            n1, e1 = plane_through_line_point(
-                others[0].direction, others[0].moment, x)
-            n2, e2 = plane_through_line_point(
-                others[1].direction, others[1].moment, x)
-            if v_is_zero(v_cross(n1, n2)):
-                return TransversalSet(True, [])  # coplanar pencil through x
-            d, m = plane_meet(n1, e1, n2, e2)
-            if not v_is_zero(d):
-                candidates.append(PluckerLine(d, m))
-
-    plane = _plane_of_coplanar_lines(li, lj)
-    if plane is not None:
-        n, e = plane
-        traces = [_line_plane_relation(l, n, e) for l in others]
-        kinds = [t[0] for t in traces]
-        if "parallel" not in kinds:
-            pts = [t[1] for t in traces if t[0] == "point"]
-            if len(pts) == 0:
-                return TransversalSet(True, [])  # both others inside the plane
-            if len(pts) == 1:
-                return TransversalSet(True, [])  # pencil through the trace
-            if pts[0] == pts[1]:
-                return TransversalSet(True, [])
-            candidates.append(line_through_points(pts[0], pts[1]))
-
-    good = []
-    for c in candidates:
-        if all(side_product(c, l) == 0 for l in lines) and \
-                not any(same_line(c, g) for g in good):
-            good.append(c)
-    return TransversalSet(False, good)
 
 
 # ---------------------------------------------------------------------------
@@ -768,83 +587,15 @@ def _public_transversal(line, params, t: _Param, scale) -> SegmentTransversal:
 
 
 # -- degenerate configurations ----------------------------------------------
+#
+# With no three supporting lines pairwise skew, two of them are coplanar:
+# one line carries two segments, or two distinct lines span a plane.  The
+# planar part is line stabbing of segments in a plane (Edelsbrunner et al.,
+# "Stabbing line segments", BIT 1982).  Each line found is re-checked by
+# ``verify_transversal``.
 
-def _collinear_overlap(seg_a: Segment3, seg_b: Segment3):
-    """Intersection of two segments on one common supporting line."""
-    d = seg_a.direction
-    comp = next(i for i in range(3) if sign_of(d[i]) != 0)
-    ua = sorted([Fraction(0), Fraction(1)])
-    ub = sorted([(seg_b.p[comp] - seg_a.p[comp]) / d[comp],
-                 (seg_b.q[comp] - seg_a.p[comp]) / d[comp]])
-    lo, hi = max(ua[0], ub[0]), min(ua[1], ub[1])
-    if lo > hi:
-        return None
-    return seg_a.at(lo), seg_a.at(hi)
-
-
-def _transversal_degenerate(segments, lines) -> SegmentTransversal:
-    k = len(segments)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if same_line(lines[i], lines[j]):
-                return _transversal_shared_line(segments, lines, i, j)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if side_product(lines[i], lines[j]) == 0:
-                return _transversal_coplanar_pair(segments, lines, i, j)
-    raise RuntimeError("inconsistent skew classification")
-
-
-def _transversal_shared_line(segments, lines, i, j) -> SegmentTransversal:
-    others = [segments[k] for k in range(len(segments)) if k not in (i, j)]
-    # the shared supporting line itself
-    params = verify_transversal(lines[i], segments)
-    if params is not None:
-        return SegmentTransversal(True, lines[i], params)
-    overlap = _collinear_overlap(segments[i], segments[j])
-    if overlap is None:
-        return SegmentTransversal(False)
-    lo, hi = overlap
-    if lo == hi:
-        found = _pencil_through_point(lo, others)
-    elif len(others) + 1 >= 3:
-        reduced = [Segment3(lo, hi), *others]
-        found = _transversal_scaled_rational(reduced)
-    else:
-        found = _pencil_through_segment_trivial(Segment3(lo, hi), others)
-    if found is None:
-        return SegmentTransversal(False)
-    params = verify_transversal(found, segments)
-    if params is None:
-        return SegmentTransversal(False)
-    return SegmentTransversal(True, found, params)
-
-
-def _transversal_scaled_rational(segments):
-    """Recurse on a reduced problem whose endpoints may be rational."""
-    if len(segments) in (3, 4):
-        res = transversal_exists_segments(segments)
-        return res.line if res.exists else None
-    # two segments: any line meeting both, if one exists
-    return _two_segment_line(segments[0], segments[1])
-
-
-def _two_segment_line(s1: Segment3, s2: Segment3):
-    for a in (s1.p, s1.q):
-        for b in (s2.p, s2.q):
-            if a != b:
-                cand = line_through_points(a, b)
-                if verify_transversal(cand, [s1, s2]) is not None:
-                    return cand
-    # segments sharing all endpoints would be identical; handled earlier
-    return None
-
-
-def _pencil_through_segment_trivial(seg, others):
-    # with at most one other constraint a join through endpoints suffices
-    if not others:
-        return plucker_from_segment(seg)
-    return _two_segment_line(seg, others[0])
+def _point_on_line(x, line: PluckerLine) -> bool:
+    return v_is_zero(v_sub(v_cross(x, line.direction), line.moment))
 
 
 def _point_on_segment(x, seg: Segment3) -> bool:
@@ -856,142 +607,163 @@ def _point_on_segment(x, seg: Segment3) -> bool:
     return 0 <= u <= 1
 
 
-def _point_on_line(x, line: PluckerLine) -> bool:
-    return v_is_zero(v_sub(v_cross(x, line.direction), line.moment))
+def _collinear_overlap(seg_a: Segment3, seg_b: Segment3):
+    """Intersection of two segments on one common supporting line."""
+    d = seg_a.direction
+    comp = next(i for i in range(3) if sign_of(d[i]) != 0)
+    ub = sorted([(seg_b.p[comp] - seg_a.p[comp]) / d[comp],
+                 (seg_b.q[comp] - seg_a.p[comp]) / d[comp]])
+    lo, hi = max(Fraction(0), ub[0]), min(Fraction(1), ub[1])
+    if lo > hi:
+        return None
+    return seg_a.at(lo), seg_a.at(hi)
+
+
+def _lines_intersection_point(l1: PluckerLine, l2: PluckerLine):
+    """Common point of two coplanar lines; None when they are parallel."""
+    w = v_cross(l1.direction, l2.direction)
+    if v_is_zero(w):
+        return None
+    # the point p1 + u d1 lying on l2:  (p1 + u d1) x d2 = m2
+    p1 = l1.base_point()
+    rhs = v_sub(l2.moment, v_cross(p1, l2.direction))
+    comp = next(i for i in range(3) if sign_of(w[i]) != 0)
+    return v_add(p1, v_scale(l1.direction, rhs[comp] / w[comp]))
+
+
+def _plane_of_coplanar_lines(l1: PluckerLine, l2: PluckerLine):
+    """Plane (n, e) spanned by two distinct coplanar lines."""
+    y = l2.base_point()
+    if _point_on_line(y, l1):
+        y = v_add(y, l2.direction)
+    n, e = plane_through_line_point(l1.direction, l1.moment, y)
+    if v_is_zero(n):
+        raise RuntimeError("identical lines span no plane")
+    return n, e
+
+
+def _checked(line: PluckerLine, segments) -> SegmentTransversal:
+    """A line of the case analysis with its contact parameters."""
+    params = verify_transversal(line, segments)
+    if params is None:
+        raise RuntimeError("case analysis returned a line missing a segment")
+    return SegmentTransversal(True, line, params)
+
+
+def _transversal_degenerate(segments, lines) -> SegmentTransversal:
+    pairs = list(itertools.combinations(range(len(segments)), 2))
+    for i, j in pairs:
+        if same_line(lines[i], lines[j]):
+            return _transversal_shared_line(segments, lines, i, j)
+    for i, j in pairs:
+        if side_product(lines[i], lines[j]) == 0:
+            return _transversal_coplanar_pair(segments, lines, i, j)
+    raise RuntimeError("inconsistent skew classification")
+
+
+def _transversal_shared_line(segments, lines, i, j) -> SegmentTransversal:
+    """Segments i and j lie on one line L.  Every other transversal meets L
+    once, at a point of both segments, so of their overlap."""
+    params = verify_transversal(lines[i], segments)
+    if params is not None:
+        return SegmentTransversal(True, lines[i], params)
+    overlap = _collinear_overlap(segments[i], segments[j])
+    if overlap is None:
+        return SegmentTransversal(False)
+    lo, hi = overlap
+    others = [s for k, s in enumerate(segments) if k not in (i, j)]
+    if lo == hi or len(others) == 1:
+        # a one-point overlap pins every transversal there, and from any
+        # point of the overlap some line reaches a single other segment
+        found = _pencil_through_point(lo, others)
+    else:
+        res = transversal_exists_segments([Segment3(lo, hi), *others])
+        found = res.line if res.exists else None
+    if found is None:
+        return SegmentTransversal(False)
+    return _checked(found, segments)
 
 
 def _pencil_through_point(x, segs) -> Optional[PluckerLine]:
-    """A line through the fixed point x meeting every segment, or None."""
+    """A line through the point x meeting the one or two segments, or None."""
     free = [s for s in segs if not _point_on_segment(x, s)]
     if not free:
-        # any direction works; reuse a segment direction when available
-        d = segs[0].direction if segs else (Fraction(1), Fraction(0), Fraction(0))
+        d = segs[0].direction  # every line through x works
         return PluckerLine(d, v_cross(x, v_add(x, d)))
+    for line in map(plucker_from_segment, free):
+        if _point_on_line(x, line):
+            # any other line through x meets this one only at x, off its
+            # segment: the supporting line is the only candidate
+            return line if verify_transversal(line, free) is not None else None
     if len(free) == 1:
-        s = free[0]
-        if _point_on_line(x, plucker_from_segment(s)):
-            return None  # only the supporting line could work, but x misses s
-        y = s.p if s.p != x else s.q
-        return line_through_points(x, y)
+        return line_through_points(x, free[0].p)
     s, r = free
-    ls, lr = plucker_from_segment(s), plucker_from_segment(r)
-    if same_line(ls, lr):
-        if _point_on_line(x, ls):
-            return None  # a non-supporting line through x hits the common
-            # line once, so it cannot reach both segments
-        # join x to a common point of the two collinear segments
-        overlap = _collinear_overlap(s, r)
-        if overlap is None:
-            return None
-        return line_through_points(x, overlap[0])
-    if _point_on_line(x, ls):
-        return ls if verify_transversal(ls, [s, r]) is not None else None
-    if _point_on_line(x, lr):
-        return lr if verify_transversal(lr, [s, r]) is not None else None
+    lr = plucker_from_segment(r)
     n, e = plane_through_line_point(lr.direction, lr.moment, x)
     hp, hq = plane_eval(n, e, s.p), plane_eval(n, e, s.q)
     sp, sq = sign_of(hp), sign_of(hq)
-    if sp == 0 and sq == 0:
-        # s lies inside the plane spanned by x and r: 2D fan search
-        for endpoint in (s.p, s.q, r.p, r.q):
-            if endpoint == x:
-                continue
-            cand = line_through_points(x, endpoint)
-            if verify_transversal(cand, [s, r]) is not None:
-                return cand
-        return None
     if sp * sq > 0:
-        return None
-    u = Fraction(hp) / (hp - hq)
-    y = s.at(u)
-    if y == x:
-        return None
-    cand = line_through_points(x, y)
-    if verify_transversal(cand, [s, r]) is not None:
-        return cand
+        return None  # s misses the plane of every line through x and r
+    if sp or sq:
+        ends = [s.at(Fraction(hp) / (hp - hq))]  # where s meets that plane
+    else:
+        # s lies in that plane: the lines through x meeting s, and those
+        # meeting r, form two angles; a common line turns to an endpoint
+        ends = [s.p, s.q, r.p, r.q]
+    for y in ends:
+        cand = line_through_points(x, y)
+        if verify_transversal(cand, free) is not None:
+            return cand
     return None
 
 
 def _transversal_coplanar_pair(segments, lines, i, j) -> SegmentTransversal:
-    others = [segments[k] for k in range(len(segments)) if k not in (i, j)]
+    """Distinct lines i and j span a plane.  A transversal leaving it meets
+    both segments at the common point of the lines; any other lies in it."""
     li, lj = lines[i], lines[j]
     x = _lines_intersection_point(li, lj)
-
     if x is not None and _point_on_segment(x, segments[i]) and \
             _point_on_segment(x, segments[j]):
+        others = [s for k, s in enumerate(segments) if k not in (i, j)]
         found = _pencil_through_point(x, others)
         if found is not None:
-            params = verify_transversal(found, segments)
-            if params is not None:
-                return SegmentTransversal(True, found, params)
-
-    plane = _plane_of_coplanar_lines(li, lj)
-    if plane is None:
-        raise RuntimeError("identical lines must be handled earlier")
-    n, e = plane
-    found = _stab_in_plane(n, e, segments)
-    if found is not None:
-        params = verify_transversal(found, segments)
-        if params is not None:
-            return SegmentTransversal(True, found, params)
-    return SegmentTransversal(False)
+            return _checked(found, segments)
+    n, e = _plane_of_coplanar_lines(li, lj)
+    return _stab_in_plane(n, e, segments)
 
 
-def _stab_in_plane(n, e, segments) -> Optional[PluckerLine]:
-    """A line inside the plane (n, e) meeting every segment, or None.
+def _stab_in_plane(n, e, segments) -> SegmentTransversal:
+    """A line inside the plane (n, e) meeting every segment.
 
-    Each segment is clipped to the plane (empty, a point, or a subsegment);
-    a pinning argument reduces the search to lines through two of the
-    finitely many constraint points.
+    Each segment meets the plane in one point, lies in it, or misses it.
+    Two distinct points fix the only candidate.  Otherwise a pinning
+    argument turns a stabbing line until it passes the one point and an
+    endpoint, or two endpoints, of the in-plane segments.
     """
-    points = []     # 3D points each transversal must contain
-    subsegs = []    # in-plane subsegments
+    points, ends = [], []
     for seg in segments:
         hp, hq = plane_eval(n, e, seg.p), plane_eval(n, e, seg.q)
         sp, sq = sign_of(hp), sign_of(hq)
-        if sp == 0 and sq == 0:
-            subsegs.append(seg)
-        elif sp == 0:
-            points.append(seg.p)
-        elif sq == 0:
-            points.append(seg.q)
-        elif sp * sq > 0:
-            return None
-        else:
+        if sp * sq > 0:
+            return SegmentTransversal(False)
+        if sp or sq:
             points.append(seg.at(Fraction(hp) / (hp - hq)))
-
-    distinct = []
-    for p in points:
-        if p not in distinct:
-            distinct.append(p)
-
-    if len(distinct) >= 2:
-        candidates = [(distinct[0], distinct[1])]
-    elif len(distinct) == 1:
-        p = distinct[0]
-        ends = [q for s in subsegs for q in (s.p, s.q) if q != p]
-        if not ends:
-            d = subsegs[0].direction if subsegs else (1, 0, 0)
-            cand = PluckerLine(tuple(map(Fraction, d)),
-                               v_cross(p, v_add(p, tuple(map(Fraction, d)))))
-            return cand
-        candidates = [(p, q) for q in ends]
+        else:
+            ends += [seg.p, seg.q]
+    points = list(dict.fromkeys(points))
+    ends = [q for q in dict.fromkeys(ends) if q not in points]
+    if len(points) >= 2:
+        pairs = [points[:2]]
+    elif points:
+        pairs = [(points[0], q) for q in ends]
     else:
-        ends = []
-        for s in subsegs:
-            for q in (s.p, s.q):
-                if q not in ends:
-                    ends.append(q)
-        candidates = [(a, b) for ai, a in enumerate(ends)
-                      for b in ends[ai + 1:]]
-
-    for a, b in candidates:
-        if a == b:
-            continue
-        cand = line_through_points(a, b)
-        if verify_transversal(cand, segments) is not None:
-            return cand
-    return None
+        pairs = itertools.combinations(ends, 2)
+    for a, b in pairs:
+        line = line_through_points(a, b)
+        params = verify_transversal(line, segments)
+        if params is not None:
+            return SegmentTransversal(True, line, params)
+    return SegmentTransversal(False)
 
 
 # ---------------------------------------------------------------------------

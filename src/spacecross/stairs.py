@@ -80,17 +80,6 @@ class StretchedGrid:
     def diagonal_point(self, i: int) -> Tuple[Fraction, Fraction, Fraction]:
         return self.point_coords((i, i, i))
 
-    def neighbors_on_axis(self, axis: int, v: Fraction):
-        """Strict predecessor and successor grid values around v (None at
-        the ends); the closed interval between them is exactly the set of
-        values with no grid value strictly between them and v."""
-        ax = self.coords[axis]
-        lo = bisect_left(ax, v)
-        pred = ax[lo - 1] if lo > 0 else None
-        hi = bisect_right(ax, v)
-        succ = ax[hi] if hi < len(ax) else None
-        return pred, succ
-
     def separators(self, axis: int, u: Fraction, v: Fraction) -> int:
         if u > v:
             u, v = v, u

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacecross.errors import DegenerateInput
-from spacecross.geometry import (PluckerLine, Segment3, line_through_points,
+from spacecross.geometry import (Segment3, _int_triple,
+                                 _pencil_through_point, _point_on_line,
+                                 _quadratic_roots, _Regulus,
+                                 _scaled_int_segments, _stab_in_plane,
+                                 line_through_points,
                                  plucker_from_segment, point3, same_line,
                                  segments_intersect_2d, side_form,
                                  side_product, transversal_exists_segments,
-                                 transversals_of_4_lines, v_add, v_cross,
-                                 v_dot, verify_transversal)
+                                 v_add, v_cross, v_dot, v_sub,
+                                 verify_transversal)
 from spacecross.scalars import QuadExt
 
 coord = st.fractions(min_value=0, max_value=4, max_denominator=16)
@@ -118,142 +122,13 @@ def test_plucker_relation_always_holds():
 
 
 # ---------------------------------------------------------------------------
-# transversals of four lines
+# supporting lines: the regulus quadratic, and segment fixtures on line
+# configurations with a coplanar pair
 # ---------------------------------------------------------------------------
 
-def test_four_lines_through_zaxis():
-    zaxis = line_through_points(point3(0, 0, 0), point3(0, 0, 1))
-    lines = [line_through_points(point3(0, 0, h), point3(1, s, h))
-             for h, s in [(1, 1), (2, 3), (3, 9), (4, 27)]]
-    res = transversals_of_4_lines(lines)
-    assert not res.infinite
-    assert any(same_line(l, zaxis) for l in res.lines)
-    for l in res.lines:
-        assert all(side_product(l, m) == 0 for m in lines)
-
-
-def _ruling_line(n, d):
-    # one ruling of x^2 + y^2 - z^2 = 1, rationally parametrized
-    dd = n * n + d * d
-    p = point3(Fraction(d * d - n * n, dd), Fraction(2 * n * d, dd), 0)
-    direction = (Fraction(-2 * n * d, dd), Fraction(d * d - n * n, dd), Fraction(1))
-    return PluckerLine(direction, v_cross(p, v_add(p, direction)))
-
-
-def test_one_ruling_gives_infinite_family():
-    lines = [_ruling_line(0, 1), _ruling_line(1, 1),
-             _ruling_line(1, 2), _ruling_line(2, 1)]
-    for a, b in itertools.combinations(lines, 2):
-        assert side_product(a, b) != 0
-    res = transversals_of_4_lines(lines)
-    assert res.infinite
-
-
-def _direction_is(line, d):
-    return v_cross(line.direction, d) == (0, 0, 0)
-
-
-def _no_pairwise_skew_triple(lines):
-    return not any(all(side_product(a, b) != 0
-                       for a, b in itertools.combinations(t, 2))
-                   for t in itertools.combinations(lines, 3))
-
-
-_X_AXIS = line_through_points(point3(0, 0, 0), point3(1, 0, 0))
-_Y_AXIS = line_through_points(point3(0, 0, 0), point3(0, 1, 0))
-_L3 = line_through_points(point3(1, 1, -1), point3(1, 2, 1))
-_L4 = line_through_points(point3(-1, 2, -1), point3(2, -1, 1))
-
-
-def test_two_axes_and_two_skew_lines():
-    res = transversals_of_4_lines([_X_AXIS, _Y_AXIS, _L3, _L4])
-    assert not res.infinite and len(res.lines) == 2
-    through_origin, in_plane = sorted(
-        res.lines, key=lambda l: not _direction_is(l, (7, 10, -1)))
-    assert _direction_is(through_origin, (7, 10, -1))
-    assert v_cross(through_origin.direction, through_origin.moment) == (0, 0, 0)
-    assert _direction_is(in_plane, (1, 2, 0))
-    assert in_plane.moment[0] == in_plane.moment[1] == 0   # inside z = 0
-
-
-def test_parallel_pair_and_two_skew_lines():
-    x_up = line_through_points(point3(0, 0, 1), point3(1, 0, 1))
-    res = transversals_of_4_lines([_X_AXIS, x_up, _L3, _L4])
-    assert not res.infinite and len(res.lines) == 1
-    assert same_line(res.lines[0],
-                     line_through_points(point3(1, 0, 0), point3(1, 0, 1)))
-
-
-def test_two_meeting_pairs_give_two_transversals():
-    # the x and y axes meet at 0, l3 and l4 at (1, 1, 1): the transversals
-    # are the line through both points and the meet of the two planes
-    l3 = line_through_points(point3(1, 1, 1), point3(2, 1, 3))
-    l4 = line_through_points(point3(1, 1, 1), point3(1, 3, 2))
-    lines = [_X_AXIS, _Y_AXIS, l3, l4]
-    assert _no_pairwise_skew_triple(lines)
-    res = transversals_of_4_lines(lines)
-    assert not res.infinite and len(res.lines) == 2
-    expected = [line_through_points(point3(0, 0, 0), point3(1, 1, 1)),
-                line_through_points(point3(0, 3, 0), point3(1, -1, 0))]
-    assert all(any(same_line(l, e) for l in res.lines) for e in expected)
-
-
-def test_parallel_pair_and_meeting_pair_give_one_transversal():
-    x_up = line_through_points(point3(0, 0, 1), point3(1, 0, 1))
-    l3 = line_through_points(point3(1, 1, 1), point3(2, 2, 3))
-    l4 = line_through_points(point3(1, 1, 1), point3(1, 2, 2))
-    lines = [_X_AXIS, x_up, l3, l4]
-    assert _no_pairwise_skew_triple(lines)
-    res = transversals_of_4_lines(lines)
-    assert not res.infinite and len(res.lines) == 1
-    assert same_line(res.lines[0],
-                     line_through_points(point3(0, 0, -1), point3(1, 0, 0)))
-
-
-def test_four_concurrent_lines_are_infinite():
-    x = point3(1, 2, 3)
-    lines = [line_through_points(x, v_add(x, d))
-             for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
-    assert transversals_of_4_lines(lines).infinite
-    # three through x and one missing it: the pencil through x in the
-    # plane of x and the fourth line
-    away = line_through_points(point3(2, 0, 0), point3(0, 1, 5))
-    assert transversals_of_4_lines(lines[:3] + [away]).infinite
-
-
-def _meeting_or_parallel_pair(rng):
-    def pt():
-        return point3(*(rng.randint(-3, 3) for _ in range(3)))
-
-    while True:
-        x, d1, d2 = pt(), pt(), pt()
-        if d1 == (0, 0, 0) or d2 == (0, 0, 0):
-            continue
-        if rng.random() < 0.5:   # parallel: the second line is a translate
-            y = v_add(x, pt())
-            l1 = line_through_points(x, v_add(x, d1))
-            l2 = line_through_points(y, v_add(y, d1))
-        else:                    # meeting at x
-            l1 = line_through_points(x, v_add(x, d1))
-            l2 = line_through_points(x, v_add(x, d2))
-        if not same_line(l1, l2):
-            return [l1, l2]
-
-
-def test_degenerate_transversals_meet_all_four_lines():
-    rng = random.Random(13)
-    found = 0
-    for _ in range(300):
-        lines = _meeting_or_parallel_pair(rng) + _meeting_or_parallel_pair(rng)
-        assert _no_pairwise_skew_triple(lines)
-        res = transversals_of_4_lines(lines)
-        for l in res.lines:
-            assert all(side_product(l, m) == 0 for m in lines)
-        found += len(res.lines)
-    assert found > 0
-
-
 def test_random_lines_count_matches_numeric_roots():
+    # the incidence quadratic shared by the kernel and the certified filter,
+    # against an independent high-precision evaluation of the same regulus
     mp = pytest.importorskip("mpmath")
     mp.mp.prec = 256
     rng = random.Random(5)
@@ -264,17 +139,24 @@ def test_random_lines_count_matches_numeric_roots():
         if any(side_product(a, b) == 0
                for a, b in itertools.combinations(lines, 2)):
             continue
-        res = transversals_of_4_lines(lines)
-        count = 0 if res.infinite else len(res.lines)
-        n_roots = _numeric_root_count(mp, segs)
-        if n_roots is None:
+        ints, _ = _scaled_int_segments(segs)
+        triples = [_int_triple(p, r) for p, r in ints]
+        reg = _Regulus(triples[0][0], triples[0][1], triples[1], triples[2])
+        roots = _quadratic_roots(*reg.incidence_quadratic(triples[3]))
+        numeric = _numeric_roots(mp, segs)
+        if numeric is None:
             continue
-        assert count == n_roots
+        exact = sorted((t.t0 + t.t1 * mp.sqrt(t.d)) / t.h for t in roots)
+        assert len(exact) == len(numeric)
+        assert all(abs(a - b) < mp.mpf("1e-50") * (1 + abs(b))
+                   for a, b in zip(exact, numeric))
         checked += 1
     assert checked >= 30
 
 
-def _numeric_root_count(mp, segs):
+def _numeric_roots(mp, segs):
+    """Sorted real roots of the regulus quadratic in the parameter of the
+    first segment, or None when qa or the discriminant is nearly 0."""
     def vec(p):
         return [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in p]
 
@@ -306,7 +188,146 @@ def _numeric_root_count(mp, segs):
     disc = qb * qb - 4 * qa * qc
     if abs(disc) < mp.mpf("1e-40") * scale * scale:
         return None
-    return 2 if disc > 0 else 0
+    if disc < 0:
+        return []
+    return sorted((-qb + s * mp.sqrt(disc)) / (2 * qa) for s in (-1, 1))
+
+
+def _direction_is(line, d):
+    return v_cross(line.direction, d) == (0, 0, 0)
+
+
+def _no_pairwise_skew_triple(segs):
+    lines = [plucker_from_segment(s) for s in segs]
+    return not any(all(side_product(a, b) != 0
+                       for a, b in itertools.combinations(t, 2))
+                   for t in itertools.combinations(lines, 3))
+
+
+def _answer(segs):
+    """The witness line, after checking its parameters."""
+    res = transversal_exists_segments(segs)
+    assert res.exists
+    assert verify_transversal(res.line, segs) == res.params
+    return res.line
+
+
+# segments on the x and y axes and on the skew lines through (1, 1, -1),
+# (1, 2, 1) and through (-1, 2, -1), (2, -1, 1); the four lines have two
+# transversals, one through the origin along (7, 10, -1) and one in z = 0
+# along (1, 2, 0) through (1/4, 0, 0)
+_L3 = ((1, 1, -1), (1, 2, 1))
+_L4 = ((-1, 2, -1), (2, -1, 1))
+
+
+def test_two_axes_and_two_skew_lines():
+    x_axis, y_axis = ((-1, 0, 0), (1, 0, 0)), ((0, -1, 0), (0, 1, 0))
+    line = _answer(_segs(x_axis, y_axis, _L3, _L4))
+    assert _direction_is(line, (7, 10, -1)) or _direction_is(line, (1, 2, 0))
+    # off the origin only the line in z = 0 is left
+    line = _answer(_segs((("1/8", 0, 0), (1, 0, 0)), y_axis, _L3, _L4))
+    assert _direction_is(line, (1, 2, 0))
+    assert line.moment[0] == line.moment[1] == 0   # inside z = 0
+    # cut before z = 0 on the third line only the one through 0 is left
+    line = _answer(_segs(x_axis, y_axis, ((1, 1, -1), (1, "29/20", "-1/10")),
+                         _L4))
+    assert _direction_is(line, (7, 10, -1))
+    assert v_cross(line.direction, line.moment) == (0, 0, 0)
+
+
+def test_parallel_pair_and_two_skew_lines():
+    # the only line meeting both parallels and the skew lines is x = 1,
+    # y = 0, which meets the third line at (1, 0, -3)
+    x_axis, x_up = ((0, 0, 0), (2, 0, 0)), ((0, 0, 1), (2, 0, 1))
+    line = _answer(_segs(x_axis, x_up, ((1, 0, -3), (1, 2, 1)), _L4))
+    assert same_line(line,
+                     line_through_points(point3(1, 0, 0), point3(1, 0, 1)))
+    assert not transversal_exists_segments(
+        _segs(x_axis, x_up, _L3, _L4)).exists
+
+
+def test_two_meeting_pairs_give_two_transversals():
+    # the x and y axes meet at 0, the lines through (1, 1, 1) along
+    # (1, 0, 2) and (0, 2, 1) meet there: the transversals are the line
+    # through both points and the meet of the two planes, which crosses
+    # the four lines at (3/4, 0, 0), (0, 3, 0), (1/2, 1, 0) and (1, -1, 0)
+    s1, s2 = ((-1, 0, 0), (1, 0, 0)), ((0, -1, 0), (0, 4, 0))
+    s3, s4 = ((0, 1, -1), ("3/2", 1, 2)), ((1, -3, -1), (1, 2, "3/2"))
+    through_points = line_through_points(point3(0, 0, 0), point3(1, 1, 1))
+    meet_of_planes = line_through_points(point3(0, 3, 0), point3(1, -1, 0))
+    assert _no_pairwise_skew_triple(_segs(s1, s2, s3, s4))
+    assert same_line(_answer(_segs(s1, s2, s3, s4)), through_points)
+    # the fourth segment ends before (1, 1, 1): only the meet of the planes
+    s4_short = ((1, -3, -1), (1, 0, "1/2"))
+    assert same_line(_answer(_segs(s1, s2, s3, s4_short)), meet_of_planes)
+    # the third segment also starts after (1/2, 1, 0): neither
+    s3_short = (("3/4", 1, "1/2"), ("3/2", 1, 2))
+    assert not transversal_exists_segments(
+        _segs(s1, s2, s3_short, s4_short)).exists
+
+
+def test_parallel_pair_and_meeting_pair_give_one_transversal():
+    # parallels in y = 0 and two segments meeting at (1, 1, 1): the one
+    # transversal lies in y = 0 and crosses the last two at (0, 0, -1) and
+    # (1, 0, 0); every order finds it
+    segs = _segs(((0, 0, 0), (3, 0, 0)), ((0, 0, 1), (3, 0, 1)),
+                 ((-1, -1, -3), (1, 1, 1)), ((1, -1, -1), (1, 1, 1)))
+    assert _no_pairwise_skew_triple(segs)
+    expected = line_through_points(point3(0, 0, -1), point3(1, 0, 0))
+    for perm in itertools.permutations(segs):
+        assert same_line(_answer(list(perm)), expected)
+
+
+def test_four_concurrent_lines_are_infinite():
+    # four segments through x: every line through x meets them all
+    x = point3(1, 2, 3)
+    dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    segs = [Segment3(v_sub(x, d), v_add(x, d)) for d in dirs]
+    assert _no_pairwise_skew_triple(segs)
+    assert _point_on_line(x, _answer(segs))
+    for d in [(1, 2, 3), (-1, 5, 0), (0, 1, -7)]:
+        line = line_through_points(x, v_add(x, d))
+        assert verify_transversal(line, segs) is not None
+    # three through x and one missing it: the lines joining x to it
+    away = Segment3(point3(2, 0, 0), point3(0, 1, 5))
+    line = _answer(segs[:3] + [away])
+    assert _point_on_line(x, line)
+    for u in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        line = line_through_points(x, away.at(u))
+        assert verify_transversal(line, segs[:3] + [away]) is not None
+
+
+def _meeting_or_parallel_pair(rng):
+    def pt():
+        return point3(*(rng.randint(-3, 3) for _ in range(3)))
+
+    while True:
+        x, d1, d2 = pt(), pt(), pt()
+        if d1 == (0, 0, 0) or d2 == (0, 0, 0):
+            continue
+        if rng.random() < 0.5:   # parallel: the second is a translate
+            y = v_add(x, pt())
+            pair = [Segment3(x, v_add(x, d1)), Segment3(y, v_add(y, d1))]
+        else:                    # both start at x
+            pair = [Segment3(x, v_add(x, d1)), Segment3(x, v_add(x, d2))]
+        lines = [plucker_from_segment(s) for s in pair]
+        if not same_line(*lines):
+            return pair
+
+
+def test_degenerate_transversals_meet_all_four_lines():
+    rng = random.Random(13)
+    found = 0
+    for _ in range(300):
+        segs = _meeting_or_parallel_pair(rng) + _meeting_or_parallel_pair(rng)
+        assert _no_pairwise_skew_triple(segs)
+        res = transversal_exists_segments(segs)
+        if res.exists:
+            assert verify_transversal(res.line, segs) == res.params
+            assert all(side_product(res.line, plucker_from_segment(s)) == 0
+                       for s in segs)
+            found += 1
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +465,11 @@ def test_pencil_through_shared_intersection():
     s2 = Segment3(point3(0, -1, 0), point3(0, 1, 0))
     s3 = Segment3(point3(2, 2, 2), point3(3, 2, 2))
     s4 = Segment3(point3(4, 4, 4), point3(4, 5, 4))
-    res = transversal_exists_segments([s1, s2, s3, s4])
-    # the pencil through the origin must find the line through (0,0,0)
-    # hitting s3 and s4 only if they are collinear with it; they are not
-    # aligned, so fall back to explicit verification of the answer
-    if res.exists:
-        assert verify_transversal(res.line, [s1, s2, s3, s4]) is not None
-    else:
-        rng = random.Random(11)
-        for _ in range(300):
-            a = s3.at(Fraction(rng.randint(0, 8), 8))
-            b = s4.at(Fraction(rng.randint(0, 8), 8))
-            if a == b:
-                continue
-            assert verify_transversal(line_through_points(a, b),
-                                      [s1, s2, s3, s4]) is None
+    # the pencil through the origin finds the diagonal, which meets s3 at
+    # (2, 2, 2) and s4 at (4, 4, 4)
+    line = _answer([s1, s2, s3, s4])
+    assert same_line(line, line_through_points(point3(0, 0, 0),
+                                               point3(1, 1, 1)))
 
 
 def test_coplanar_quadruple_in_plane_stab():
@@ -473,6 +484,164 @@ def test_coplanar_quadruple_in_plane_stab():
     # shifting one far in y removes every in-plane stabber
     s4b = Segment3(point3(3, 10, 0), point3(3, 12, 0))
     assert not transversal_exists_segments([s1, s2, s3, s4b]).exists
+
+
+@pytest.mark.parametrize("ends", [
+    # the line of the first segment passes through (2, 2, 2), where the
+    # other two meet
+    (((1, 2, 1), (0, 2, 0)), ((2, 2, 2), (1, 1, 1)), ((2, 2, 2), (0, 0, 1))),
+    # the first two touch at (1, 0, 0) on the x axis; the other two lie on
+    # one line through that point
+    (((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (2, 0, 0)), ((1, 1, 1), (1, 2, 2)),
+     ((1, 3, 3), (1, 4, 4))),
+])
+def test_supporting_line_through_the_pencil_point(ends):
+    # the only transversals are a supporting line through the point that
+    # the other segments share; every order must find it
+    for perm in itertools.permutations(_segs(*ends)):
+        _answer(list(perm))
+
+
+_GRID = list(itertools.product(range(3), repeat=3))
+
+
+def _hub_set(rng):
+    """Three or four segments on {0,1,2}^3 around a random hub x: each has
+    an endpoint at x, lies on a grid line through x without containing
+    it, or is random."""
+    x = rng.choice(_GRID)
+    rays = [(v_add(x, d), v_add(x, v_add(d, d)))
+            for d in itertools.product((-1, 0, 1), repeat=3)
+            if any(d) and v_add(x, v_add(d, d)) in _GRID]
+    ends = []
+    for _ in range(rng.choice((3, 4))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            ends.append((x, rng.choice([g for g in _GRID if g != x])))
+        elif kind == 1 and rays:
+            ends.append(rng.choice(rays))
+        else:
+            ends.append(tuple(rng.sample(_GRID, 2)))
+    return _segs(*ends)
+
+
+def test_grid_corpus_is_order_invariant():
+    rng = random.Random(17)
+    positives = 0
+    for _ in range(80):
+        segs = _hub_set(rng)
+        answers = set()
+        for perm in itertools.permutations(segs):
+            perm = [Segment3(s.q, s.p) if rng.random() < 0.5 else s
+                    for s in perm]
+            res = transversal_exists_segments(perm)
+            if res.exists:
+                assert verify_transversal(res.line, perm) == res.params
+            answers.add(res.exists)
+        assert len(answers) == 1, segs
+        positives += answers == {True}
+    assert 0 < positives < 80
+
+
+@pytest.mark.parametrize("ends, through", [
+    # k = 3, the two collinear segments touch at one point
+    ((((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (2, 0, 0)), ((0, 1, 1), (0, 2, 1))),
+     (1, 0, 0)),
+    # k = 3, they overlap in [1, 2]
+    ((((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (3, 0, 0)), ((0, 1, 1), (0, 2, 1))),
+     (1, 0, 0)),
+    # k = 4, they overlap in [1, 2]; the reduced three-segment problem
+    # finds the line through (3/2, 0, 0), (1, -1, 1) and (2, 1, -1)
+    ((((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (3, 0, 0)),
+      ((1, -1, 1), (1, 1, 1)), ((2, -1, -1), (2, 1, -1))),
+     ("3/2", 0, 0)),
+])
+def test_shared_line_reduces_to_the_overlap(ends, through):
+    line = _answer(_segs(*ends))
+    assert _point_on_line(point3(*through), line)
+    assert not _point_on_line(point3(0, 0, 0), line)   # not the x axis
+
+
+@pytest.mark.parametrize("ends", [
+    # k = 4 touching at (1, 0, 0): no line through it meets both others
+    (((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (2, 0, 0)),
+     ((1, 1, 1), (1, 2, 1)), ((1, -1, 2), (1, -2, 2))),
+    # k = 4 overlapping in [1, 2]: the last two segments sit too high
+    (((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (3, 0, 0)),
+     ((1, 5, 1), (1, 6, 1)), ((2, -1, -1), (2, 1, -1))),
+])
+def test_shared_line_without_transversal(ends):
+    segs = _segs(*ends)
+    assert not transversal_exists_segments(segs).exists
+    rng = random.Random(18)
+    for _ in range(300):
+        i, j = rng.sample(range(4), 2)
+        a = segs[i].at(Fraction(rng.randint(0, 12), 12))
+        b = segs[j].at(Fraction(rng.randint(0, 12), 12))
+        if a != b:
+            assert verify_transversal(line_through_points(a, b), segs) is None
+
+
+_O = point3(0, 0, 0)
+
+
+@pytest.mark.parametrize("ends, expected", [
+    # the point lies on both segments: any line through it
+    ([((-1, 0, 0), (1, 0, 0)), ((0, -1, 0), (0, 1, 0))], "through x"),
+    # one free segment whose line passes through the point
+    ([((-1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 2, 0))], "its line"),
+    # one free segment off the point: the join to its first endpoint
+    ([((0, 1, 1), (0, 2, 1))], "through x"),
+    # two free segments on one line through the point
+    ([((1, 0, 0), (2, 0, 0)), ((3, 0, 0), (4, 0, 0))], "its line"),
+    # two free segments on one line off the point, overlapping in [1, 2]
+    ([((0, 1, 0), (2, 1, 0)), ((1, 1, 0), (3, 1, 0))], "through x"),
+    # ... and disjoint
+    ([((0, 1, 0), (1, 1, 0)), ((2, 1, 0), (3, 1, 0))], None),
+    # the line of the first passes through the point and misses the second
+    ([((1, 0, 0), (2, 0, 0)), ((0, 1, 1), (0, 2, 1))], None),
+    # the line of the second passes through the point and meets the first
+    ([((3, -1, 0), (3, 1, 0)), ((1, 0, 0), (2, 0, 0))], "its line"),
+    # both free segments in one plane with the point: the fan search finds
+    # the line through (1, 1, 0) and (2, 2, 0) ...
+    ([((1, -1, 0), (1, 1, 0)), ((2, 1, 0), (2, 3, 0))], "through x"),
+    # ... or proves that the two angles are disjoint
+    ([((1, -1, 0), (1, 1, 0)), ((2, 3, 0), (2, 5, 0))], None),
+    # the first crosses the plane of the point and the second at (5, 5, 0)
+    ([((5, 5, -1), (5, 5, 1)), ((1, -1, 0), (1, 1, 0))], "through x"),
+    # ... at (5, 20, 0), whose join to 0 passes the second too high
+    ([((5, 20, -1), (5, 20, 1)), ((1, -1, 0), (1, 1, 0))], None),
+    # ... or stays on one side of that plane
+    ([((5, 5, 1), (5, 6, 2)), ((1, -1, 0), (1, 1, 0))], None),
+])
+def test_pencil_through_point(ends, expected):
+    segs = _segs(*ends)
+    line = _pencil_through_point(_O, segs)
+    if expected is None:
+        assert line is None
+        return
+    assert _point_on_line(_O, line)
+    assert verify_transversal(line, segs) is not None
+    if expected == "its line":
+        assert any(same_line(line, plucker_from_segment(s)) for s in segs)
+
+
+@pytest.mark.parametrize("third, exists", [
+    (((1, 1, 0), (1, 1, 5)), True),     # touches z = 0 at its endpoint
+    (((1, 1, -1), (1, 1, 1)), True),    # crosses z = 0 at (1, 1, 0)
+    (((1, 3, -1), (1, 3, 1)), False),   # crosses z = 0 beyond reach
+    (((1, 1, 1), (1, 1, 5)), False),    # stays above z = 0
+])
+def test_stab_in_plane_traces(third, exists):
+    # two segments in z = 0 and a third that meets the plane at most once:
+    # the in-plane candidates pass its trace and an endpoint
+    segs = _segs(((0, 0, 0), (0, 2, 0)), ((2, 0, 0), (2, 2, 0)), third)
+    res = _stab_in_plane((0, 0, 1), 0, segs)
+    assert res.exists == exists
+    if exists:
+        assert verify_transversal(res.line, segs) == res.params
+        assert res.line.direction[2] == 0 and _point_on_line(
+            point3(1, 1, 0), res.line)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +763,13 @@ REGULUS_BRANCHES = {
         (Fraction(48), Fraction(-48), Fraction(0)),
         (Fraction(96), Fraction(96), Fraction(144)),
         [Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3, 4)]),
+    # the witness is the z axis, which contains the fourth segment: its
+    # parameter is reported as 0
+    "contained segment": (
+        _segs(((-1, 0, 0), (1, 0, 0)), ((0, -1, 1), (0, 1, 1)),
+              ((-1, -1, 2), (1, 1, 2)), ((0, 0, -1), (0, 0, 3))),
+        (Fraction(0), Fraction(0), Fraction(-8)), (Fraction(0),) * 3,
+        [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(0)]),
     # four lines of one ruling of x^2 + y^2 - z^2 = 1, through
     # ((1 - m^2)/(1 + m^2), 2m/(1 + m^2), 0) along (-y, x, 1) for
     # m = 0, 1/2, 3, 1
