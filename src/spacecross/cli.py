@@ -171,10 +171,10 @@ def cmd_conway_gordon(args) -> dict:
 def cmd_transversal_4cycles(args) -> dict:
     doc_in = json.loads(_read_input(args.input))
     cycles = _cycles_from_doc(doc_in)
-    line = linking.transversal_through_cycles(cycles)
-    if line is None:
+    found = linking.transversal_through_cycles(cycles)
+    if found is None:
         return {"found": False}
-    return {"found": True, "line": _line_doc(line)}
+    return {"found": True, "line": _line_doc(found[1].line)}
 
 
 def cmd_witness_pipeline(args) -> dict:
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("transversal-4cycles")).set_defaults(
         func=cmd_transversal_4cycles)
     p = seed(common(sub.add_parser("witness-pipeline")))
-    p.add_argument("--budget", type=int, default=200000)
+    p.add_argument("--budget", type=int, default=100000)
     p.set_defaults(func=cmd_witness_pipeline)
     common(sub.add_parser("order-types"), input_arg=False).set_defaults(
         func=cmd_order_types)

@@ -274,26 +274,24 @@ def validate_embedding(g, emb):
 # transversals through four linked cycles
 # ---------------------------------------------------------------------------
 
-def transversal_through_cycles(cycles: Sequence[PolygonalCycle],
-                               check_guarantee: bool = True):
-    """A line meeting all four cycles, or None.
-
-    Sweeps all quadruples of one segment per cycle through the exact
-    predicate.  When the first two and the last two cycles are linked a
-    transversal must exist; failing to find one then raises, since it
-    would indicate a defect in the search, not in the mathematics.
-    """
+def transversal_through_cycles(cycles: Sequence[PolygonalCycle]):
+    """``(indices, result)`` for the first segment of each cycle, in
+    ``itertools.product`` order, that one line meets, or None:
+    ``indices[c]`` indexes ``cycles[c].segments()`` and ``result`` is the
+    exact ``SegmentTransversal`` of those segments.  Linked first and last
+    pairs guarantee a transversal, so finding none then raises (a defect
+    in the search, not in the mathematics)."""
     if len(cycles) != 4:
         raise ValidationError("need exactly four cycles")
     seg_lists = [c.segments() for c in cycles]
-    for combo in itertools.product(*seg_lists):
-        res = transversal_exists_segments(list(combo))
+    for indices in itertools.product(*(range(len(s)) for s in seg_lists)):
+        res = transversal_exists_segments(
+            [segs[i] for segs, i in zip(seg_lists, indices)])
         if res.exists:
-            return res.line
-    if check_guarantee:
-        lk12 = linking_number(cycles[0], cycles[1])
-        lk34 = linking_number(cycles[2], cycles[3])
-        if lk12 != 0 and lk34 != 0:
-            raise AssertionError(
-                "linked pairs guarantee a transversal; none found (bug)")
+            return indices, res
+    lk12 = linking_number(cycles[0], cycles[1])
+    lk34 = linking_number(cycles[2], cycles[3])
+    if lk12 != 0 and lk34 != 0:
+        raise AssertionError(
+            "linked pairs guarantee a transversal; none found (bug)")
     return None

@@ -232,14 +232,26 @@ def _induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(e for e in g.edges if e[0] in vs and e[1] in vs))
 
 
+def _step_contact(d: SpatialDrawing, line, a: int, b: int, u):
+    """The witness contact ``(edge, 0, parameter)`` of ``line`` at
+    parameter ``u`` of the loop step a -> b, the parameter running from the
+    edge's lower vertex.  On a reversed step u = 0 is the higher vertex or
+    a contained segment (which reports 0), so the drawn edge decides."""
+    edge = (min(a, b), max(a, b))
+    if a > b:
+        u = 1 - u if u != 0 else line_meets_segment(
+            line, d.edge_segments(edge)[0])[1]
+    return edge, 0, u
+
+
 def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
                            budget: int = 100000) -> List[CrossingWitness]:
     """Explicit space-crossing witnesses from linked cycle pairs.
 
     Bisect the graph, extract edge-disjoint K6 subdivisions on each side,
     convert each to an odd-linked cycle pair, and search a transversal for
-    every cross pair of linked pairs.  Each witness contact is the
-    parameter on the drawn edge, from its lower to its higher vertex, as
+    every cross pair of linked pairs.  A witness is the segment the search
+    met on each cycle and its contact from the drawn edge's lower vertex, as
     ``count_line_crossings`` reports it.  Because a fair bisection rarely
     keeps whole subdivisions inside one side on small graphs, bisections
     are retried (deterministically seeded) until both sides are
@@ -280,33 +292,20 @@ def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
     seen_quadruples: Set[Tuple[Edge, ...]] = set()
     for lp1 in linked[0]:
         for lp2 in linked[1]:
-            cycles = [lp1.cycle1, lp1.cycle2, lp2.cycle1, lp2.cycle2]
-            loops = [lp1.loop1, lp1.loop2, lp2.loop1, lp2.loop2]
-            line = transversal_through_cycles(cycles)
-            if line is None:
-                continue
-            edges = []
-            contacts = []
-            for loop in loops:
-                hit = None
-                for a, b in zip(loop, loop[1:] + loop[:1]):
-                    edge = (min(a, b), max(a, b))
-                    ok, u = line_meets_segment(line, d.edge_segments(edge)[0])
-                    if ok:
-                        hit = (edge, u)
-                        break
-                if hit is None:
-                    break
-                edges.append(hit[0])
-                contacts.append((hit[0], 0, hit[1]))
-            if len(edges) != 4:
-                continue
+            # both pairs are linked, so the search finds a line or raises
+            indices, res = transversal_through_cycles(
+                [lp1.cycle1, lp1.cycle2, lp2.cycle1, lp2.cycle2])
+            loops = (lp1.loop1, lp1.loop2, lp2.loop1, lp2.loop2)
+            contacts = [_step_contact(d, res.line, loop[i],
+                                      loop[(i + 1) % len(loop)], u)
+                        for loop, i, u in zip(loops, indices, res.params)]
+            edges = tuple(e for e, _, _ in contacts)
             quad = tuple(sorted(edges))
             if quad in seen_quadruples:
                 raise AssertionError(
                     "edge-disjoint cycles produced a repeated quadruple (bug)")
             seen_quadruples.add(quad)
-            witnesses.append(CrossingWitness(tuple(edges), line, contacts))
+            witnesses.append(CrossingWitness(edges, res.line, contacts))
     return witnesses
 
 

@@ -1,9 +1,10 @@
+import inspect
 import json
 import random
 
 import pytest
 
-from spacecross import cli, counting
+from spacecross import cli, counting, pipeline
 
 
 def run(capsys, *argv):
@@ -164,6 +165,12 @@ def test_witness_pipeline(tmp_path, capsys):
         "--output", f)
     code, doc = run(capsys, "witness-pipeline", "--input", f)
     assert (code, doc) == (0, {"witnesses": [], "count": 0})
+
+
+def test_witness_pipeline_budget_default_matches_the_api():
+    api = inspect.signature(pipeline.boost_witness_pipeline)
+    args = cli.build_parser().parse_args(["witness-pipeline"])
+    assert args.budget == api.parameters["budget"].default
 
 
 def test_sametype_commands(tmp_path, capsys):

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from spacecross import linking
 from spacecross.errors import (DegeneratePosition, NotDisjoint, ValidationError)
-from spacecross.geometry import _scaled_int_segments, point3, v_add, v_sub
+from spacecross.geometry import (SegmentTransversal, _scaled_int_segments,
+                                 point3, transversal_exists_segments, v_add,
+                                 v_sub, verify_transversal)
 from spacecross.linking import (PolygonalCycle, conway_gordon_check,
                                 find_linked_pair, linking_number,
                                 transversal_through_cycles, _linking_along,
@@ -326,9 +329,22 @@ def test_find_linked_pair_rejects_broken_embedding():
 # ---------------------------------------------------------------------------
 
 def test_stacked_hopf_pairs_admit_transversal():
-    cycles = stacked_pairs()
-    line = transversal_through_cycles(list(cycles))
-    assert line is not None
+    cycles = list(stacked_pairs())
+    indices, res = transversal_through_cycles(cycles)
+    segs = [c.segments()[i] for c, i in zip(cycles, indices)]
+    assert verify_transversal(res.line, segs) == res.params
+    # the first met combination in product order
+    firsts = itertools.product(*(range(len(c)) for c in cycles))
+    assert all(not transversal_exists_segments(
+        [c.segments()[i] for c, i in zip(cycles, idx)]).exists
+        for idx in itertools.takewhile(lambda t: t != indices, firsts))
+
+
+def test_linked_pairs_without_transversal_raise(monkeypatch):
+    monkeypatch.setattr(linking, "transversal_exists_segments",
+                        lambda segs: SegmentTransversal(False))
+    with pytest.raises(AssertionError, match="guarantee a transversal"):
+        transversal_through_cycles(list(stacked_pairs()))
 
 
 def test_four_coplanar_triangles_crossing_axis():
@@ -337,8 +353,7 @@ def test_four_coplanar_triangles_crossing_axis():
         x = 3 * i
         tris.append(PolygonalCycle((point3(x, -1, 0), point3(x + 1, 1, 0),
                                     point3(x - 1, 1, 0))))
-    line = transversal_through_cycles(tris, check_guarantee=False)
-    assert line is not None
+    assert transversal_through_cycles(tris) is not None
 
 
 def test_far_unlinked_triangles_have_none():
@@ -351,4 +366,4 @@ def test_far_unlinked_triangles_have_none():
                            Fraction(cz * 64 + rng.randint(-8, 8), 64))
                     for _ in range(3))
         tris.append(PolygonalCycle(pts))
-    assert transversal_through_cycles(tris, check_guarantee=False) is None
+    assert transversal_through_cycles(tris) is None

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from spacecross import generators, pipeline
-from spacecross.geometry import (line_meets_segment, segments_intersect_2d,
+from spacecross.geometry import (Segment3, line_meets_segment,
+                                 line_through_points, point3,
+                                 segments_intersect_2d,
                                  transversal_exists_segments)
-from spacecross.drawing import Graph
+from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.pipeline import (_bisection_bound_met, _k6_subdivision_absent,
                                  boost_witness_pipeline, find_k6_subdivision,
                                  hexgrid_construction, hexgrid_graph,
@@ -49,8 +52,9 @@ def test_random_bisection_is_deterministic_and_meets_the_bound():
             assert _bisection_bound_met(edges, g.m, g.n)
 
 
-def test_witness_pipeline_on_four_k6():
-    d = generators.four_k6_drawing(0)
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_pipeline_on_four_k6(seed):
+    d = generators.four_k6_drawing(seed)
     witnesses = boost_witness_pipeline(d)
     assert witnesses
     for w in witnesses:
@@ -60,6 +64,56 @@ def test_witness_pipeline_on_four_k6():
             assert seg == 0
             # the parameter on the drawn edge, from its lower vertex
             assert line_meets_segment(w.line, d.edge_segments(e)[0]) == (True, u)
+
+
+# sha256 prefixes of repr((edges, line, contacts)) of every witness, as the
+# pipeline gave them when it rescanned each loop for the met edge
+_WITNESS_DIGESTS = [
+    ("four_k6", 0, 1, "e4a4184ac4994aa6"),
+    ("four_k6", 1, 1, "5b5e6c5c6c03770d"),
+    ("four_k6", 2, 1, "9cff597fc8acf16a"),
+    ("random", 0, 3, "68574036e9037344"),
+    ("random", 6, 6, "3b2811dc9f5d3263"),
+    ("random", 2005, 8, "9403fbb3fc01e870"),
+]
+
+
+@pytest.mark.parametrize("kind, seed, count, digest", _WITNESS_DIGESTS)
+def test_witness_pipeline_witnesses_are_pinned(kind, seed, count, digest):
+    d = (generators.four_k6_drawing(seed) if kind == "four_k6"
+         else generators.random_drawing(40, 0.4, seed))
+    ws = boost_witness_pipeline(d)
+    text = repr([(w.edges, w.line, w.contacts) for w in ws])
+    assert (len(ws), hashlib.sha256(text.encode()).hexdigest()[:16]) == (
+        count, digest)
+
+
+def _reversed_edge_contact(p, q, line):
+    """``_step_contact`` of ``line`` on the step 1 -> 0 of the edge from p
+    (vertex 0) to q (vertex 1), with u from the step itself, and the
+    contact on the drawn edge."""
+    d = SpatialDrawing(Graph.from_edges(2, [(0, 1)]), [p, q])
+    ok, u = line_meets_segment(line, Segment3(q, p))
+    assert ok
+    drawn = line_meets_segment(line, d.edge_segments((0, 1))[0])
+    return u, pipeline._step_contact(d, line, 1, 0, u), drawn
+
+
+def test_step_contact_on_reversed_edges():
+    p, q = point3(0, 0, 0), point3(4, 0, 0)
+    # an interior contact: 1 - u
+    u, contact, drawn = _reversed_edge_contact(
+        p, q, line_through_points(point3(1, -1, -1), point3(1, 1, 1)))
+    assert (u, contact, drawn) == (Fraction(3, 4), ((0, 1), 0, Fraction(1, 4)),
+                                   (True, Fraction(1, 4)))
+    # through the step's start, the edge's higher vertex: 1
+    u, contact, drawn = _reversed_edge_contact(
+        p, q, line_through_points(q, point3(4, 1, 1)))
+    assert (u, contact, drawn) == (0, ((0, 1), 0, 1), (True, 1))
+    # containing the segment: 0 in either direction
+    u, contact, drawn = _reversed_edge_contact(
+        p, q, line_through_points(point3(-1, 0, 0), point3(7, 0, 0)))
+    assert (u, contact, drawn) == (0, ((0, 1), 0, 0), (True, 0))
 
 
 def _icosahedron():
