@@ -2,8 +2,9 @@
 
 One binary with subcommands; every run writes a JSON report (stdout or
 --output).  The subcommands that produce a drawing (gen-fixture,
-gen-hexgrid, lift-sphere) write the drawing to --output instead, and
-their report then goes to stdout.  Rational values serialize as 'p/q'
+gen-hexgrid, lift-sphere) print it to stdout, so it pipes into the next
+command; with --output they write it there, and their report then goes
+to stdout.  Rational values serialize as 'p/q'
 strings, quadratic irrationals as field dicts.
 Exit status: 0 success (also --help), 1 validation error, including a
 command-line usage error, 2 internal invariant failure.
@@ -140,12 +141,12 @@ def cmd_gen_stair(args) -> dict:
 
 def cmd_gen_hexgrid(args) -> dict:
     hc = pipeline.hexgrid_construction(args.k, args.subdivision, seed=args.seed)
-    doc = {"k": args.k, "subdivision": args.subdivision,
-           "vertices": hc.graph.n, "edges": hc.graph.m,
-           "special_edge": list(hc.special_edge)}
-    if _has_output(args):
-        doc.update(_save_drawing(hc.drawing, args))
-    return doc
+    if not _has_output(args):
+        print(encode_drawing(hc.drawing).decode("utf-8"))
+        return {}
+    return dict(_save_drawing(hc.drawing, args), k=args.k,
+                subdivision=args.subdivision, vertices=hc.graph.n,
+                edges=hc.graph.m, special_edge=list(hc.special_edge))
 
 
 def cmd_linking(args) -> dict:

@@ -7,12 +7,14 @@ blocks, each filtered as it comes, so memory is bounded by the survivors.
 With ``prefilter`` each tuple passes a funnel of three steps, and
 ``CrossingReport.stages`` reports rows in, rows out and seconds of each:
 
-1. The tuple filter, ``_tuple_filter``, per edge tuple: a line test on
-   the edges' enclosing balls (``_collinear_possible``) and, for k = 4, a
+1. The tuple filter, ``_triple_filter``, once per disjoint edge triple: a
+   line test on the edges' enclosing balls (``_collinear_possible``) and a
    2D stabbing test of the straight chords fattened by the largest
-   distance of the polyline from its chord segment (``_stab_batch``).
-   Its tests carry fixed slacks and are not certified; they are the only
-   uncertified rejection.
+   distance of the polyline from its chord segment (``_stab_batch``).  For
+   k = 4 ``_disjoint_blocks`` then grows only the 4-tuples whose four
+   triples all pass (the apriori candidate join of Agrawal & Srikant,
+   1994).  Its tests carry fixed slacks and are not certified; they are
+   the only uncertified rejection.
 2. The certified filter, ``_certified_decide``, for k = 4: over blocks of
    segment combinations (one segment of each edge) of the surviving
    tuples, it evaluates in float64 the signs that the exact kernel takes
@@ -126,31 +128,44 @@ class CrossingReport:
     tuples_total: int = 0
     tuples_after_prefilter: int = 0
     # (name, rows in, rows out, seconds) of each step of the funnel, in
-    # edge tuples; each step's rows out are the next one's rows in.
-    # ``certified_filter`` puts out the tuples it did not refute, and
-    # ``exact`` puts out ``count``, including tuples that the certified
-    # filter accepted
+    # edge k-tuples; each step's rows out are the next one's rows in.
+    # ``tuple_filter`` covers the triple tests and, for k = 4, the join of
+    # the feasible triples; ``certified_filter`` puts out the tuples it did
+    # not refute, and ``exact`` puts out ``count``, including tuples that
+    # the certified filter accepted
     stages: List[Tuple[str, int, int, float]] = field(default_factory=list)
 
 
-def _disjoint_blocks(g: Graph, k: int) -> Iterator[np.ndarray]:
+def _disjoint_blocks(g: Graph, k: int, feasible: Optional[np.ndarray] = None
+                     ) -> Iterator[Tuple[np.ndarray, int]]:
     """Every k-set of pairwise vertex-disjoint edges as rows of edge indices,
-    lexicographically, in int arrays of at most ``_CHUNK`` rows.
+    lexicographically, in int arrays of at most ``_CHUNK`` rows, each paired
+    with the number of disjoint k-sets it stands for.
 
     ``later[i, j]``: j > i and edges i and j share no vertex.  A block of
     prefixes grows by every edge ``later`` than all its entries; row-major
-    ``nonzero`` keeps the order."""
+    ``nonzero`` keeps the order.  Given a ``feasible`` table over sorted
+    triples (k = 4), the join grows only 4-sets whose four 3-subsets are
+    all feasible; an empty block stands for the disjoint ones left out."""
     e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     shares = (e[:, None, :, None] == e[None, :, None, :]).any(axis=(2, 3))
     later = np.triu(~shares, 1)
 
-    def grow(rows: np.ndarray) -> Iterator[np.ndarray]:
+    def grow(rows: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
         for lo in range(0, len(rows), _CHUNK):
             block = rows[lo:lo + _CHUNK]
             if block.shape[1] == k:
-                yield block
+                yield block, len(block)
                 continue
-            r, c = np.nonzero(later[block].all(axis=1))
+            nxt = later[block].all(axis=1)
+            if feasible is not None and block.shape[1] == 3:
+                a, b, c = block.T
+                join = nxt & (feasible[a, b, c][:, None] & feasible[a, b]
+                              & feasible[a, c] & feasible[b, c])
+                left_out = int(nxt.sum() - join.sum())
+                yield np.empty((0, 4), dtype=np.intp), left_out
+                nxt = join
+            r, c = np.nonzero(nxt)
             yield from grow(np.column_stack([block[r], c]))
 
     yield from grow(np.empty((1, 0), dtype=np.intp))
@@ -158,7 +173,7 @@ def _disjoint_blocks(g: Graph, k: int) -> Iterator[np.ndarray]:
 
 def enumerate_disjoint_tuples(g: Graph, k: int) -> Iterable[Tuple[Edge, ...]]:
     """All k-sets of pairwise vertex-disjoint edges, lexicographically."""
-    for block in _disjoint_blocks(g, k):
+    for block, _ in _disjoint_blocks(g, k):
         for row in block.tolist():
             yield tuple(g.edges[i] for i in row)
 
@@ -168,19 +183,10 @@ def count_planar_crossings(d: SpatialDrawing) -> int:
     if not d.is_straight() or not d.is_flat():
         raise ValidationError("planar crossing count needs a flat straight-line drawing")
     pts = [(p[0], p[1]) for p in d.positions]
-    edges = d.graph.edges
-    count = 0
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            if len({u1, v1, u2, v2}) < 4:
-                continue
-            a = (pts[u1], pts[v1])
-            b = (pts[u2], pts[v2])
-            if segments_intersect_2d(a, b) == "crossing":
-                count += 1
-    return count
+    pairs = itertools.combinations(d.graph.edges, 2)
+    return sum(1 for (u1, v1), (u2, v2) in pairs
+               if len({u1, v1, u2, v2}) == 4 and segments_intersect_2d(
+                   (pts[u1], pts[v1]), (pts[u2], pts[v2])) == "crossing")
 
 
 # ---------------------------------------------------------------------------
@@ -301,97 +307,82 @@ def _edge_data(d: SpatialDrawing, e: Edge) -> _EdgeData:
 
 
 def _stab_batch(P: np.ndarray, Q: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Vectorized necessary 2D stabbing test for four fattened segments.
+    """Vectorized necessary 2D stabbing test for n fattened segments, in
+    the tuple stage the three chords of an edge triple (15 endpoint pairs).
 
-    P, Q: (rows, 4, 3) segment endpoints, W: (rows, 4) widths by which
+    P, Q: (rows, n, 3) segment endpoints, W: (rows, n) widths by which
     each segment may be fattened.  For each row, project the segments
     along the axis most normal to them and ask whether some line through
-    two projected endpoints stabs all four within their width slack; a
+    two projected endpoints stabs all n within their width slack; a
     transversal would project to such a stabber.  Returns a keep mask.
     """
-    m = len(P)
+    m, n = W.shape
     dirs = Q - P
     best = np.zeros((m, 3))
     best_n = np.zeros(m)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ax = np.cross(dirs[:, i], dirs[:, j])
-            n2 = np.einsum("ij,ij->i", ax, ax)
-            take = n2 > best_n
-            best[take] = ax[take]
-            best_n[take] = n2[take]
+    for i, j in itertools.combinations(range(n), 2):
+        ax = np.cross(dirs[:, i], dirs[:, j])
+        n2 = np.einsum("ij,ij->i", ax, ax)
+        take = n2 > best_n
+        best[take] = ax[take]
+        best_n[take] = n2[take]
     keep_parallel = best_n == 0.0   # all segments parallel: no useful axis
-    nrm = np.sqrt(np.maximum(best_n, 1e-300))
-    axis = best / nrm[:, None]
+    axis = best / np.sqrt(np.maximum(best_n, 1e-300))[:, None]
     # in-plane frame
-    ex = np.abs(axis)
-    e1 = np.zeros((m, 3))
-    smallest = np.argmin(ex, axis=1)
-    rows = np.arange(m)
-    e1[rows, (smallest + 1) % 3] = -axis[rows, (smallest + 2) % 3]
-    e1[rows, (smallest + 2) % 3] = axis[rows, (smallest + 1) % 3]
+    e1 = np.cross(np.eye(3)[np.argmin(np.abs(axis), axis=1)], axis)
     e1 /= np.maximum(np.linalg.norm(e1, axis=1), 1e-300)[:, None]
     e2 = np.cross(axis, e1)
-    ends = np.concatenate([P, Q], axis=1)              # (m, 8, 3)
-    px = np.einsum("mkj,mj->mk", ends, e1)             # (m, 8)
+    ends = np.concatenate([P, Q], axis=1)              # (m, 2n, 3)
+    px = np.einsum("mkj,mj->mk", ends, e1)             # (m, 2n)
     py = np.einsum("mkj,mj->mk", ends, e2)
-    w8 = np.concatenate([W, W], axis=1)                # (m, 8)
     ok = np.zeros(m, dtype=bool)
-    for a in range(8):
-        for b in range(a + 1, 8):
-            ux = px[:, b] - px[:, a]
-            uy = py[:, b] - py[:, a]
-            ln = np.sqrt(ux * ux + uy * uy)
-            ln = np.maximum(ln, 1e-300)
-            ux, uy = ux / ln, uy / ln
-            slack0 = 2 * (w8[:, a] + w8[:, b]) + 1e-9
-            good = np.ones(m, dtype=bool)
-            for i in range(4):
-                sp = (px[:, i] - px[:, a]) * uy - (py[:, i] - py[:, a]) * ux
-                sq = (px[:, i + 4] - px[:, a]) * uy - (py[:, i + 4] - py[:, a]) * ux
-                miss = (sp * sq > 0) & (np.minimum(np.abs(sp), np.abs(sq))
-                                        > 2 * W[:, i] + slack0)
-                good &= ~miss
-            ok |= good
-            if ok.all():
-                return ok
+    for a, b in itertools.combinations(range(2 * n), 2):
+        ux = px[:, b] - px[:, a]
+        uy = py[:, b] - py[:, a]
+        ln = np.maximum(np.sqrt(ux * ux + uy * uy), 1e-300)
+        ux, uy = ux / ln, uy / ln
+        slack0 = 2 * (W[:, a % n] + W[:, b % n]) + 1e-9
+        good = np.ones(m, dtype=bool)
+        for i in range(n):
+            sp = (px[:, i] - px[:, a]) * uy - (py[:, i] - py[:, a]) * ux
+            sq = (px[:, i + n] - px[:, a]) * uy - (py[:, i + n] - py[:, a]) * ux
+            miss = (sp * sq > 0) & (np.minimum(np.abs(sp), np.abs(sq))
+                                    > 2 * W[:, i] + slack0)
+            good &= ~miss
+        ok |= good
+        if ok.all():
+            return ok
     return ok | keep_parallel
 
 
 def _collinear_possible(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Vectorized necessary condition for stabbing k balls with one line.
+    """Vectorized necessary condition for stabbing three balls with one line.
 
-    centers: (m, k, 3), radii: (m, k).  Points q_i inside the balls can be
-    collinear only if every centre triple is nearly collinear relative to
-    the ball radii; returns a boolean keep-mask of shape (m,).
+    centers: (m, 3, 3), radii: (m, 3).  Points q_i inside the balls can be
+    collinear only if the centres are nearly collinear relative to the ball
+    radii; returns a boolean keep-mask of shape (m,).
     """
-    m, k, _ = centers.shape
-    keep = np.ones(m, dtype=bool)
-    for a, b, c in itertools.combinations(range(k), 3):
-        ca, cb, cc = centers[:, a], centers[:, b], centers[:, c]
-        ra, rb, rc = radii[:, a], radii[:, b], radii[:, c]
-        dab = np.linalg.norm(cb - ca, axis=1)
-        dac = np.linalg.norm(cc - ca, axis=1)
-        resid = np.linalg.norm(np.cross(cb - ca, cc - ca), axis=1)
-        slack = ((dab + ra + rb) * (ra + rc)
-                 + (dac + ra + rc) * (ra + rb)
-                 + (ra + rb) * (ra + rc))
-        keep &= ~(resid > slack * (1 + 1e-6) + 1e-18)   # nan keeps
-    return keep
+    (ca, cb, cc), (ra, rb, rc) = centers.transpose(1, 0, 2), radii.T
+    u, v = cb - ca, cc - ca
+    dab, dac, resid = (np.linalg.norm(x, axis=1)
+                       for x in (u, v, np.cross(u, v)))
+    slack = ((dab + ra + rb) * (ra + rc)
+             + (dac + ra + rc) * (ra + rb)
+             + (ra + rb) * (ra + rc))
+    return ~(resid > slack * (1 + 1e-6) + 1e-18)   # nan keeps
 
 
-def _tuple_filter(idx: np.ndarray, finite, centers, radii, chord_p, chord_q,
-                  chord_w) -> np.ndarray:
-    """Keep mask of the edge tuples ``idx`` (rows of edge indices): the
-    ball test and, for k = 4, the 2D stabbing test on the chords fattened by
-    the polyline width.  A tuple with a non-finite edge is always kept."""
+def _triple_filter(idx: np.ndarray, finite, centers, radii, chord_p, chord_q,
+                   chord_w) -> np.ndarray:
+    """Keep mask of the edge triples ``idx`` (rows of edge indices): the
+    ball test and the 2D stabbing test on the chords fattened by the
+    polyline width.  A triple with a non-finite edge is always kept."""
     keep = ~finite[idx].all(axis=1)
     sub = idx[~keep]
     with np.errstate(all="ignore"):
         test = _collinear_possible(centers[sub], radii[sub])
-        if idx.shape[1] == 4 and test.any():
-            s = sub[test]
-            test[test] = _stab_batch(chord_p[s], chord_q[s], chord_w[s])
+        s = sub[test]
+        test[test] = _stab_batch(chord_p[s], chord_q[s], chord_w[s])
     keep[~keep] = test
     return keep
 
@@ -589,10 +580,10 @@ def count_line_crossings(d: SpatialDrawing, k: int,
     transversal proved by certain float signs.  Tuples are streamed in
     blocks and only the tuple filter's survivors are kept.  With
     ``prefilter`` the funnel of the module docstring runs: the tuple
-    filter (ball, chord and 2D stabbing tests; ``tuples_after_prefilter``
-    counts the tuples it keeps), then, for k = 4, the certified float
-    filter on every segment combination, then the exact predicate on what
-    is left.
+    filter (ball and 2D stabbing tests on each edge triple, then for k = 4
+    the join of the feasible triples; ``tuples_after_prefilter`` counts
+    the k-tuples it keeps), then, for k = 4, the certified float filter on
+    every segment combination, then the exact predicate on what is left.
     The tuple filter's slack-padded tests are the only uncertified
     rejections; the certified filter decides a combination only when float
     signs beyond their error bounds prove that it has, or has not, a
@@ -609,12 +600,8 @@ def count_line_crossings(d: SpatialDrawing, k: int,
     t0 = time.perf_counter()
     g = d.graph
     eds = [_edge_data(d, e) for e in g.edges]
-    edge_arrays = (np.array([ed.finite for ed in eds]),
-                   np.array([ed.center for ed in eds]),
-                   np.array([ed.radius for ed in eds]),
-                   np.array([ed.chord_p for ed in eds]),
-                   np.array([ed.chord_q for ed in eds]),
-                   np.array([ed.chord_width for ed in eds]))
+    edge_arrays = tuple(np.array([getattr(ed, f) for ed in eds]) for f in (
+        "finite", "center", "radius", "chord_p", "chord_q", "chord_width"))
     t_enum = time.perf_counter()
     n_tuples, n_blocks, tuple_s = 0, 0, 0.0
     next_log = t_enum + _PROGRESS_S
@@ -635,15 +622,27 @@ def count_line_crossings(d: SpatialDrawing, k: int,
                 "count_line_crossings k=%d: %d blocks done, %d tuples seen, "
                 "count %d so far", k, n_blocks, n_tuples, int(found.sum()))
 
-    kept = [np.empty((0, k), dtype=np.intp)]
-    for block in _disjoint_blocks(g, k):
+    def collect(blocks, width, test=None):
+        """The stacked rows of ``blocks`` that ``test`` keeps, all without
+        one; time in ``test`` goes to the tuple stage."""
+        nonlocal n_tuples, tuple_s
+        rows = [np.empty((0, width), dtype=np.intp)]
+        for block, seen in blocks:
+            ta = time.perf_counter()
+            rows.append(block[test(block, *edge_arrays)] if test else block)
+            tuple_s += time.perf_counter() - ta if test else 0.0
+            n_tuples += seen if width == k else 0
+            progress()
+        return np.vstack(rows)
+
+    survivors = (collect(_disjoint_blocks(g, 3), 3, _triple_filter)
+                 if prefilter else collect(_disjoint_blocks(g, k), k))
+    if prefilter and k == 4:
         ta = time.perf_counter()
-        n_tuples += len(block)
-        kept.append(block[_tuple_filter(block, *edge_arrays)] if prefilter
-                    else block)
+        feasible = np.zeros((g.m,) * 3, dtype=bool)
+        feasible[tuple(survivors.T)] = True
+        survivors = collect(_disjoint_blocks(g, 4, feasible), 4)
         tuple_s += time.perf_counter() - ta
-        progress()
-    survivors = np.vstack(kept)
     enum_s = time.perf_counter() - t_enum - tuple_s
 
     witnesses: List[CrossingWitness] = []

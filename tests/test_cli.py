@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spacecross import cli, counting, pipeline
+from spacecross.drawing import decode_drawing
 
 
 def run(capsys, *argv):
@@ -88,10 +89,17 @@ def test_gen_hexgrid_writes_drawing_and_reports_to_stdout(tmp_path, capsys):
     assert code == 1  # the written drawing is lifted, hence not flat
 
 
-def test_gen_hexgrid_at_the_smallest_size(capsys):
-    code, doc = run(capsys, "gen-hexgrid", "--k", "1", "--subdivision", "1")
-    assert code == 0
-    assert (doc["vertices"], doc["edges"]) == (24, 37)
+def test_gen_hexgrid_at_the_smallest_size(tmp_path, capsys):
+    # without --output the drawing goes to stdout, as it pipes into
+    # count-crossings
+    assert cli.main(["gen-hexgrid", "--k", "1", "--subdivision", "1"]) == 0
+    out = capsys.readouterr().out
+    d = decode_drawing(out)
+    assert (d.graph.n, d.graph.m) == (24, 37)
+    assert d.positions == pipeline.hexgrid_construction(1, 1).drawing.positions
+    code, doc = run(capsys, "count-crossings", "--k", "4",
+                    "--input", write(tmp_path / "hex.json", json.loads(out)))
+    assert (code, doc["count"], doc["tuples_total"]) == (0, 0, 29143)
 
 
 def test_gen_stair_and_order_types(capsys):

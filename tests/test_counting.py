@@ -69,9 +69,27 @@ def test_enumeration_is_lexicographic_and_disjoint(monkeypatch):
             for k in range(5):
                 blocks = list(counting._disjoint_blocks(g, k))
                 assert all(1 <= len(b) <= chunk and b.shape[1] == k
-                           for b in blocks)
-                rows = [tuple(r) for b in blocks for r in b.tolist()]
+                           and seen == len(b) for b, seen in blocks)
+                rows = [tuple(r) for b, _ in blocks for r in b.tolist()]
                 assert rows == disjoint_combinations(g, k)
+
+
+def test_join_keeps_the_tuples_whose_triples_are_all_feasible(monkeypatch):
+    for chunk in (counting._CHUNK, 3):
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+        for g in ENUMERATION_GRAPHS:
+            disjoint = disjoint_combinations(g, 4)
+            for seed, p in ((0, 0.0), (1, 0.5), (2, 0.9), (3, 1.0)):
+                feasible = np.random.default_rng(seed).random((g.m,) * 3) < p
+                blocks = list(counting._disjoint_blocks(g, 4, feasible))
+                assert all(len(b) <= chunk and b.shape[1] == 4
+                           and (seen == len(b) or not len(b))
+                           for b, seen in blocks)
+                rows = [tuple(r) for b, _ in blocks for r in b.tolist()]
+                assert rows == [
+                    c for c in disjoint
+                    if all(feasible[t] for t in itertools.combinations(c, 3))]
+                assert sum(seen for _, seen in blocks) == len(disjoint)
 
 
 def test_planar_crossings_examples():
@@ -546,6 +564,51 @@ def test_certified_acceptances_have_a_transversal(case):
     assert (rep.count, rep.tuples_total) == (exact.count, exact.tuples_total)
 
 
+def triple_rejections(d):
+    """Edge triples that the tuple stage rejects while d is counted (k = 3),
+    each as the list of its segment combinations, and the report."""
+    rejected = []
+    test = counting._triple_filter
+
+    def recorded_test(idx, *arrays):
+        keep = test(idx, *arrays)
+        rejected.extend(idx[~keep].tolist())
+        return keep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_triple_filter", recorded_test)
+        rep = count_line_crossings(d, 3)
+    edges = [d.edge_segments(e) for e in d.graph.edges]
+    return rep, [list(itertools.product(*(edges[i] for i in row)))
+                 for row in rejected]
+
+
+# AUDIT_CORPUS with the hexgrids' k = 3 (count, tuples_total), which the
+# all-exact count gives in 40,000 exact calls for subdivision 2
+TRIPLE_AUDIT_CORPUS = (
+    [(make, None) for make, recorded in AUDIT_CORPUS if recorded is None]
+    + [(lambda s=s: hexgrid_construction(1, s).drawing, (60, 5259))
+       for s in (1, 2)])
+
+
+@pytest.mark.parametrize("case", range(len(TRIPLE_AUDIT_CORPUS)))
+def test_triple_rejections_have_no_transversal(case):
+    # a 4-tuple with a rejected triple is never grown, so this covers k = 4
+    make, recorded = TRIPLE_AUDIT_CORPUS[case]
+    d = make()
+    rep, rejected = triple_rejections(d)
+    # the hexgrids reject about 3,500 triples; every third keeps this quick
+    stride = 3 if len(rejected) > 1000 else 1
+    for combinations in rejected[::stride]:
+        assert not any(transversal_exists_segments(list(segs)).exists
+                       for segs in combinations)
+    if recorded:
+        assert (rep.count, rep.tuples_total) == recorded
+        return
+    exact = count_line_crossings(d, 3, prefilter=False)
+    assert (rep.count, rep.tuples_total) == (exact.count, exact.tuples_total)
+
+
 small = st.integers(-4, 4)
 
 
@@ -714,3 +777,29 @@ def test_coordinates_beyond_double_range():
             for prefilter in (True, False):
                 rep = count_line_crossings(scaled, 4, prefilter=prefilter)
                 assert rep.count == expect
+
+
+def moved(d, factor, shift):
+    """d scaled by ``factor`` about the origin, then moved by ``shift``
+    along every axis."""
+    def f(p):
+        return tuple(c * factor + shift for c in p)
+    return SpatialDrawing(d.graph, [f(p) for p in d.positions],
+                          {e: [f(p) for p in pts]
+                           for e, pts in d.polylines.items()})
+
+
+@pytest.mark.parametrize("make", [
+    endpoint_contact_drawing, near_coplanar_drawing, bundle_drawing,
+    small_lifted_drawing])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scaled_and_translated_counts_match_the_exact_reference(make, seed):
+    # the tuple stage's slacks are partly absolute, so they meet both tiny
+    # and huge drawings, and far from the origin doubles round coarsely
+    d = make(seed)
+    for e in (-60, -30, 30, 60):
+        for shift in (10 ** 6, 10 ** 9):
+            m = moved(d, Fraction(2) ** e, shift)
+            for k in (3, 4):
+                assert count_line_crossings(m, k).count == \
+                    count_line_crossings(m, k, prefilter=False).count, (e, shift, k)
