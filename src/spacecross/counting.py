@@ -18,10 +18,18 @@ With ``prefilter`` each tuple passes a funnel of three steps, and
 2. The certified filter, ``_certified_decide``, for k = 4: over blocks of
    segment combinations (one segment of each edge) of the surviving
    tuples, it evaluates in float64 the signs that the exact kernel takes
-   on its skew-triple branch.  It rejects a combination when those signs
-   prove that no transversal exists, and accepts it when they prove that
-   one does; without ``want_witnesses`` an accepted combination counts
-   its tuple, whose other combinations are then skipped.
+   on its skew-triple branch, each step only on the rows it can still
+   change.  Rows with finite coordinates test supporting lines 0, 1, 2
+   for being pairwise skew; rows where that is not certain test the pairs
+   with line 3, and those with another certainly skew triple are
+   reordered.  Every row with a skew triple gets the regulus quadratic,
+   its discriminant and the two range tests of each root (0 < t < 1).
+   Only rows with two certainly real roots, not both certainly out of
+   range, go on to the three trace tests.  It rejects a combination when
+   the signs prove that no transversal exists, and accepts it when they
+   prove that one does; without ``want_witnesses`` an accepted
+   combination counts its tuple, whose other combinations are then
+   skipped.
 3. The exact predicate ``transversal_exists_segments`` on every
    combination left (with ``want_witnesses`` also the accepted ones),
    tuple by tuple in lexicographic order of the combinations; a tuple
@@ -86,6 +94,7 @@ dynamic filters" (2001).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
@@ -98,7 +107,7 @@ import numpy as np
 
 from .drawing import Edge, Graph, SpatialDrawing
 from .errors import ValidationError
-from .geometry import (PluckerLine, Segment3, _int_triple, _Regulus,
+from .geometry import (PluckerLine, _int_triple, _Regulus,
                        segments_intersect_2d, transversal_exists_segments, v_dot)
 
 # rows (tuples or segment combinations) per vectorized filter batch; small
@@ -256,19 +265,6 @@ def lift_to_sphere(planar: SpatialDrawing, subdivision: int,
 # the counting pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _EdgeData:
-    segments: List[Segment3]
-    seg_p: np.ndarray        # (s, 3) float endpoints
-    seg_q: np.ndarray
-    finite: bool             # every coordinate held to full relative precision
-    center: np.ndarray       # (3,) enclosing ball of the whole edge
-    radius: float
-    chord_p: Tuple[float, float, float]   # straight chord between endpoints
-    chord_q: Tuple[float, float, float]
-    chord_width: float                    # max polyline distance from it
-
-
 def _to_float(c: Fraction) -> float:
     """Nearest double of c: +-inf beyond the double range, nan for a nonzero
     c below the normal range, where the relative error bound fails."""
@@ -281,29 +277,58 @@ def _to_float(c: Fraction) -> float:
     return f
 
 
-def _edge_data(d: SpatialDrawing, e: Edge) -> _EdgeData:
-    segs = d.edge_segments(e)
-    p = np.array([[_to_float(c) for c in s.p] for s in segs])
-    q = np.array([[_to_float(c) for c in s.q] for s in segs])
-    finite = bool(np.isfinite(p).all() and np.isfinite(q).all())
-    pts = np.vstack([p, q])
+def _edge_arrays(d: SpatialDrawing):
+    """Float geometry of every edge of d, in one pass over its points.
+
+    Each vertex position and polyline point is converted once.  Returns
+    ``seg_p``, ``seg_q``: (segments, 3) float endpoints, edge by edge;
+    ``first``: the index of each edge's first segment, then one past the
+    last; and the per-edge arrays that the tuple stage reads: ``finite``
+    (every coordinate held to full relative precision), the centre and
+    radius of a ball enclosing the edge, the ends of its straight chord and
+    the largest distance of the polyline from that chord segment (0 for a
+    straight edge).  Radius and width carry a small relative and absolute
+    slack.
+    """
+    edges = d.graph.edges
+    inner = [d.polylines.get(e, []) for e in edges]
+    points = [*d.positions, *(p for pts in inner for p in pts)]
+    floats = np.array([[_to_float(c) for c in p] for p in points]).reshape(-1, 3)
+    sizes = np.array([len(pts) + 1 for pts in inner], dtype=np.intp)
+    first = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+    # every edge's points in order, u, its polyline, v: edge i's start at
+    # start[i] and its end at stop[i]
+    start = first[:-1] + np.arange(len(edges))
+    stop = start + sizes
+    uv = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    pts = np.empty((first[-1] + len(edges), 3))
+    ends = np.zeros(len(pts), dtype=bool)
+    ends[start] = ends[stop] = True
+    pts[start], pts[stop] = floats[uv[:, 0]], floats[uv[:, 1]]
+    pts[~ends] = floats[d.graph.n:]
+    seg_p, seg_q = np.delete(pts, stop, axis=0), np.delete(pts, start, axis=0)
+    # (edges, most points, 3), short edges padded with their last point
+    pad = np.minimum(np.arange(sizes.max(initial=0) + 1), sizes[:, None])
+    per_edge = pts[start[:, None] + pad]
+    finite = np.isfinite(per_edge).all(axis=(1, 2))
+    cp, cq = pts[start], pts[stop]
     with np.errstate(all="ignore"):   # non-finite edges are never rejected
-        center = (pts.min(axis=0) + pts.max(axis=0)) / 2
-        radius = float(np.linalg.norm(pts - center, axis=1).max())
-        radius = radius * (1 + 1e-9) + 1e-12
-        cp, cq = p[0], q[-1]
+        center = (per_edge.min(axis=1) + per_edge.max(axis=1)) / 2
+        radius = np.linalg.norm(per_edge - center[:, None], axis=2).max(axis=1)
+        # to the chord segment, not its line: a polyline may overshoot.
+        # ``@`` keeps the rounding of dot and matrix-vector products, which
+        # an elementwise sum of products would change in the last bits
         axis = cq - cp
-        alen = float(np.linalg.norm(axis))
-        if alen > 0 and len(segs) > 1:
-            # to the chord segment, not its line: a polyline may overshoot
-            diffs = pts - cp
-            t = np.clip(diffs @ axis / (alen * alen), 0.0, 1.0)
-            width = float(np.linalg.norm(diffs - np.outer(t, axis), axis=1).max())
-        else:
-            width = 0.0
-    width = width * (1 + 1e-9) + 1e-12
-    return _EdgeData(segs, p, q, finite, center, radius,
-                     tuple(cp), tuple(cq), width)
+        alen = np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0, 0]
+        diffs = per_edge - cp[:, None]
+        t = np.clip((diffs @ axis[:, :, None])[..., 0]
+                    / (alen * alen)[:, None], 0.0, 1.0)
+        width = np.linalg.norm(diffs - t[..., None] * axis[:, None],
+                               axis=2).max(axis=1)
+    width = np.where((alen > 0) & (sizes > 1), width, 0.0)
+    return seg_p, seg_q, first, (
+        finite, center, radius * (1 + 1e-9) + 1e-12, cp, cq,
+        width * (1 + 1e-9) + 1e-12)
 
 
 def _stab_batch(P: np.ndarray, Q: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -344,6 +369,8 @@ def _stab_batch(P: np.ndarray, Q: np.ndarray, W: np.ndarray) -> np.ndarray:
         slack0 = 2 * (W[:, a % n] + W[:, b % n]) + 1e-9
         good = np.ones(m, dtype=bool)
         for i in range(n):
+            if i == a % n:   # ends at point a: sp or sq is 0 (nan), no miss
+                continue
             sp = (px[:, i] - px[:, a]) * uy - (py[:, i] - py[:, a]) * ux
             sq = (px[:, i + n] - px[:, a]) * uy - (py[:, i + n] - py[:, a]) * ux
             miss = (sp * sq > 0) & (np.minimum(np.abs(sp), np.abs(sq))
@@ -432,6 +459,10 @@ class _Approx:
     def __neg__(self):
         return _Approx(-self.v, self.a, self.e, self.n)
 
+    def take(self, rows) -> "_Approx":
+        """The values at ``rows`` only."""
+        return _Approx(self.v[rows], self.a[rows], self.e[rows], self.n)
+
     def sign(self) -> np.ndarray:
         """Per row +1 or -1 where the sign is certain, else 0 (nan too)."""
         err = self.e + self.n * _ERR_UNIT * (self.a + self.e) + _ERR_TINY
@@ -463,6 +494,26 @@ def _root_signs(qa, qb, qc, sa, l1, l0):
     return out
 
 
+def _take(x, rows):
+    """``x``, an ``_Approx``, a ``_Regulus`` of them or nested lists and
+    tuples of them, at ``rows`` only."""
+    if isinstance(x, _Approx):
+        return x.take(rows)
+    if isinstance(x, _Regulus):
+        sub = copy.copy(x)
+        vars(sub).update((k, _take(v, rows)) for k, v in vars(x).items())
+        return sub
+    return [_take(y, rows) for y in x]
+
+
+def _join(x, y):
+    """The rows of ``x`` followed by those of ``y``, leaf by leaf."""
+    if isinstance(x, _Approx):
+        return _Approx(*(np.concatenate([s, t]) for s, t in
+                         ((x.v, y.v), (x.a, y.a), (x.e, y.e))), max(x.n, y.n))
+    return [_join(s, t) for s, t in zip(x, y)]
+
+
 def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Decide rows of four segments, P, Q: (rows, 4, 3) float endpoints,
     by certain float signs: -1 where no common transversal line exists,
@@ -478,7 +529,8 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     root, every range test certainly holds strictly (the module
     docstring says why that proves a transversal).  Rows with a
     non-finite coordinate, no certainly skew triple or an uncertain sign
-    are undecided.
+    are undecided.  Each step runs only on the rows it can still change,
+    and a row's answer does not depend on the other rows.
     """
     decide = np.zeros(len(P), dtype=np.int8)
     # move each row's first endpoint to the origin; each coordinate then
@@ -504,22 +556,36 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
                   for j in range(3)) for X, E in ((P, eP), (Q, eQ))))
             for i in range(4)]
 
-    # the first triple of certainly skew supporting lines goes first
+    def skew(lines, i, j):
+        return (v_dot(lines[i][1], lines[j][2])
+                + v_dot(lines[j][1], lines[i][2])).sign() != 0
+
+    # the first triple of certainly skew supporting lines goes first.  Rows
+    # where that is (0, 1, 2) keep their lines; the others test the pairs
+    # with line 3, and those with a skew triple get their lines reordered
     lines = lines_of(P0, Q0, eP, eQ)
-    skew = {(i, j): (v_dot(lines[i][1], lines[j][2])
-                     + v_dot(lines[j][1], lines[i][2])).sign() != 0
-            for i, j in itertools.combinations(range(4), 2)}
-    order = np.zeros((len(rows), 4), dtype=np.intp)
-    has = np.zeros(len(rows), dtype=bool)
-    for tri in reversed(list(itertools.combinations(range(4), 3))):
-        ok = skew[tri[0], tri[1]] & skew[tri[0], tri[2]] & skew[tri[1], tri[2]]
-        order[ok] = (*tri, *(i for i in range(4) if i not in tri))
-        has |= ok
-    if not has.any():
-        return decide
-    pick = (np.flatnonzero(has)[:, None], order[has])
-    rows = rows[has]
-    lines = lines_of(P0[pick], Q0[pick], eP[pick], eQ[pick])
+    sk = {ij: skew(lines, *ij) for ij in ((0, 1), (0, 2), (1, 2))}
+    in_order = sk[0, 1] & sk[0, 2] & sk[1, 2]
+    other = np.flatnonzero(~in_order)
+    if len(other):
+        rest = _take(lines, other)
+        sk = {ij: s[other] for ij, s in sk.items()}
+        sk.update({(i, 3): skew(rest, i, 3) for i in range(3)})
+        order = np.zeros((len(other), 4), dtype=np.intp)
+        has = np.zeros(len(other), dtype=bool)
+        for tri in ((1, 2, 3), (0, 2, 3), (0, 1, 3)):
+            ok = sk[tri[0], tri[1]] & sk[tri[0], tri[2]] & sk[tri[1], tri[2]]
+            order[ok] = (*tri, *(i for i in range(4) if i not in tri))
+            has |= ok
+        keep, moved = np.flatnonzero(in_order), other[has]
+        lines = _take(lines, keep)
+        if len(moved):
+            pick = (moved[:, None], order[has])
+            lines = _join(lines, lines_of(P0[pick], Q0[pick], eP[pick],
+                                          eQ[pick]))
+        rows = np.concatenate([rows[keep], rows[moved]])
+        if not len(rows):
+            return decide
 
     reg = _Regulus(lines[0][0], lines[0][1], lines[1], lines[2])
     qa, qb, qc = reg.incidence_quadratic(lines[3])
@@ -530,19 +596,25 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # per root: some range test certainly fails, or all certainly hold
     out = [(s * sa < 0) | (s1 * sa > 0) for s, s1 in zip(t_pos, t_le1)]
     inside = [(s * sa > 0) & (s1 * sa < 0) for s, s1 in zip(t_pos, t_le1)]
-    for num, den in (reg.trace_fraction(3, lines[1]),
-                     reg.trace_fraction(2, lines[2]),
-                     reg.trace_fraction(2, lines[3])):
+    real = (sa != 0) & (s_disc > 0)
+    decide[rows[(sa != 0) & ((s_disc < 0) | (real & out[0] & out[1]))]] = -1
+    # the traces can settle only the rows with two real roots that have not
+    # both failed: a reject needs both to fail, an accept one inside
+    live = np.flatnonzero(real & ~(out[0] & out[1]))
+    if not len(live):
+        return decide
+    rows, reg = rows[live], _take(reg, live)
+    l2, l3, l4, qa, qb, qc = _take((*lines[1:], qa, qb, qc), live)
+    sa, out, inside = sa[live], [o[live] for o in out], [i[live] for i in inside]
+    for num, den in (reg.trace_fraction(3, l2), reg.trace_fraction(2, l3),
+                     reg.trace_fraction(2, l4)):
         diff = (num[0] - den[0], num[1] - den[1])
         signs = [_root_signs(qa, qb, qc, sa, *form) for form in (num, den, diff)]
         for r in range(2):
             s_n, s_d, s_nd = (s[r] for s in signs)
             out[r] |= (s_d != 0) & ((s_n * s_d < 0) | (s_nd * s_d > 0))
             inside[r] &= (s_n * s_d > 0) & (s_nd * s_d < 0)
-    real = (sa != 0) & (s_disc > 0)
-    accept = real & (inside[0] | inside[1])
-    reject = (sa != 0) & ((s_disc < 0) | (real & out[0] & out[1]))
-    decide[rows] = accept.astype(np.int8) - reject
+    decide[rows] = (inside[0] | inside[1]).astype(np.int8) - (out[0] & out[1])
     return decide
 
 
@@ -599,9 +671,7 @@ def count_line_crossings(d: SpatialDrawing, k: int,
         raise ValueError("k must be 3 or 4")
     t0 = time.perf_counter()
     g = d.graph
-    eds = [_edge_data(d, e) for e in g.edges]
-    edge_arrays = tuple(np.array([getattr(ed, f) for ed in eds]) for f in (
-        "finite", "center", "radius", "chord_p", "chord_q", "chord_width"))
+    seg_p, seg_q, first, edge_arrays = _edge_arrays(d)
     t_enum = time.perf_counter()
     n_tuples, n_blocks, tuple_s = 0, 0, 0.0
     next_log = t_enum + _PROGRESS_S
@@ -647,10 +717,7 @@ def count_line_crossings(d: SpatialDrawing, k: int,
 
     witnesses: List[CrossingWitness] = []
     filter_s = exact_s = 0.0
-    segments = [s for ed in eds for s in ed.segments]
-    first = np.cumsum([0] + [len(ed.segments) for ed in eds])
-    seg_p = np.vstack([np.empty((0, 3))] + [ed.seg_p for ed in eds])
-    seg_q = np.vstack([np.empty((0, 3))] + [ed.seg_q for ed in eds])
+    segments = [s for e in g.edges for s in d.edge_segments(e)]
     reached = np.zeros(len(survivors), dtype=bool)
     found = np.zeros(len(survivors), dtype=bool)
     for t, segs in _segment_combinations(survivors, first):

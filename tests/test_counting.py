@@ -564,6 +564,154 @@ def test_certified_acceptances_have_a_transversal(case):
     assert (rep.count, rep.tuples_total) == (exact.count, exact.tuples_total)
 
 
+def recorded_filters(d):
+    """The (P, Q, answers) blocks of the certified filter and the six
+    per-edge arrays that the tuple stage reads, while d is counted (k = 4)."""
+    blocks, arrays = [], []
+    decide, test = counting._certified_decide, counting._triple_filter
+
+    def recorded_decide(P, Q):
+        out = decide(P, Q)
+        blocks.append((P, Q, out))
+        return out
+
+    def recorded_test(idx, *edge_arrays):
+        if not arrays:
+            arrays.extend(edge_arrays)
+        return test(idx, *edge_arrays)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_certified_decide", recorded_decide)
+        mp.setattr(counting, "_triple_filter", recorded_test)
+        count_line_crossings(d, 4)
+    return blocks, arrays
+
+
+@pytest.mark.parametrize("case", range(len(AUDIT_CORPUS)))
+def test_certified_answers_do_not_depend_on_the_block(case):
+    # the filter drops settled rows between its steps and reorders the
+    # lines of some rows; a slip there would tie a row's answer to the
+    # other rows of its block.  A row alone takes about 2 ms, and the
+    # hexgrid rejects about 24,000: every 40th of those, and every row it
+    # does not reject
+    make, recorded = AUDIT_CORPUS[case]
+    stride = 40 if recorded else 1
+    for P, Q, out in recorded_filters(make())[0]:
+        for i in range(len(out)):
+            if out[i] >= 0 or i % stride == 0:
+                alone = counting._certified_decide(P[i:i + 1], Q[i:i + 1])
+                assert alone[0] == out[i], i
+
+
+def lifted_grid(seed, rows=4, cols=4):
+    """A rows x cols grid graph in z = 0 whose vertices are moved by
+    seeded multiples of 1/256, lifted with two segments per edge."""
+    rng = random.Random(seed)
+    pts = [point3(i + Fraction(rng.randint(-32, 32), 256),
+                  j + Fraction(rng.randint(-32, 32), 256), 0)
+           for i in range(rows) for j in range(cols)]
+    edges = ([(i * cols + j, i * cols + j + 1)
+              for i in range(rows) for j in range(cols - 1)]
+             + [(i * cols + j, (i + 1) * cols + j)
+                for i in range(rows - 1) for j in range(cols)])
+    return lift_to_sphere(SpatialDrawing(Graph.from_edges(rows * cols, edges),
+                                         pts), 2, seed=seed)
+
+
+def bent_drawing(seed, n=9, p=0.5):
+    """Random 3-D drawing whose edges bend 0 to 3 times."""
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < p])
+
+    def point():
+        return point3(*(Fraction(rng.randint(-64, 64), rng.randint(1, 9))
+                        for _ in range(3)))
+    return SpatialDrawing(g, [point() for _ in range(n)],
+                          {e: [point() for _ in range(rng.randint(0, 3))]
+                           for e in g.edges})
+
+
+def reference_edge_arrays(d):
+    """``counting._edge_arrays`` computed one edge at a time, from the float
+    ends of that edge's segments: the one-pass form must equal it bit for
+    bit."""
+    per_edge = []
+    for e in d.graph.edges:
+        segs = d.edge_segments(e)
+        p, q = (np.array([[counting._to_float(c) for c in getattr(s, end)]
+                          for s in segs]) for end in "pq")
+        pts = np.vstack([p, q])
+        with np.errstate(all="ignore"):
+            center = (pts.min(axis=0) + pts.max(axis=0)) / 2
+            radius = float(np.linalg.norm(pts - center, axis=1).max())
+            cp, cq = p[0], q[-1]
+            axis = cq - cp
+            alen = float(np.linalg.norm(axis))
+            width = 0.0
+            if alen > 0 and len(segs) > 1:
+                diffs = pts - cp
+                t = np.clip(diffs @ axis / (alen * alen), 0.0, 1.0)
+                width = float(np.linalg.norm(diffs - np.outer(t, axis),
+                                             axis=1).max())
+        per_edge.append((p, q, bool(np.isfinite(pts).all()), center,
+                         radius * (1 + 1e-9) + 1e-12, cp, cq,
+                         width * (1 + 1e-9) + 1e-12))
+    p, q, *arrays = zip(*per_edge)
+    return (np.vstack(p), np.vstack(q), np.cumsum([0] + [len(x) for x in p]),
+            tuple(np.array(a) for a in arrays))
+
+
+@pytest.mark.parametrize("make", [
+    overshooting_drawing, lambda: polyline_drawing(1), lambda: lifted_grid(1),
+    lambda: sphere_lifted_drawing(2, subdivision=3),
+    lambda: moved(bent_drawing(0), Fraction(1, 2 ** 40), 10 ** 9),
+    lambda: hexgrid_construction(1, 2).drawing,
+    *(lambda s=s: bent_drawing(s) for s in range(4))], ids=[
+    "overshooting", "polyline", "lifted_grid", "subdivision_3", "moved",
+    "hexgrid_1_2", *(f"bent_{s}" for s in range(4))])
+def test_edge_arrays_equal_the_edge_by_edge_reference(make):
+    d = make()
+    seg_p, seg_q, first, arrays = counting._edge_arrays(d)
+    ref_p, ref_q, ref_first, ref_arrays = reference_edge_arrays(d)
+    assert first.tolist() == ref_first.tolist()
+    for got, ref in zip((seg_p, seg_q, *arrays), (ref_p, ref_q, *ref_arrays)):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+
+
+def filter_digests(d):
+    """sha256 prefixes of the certified filter's answers and of the six
+    per-edge arrays that the tuple stage reads, while d is counted (k = 4)."""
+    blocks, arrays = recorded_filters(d)
+    answers, edges = hashlib.sha256(), hashlib.sha256()
+    for _, _, out in blocks:
+        answers.update(out.tobytes())
+    for a in arrays:
+        edges.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return answers.hexdigest()[:16], edges.hexdigest()[:16]
+
+
+# drawing, then the digests of ``filter_digests``.  The values are float64
+# results of numpy's elementwise operations and, for the chord widths of
+# polyline edges, of its BLAS dot and matrix-vector products
+FILTER_DIGESTS = [
+    (lambda: lifted_grid(0), ("e5b1a2f18106628e", "96ac48e9c072d6d0")),
+    (lambda: hexgrid_construction(1, 2).drawing,
+     ("42e85b4c7eff2263", "56159859ad6cb704")),
+] + [(lambda s=s: near_coplanar_drawing(s), digests) for s, digests in (
+    (0, ("69801b353a8f248b", "9432bcdc7e31ca7f")),
+    (1, ("86caca7279c2dbdc", "8d11225e24321788")),
+    (2, ("214b6ed4a752760b", "8d21510a30a2a858")),
+    (3, ("69801b353a8f248b", "4f5801f1b545e653")))]
+
+
+@pytest.mark.parametrize("case", range(len(FILTER_DIGESTS)))
+def test_filter_answers_and_edge_arrays_match_recorded_digests(case):
+    make, digests = FILTER_DIGESTS[case]
+    assert filter_digests(make()) == digests
+
+
 def triple_rejections(d):
     """Edge triples that the tuple stage rejects while d is counted (k = 3),
     each as the list of its segment combinations, and the report."""
