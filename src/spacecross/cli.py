@@ -53,18 +53,18 @@ def _write_report(doc, path: Optional[str]):
             fh.write(data + "\n")
 
 
-def _save_drawing(drawing: SpatialDrawing, args) -> dict:
-    """Write ``drawing`` to --output, which then no longer receives the
-    report: the report goes to stdout."""
+def _emit_drawing(drawing: SpatialDrawing, args, **report) -> dict:
+    """Print ``drawing`` and return no report; or, with --output, write it
+    there and return the report, which then goes to stdout."""
+    text = encode_drawing(drawing).decode("utf-8")
     path = args.output
+    if not path or path == "-":
+        print(text)
+        return {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode_drawing(drawing).decode("utf-8") + "\n")
+        fh.write(text + "\n")
     args.output = None
-    return {"written": path}
-
-
-def _has_output(args) -> bool:
-    return bool(args.output) and args.output != "-"
+    return {"written": path, **report}
 
 
 def _point_doc(p):
@@ -120,10 +120,7 @@ def cmd_count_planar(args) -> dict:
 def cmd_lift_sphere(args) -> dict:
     d = decode_drawing(_read_input(args.input))
     lifted = counting.lift_to_sphere(d, args.subdivision, seed=args.seed)
-    if _has_output(args):
-        return dict(_save_drawing(lifted, args), subdivision=args.subdivision)
-    print(encode_drawing(lifted).decode("utf-8"))
-    return {}
+    return _emit_drawing(lifted, args, subdivision=args.subdivision)
 
 
 def cmd_gen_stair(args) -> dict:
@@ -141,12 +138,9 @@ def cmd_gen_stair(args) -> dict:
 
 def cmd_gen_hexgrid(args) -> dict:
     hc = pipeline.hexgrid_construction(args.k, args.subdivision, seed=args.seed)
-    if not _has_output(args):
-        print(encode_drawing(hc.drawing).decode("utf-8"))
-        return {}
-    return dict(_save_drawing(hc.drawing, args), k=args.k,
-                subdivision=args.subdivision, vertices=hc.graph.n,
-                edges=hc.graph.m, special_edge=list(hc.special_edge))
+    return _emit_drawing(hc.drawing, args, k=args.k,
+                         subdivision=args.subdivision, vertices=hc.graph.n,
+                         edges=hc.graph.m, special_edge=list(hc.special_edge))
 
 
 def cmd_linking(args) -> dict:
@@ -223,10 +217,7 @@ def cmd_gen_fixture(args) -> dict:
     params = json.loads(args.params) if args.params else {}
     obj = generators.seeded_generators(args.kind, params, args.seed)
     if isinstance(obj, SpatialDrawing):
-        if _has_output(args):
-            return dict(_save_drawing(obj, args), kind=args.kind)
-        print(encode_drawing(obj).decode("utf-8"))
-        return {}
+        return _emit_drawing(obj, args, kind=args.kind)
     if isinstance(obj, tuple) and obj and isinstance(obj[0], PolygonalCycle):
         return {"cycles": [[_point_doc(p) for p in c.points] for c in obj]}
     if isinstance(obj, list):

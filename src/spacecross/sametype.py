@@ -6,11 +6,22 @@ dimensions 1 and 2 (median split and a two-line equipartition with the
 halfspace-contains-a-cell property), and the recursive refinement that
 shrinks finite multisets until every given polynomial has constant sign
 on the product, with immediate exhaustive verification of the result.
+
+The partitions follow Yao & Yao ("A general approach to d-dimensional
+geometric queries", STOC 1985).  Their properties hold by construction,
+as yao_yao_partition's docstring proves: the median line and a bisector
+of both its sides cut four closed quadrants, each holding a quarter of
+the points, and any closed halfplane through the center holds a ray of
+each line, so the whole cone they span.  Nothing re-checks them; the
+certificate of a refinement is _covered_cone, which raises when no cone
+lies in a halfspace of its functional, and the exhaustive sign and size
+check at the end of same_type_refine.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,6 +31,10 @@ from .scalars import rat, rat_from_str, rat_to_str, sign_of
 
 Point = Tuple[Fraction, ...]
 MonomialKey = Tuple[Tuple[Tuple[int, int], int], ...]  # ((block, var), exp)
+
+_MAX_PERTURB = 8          # perturbation retries of a degenerate 2-D partition
+_SWEEP_BUDGET = 200000    # largest product _constant_sign sweeps
+_SEARCH_LIMIT = 10 ** 7   # largest search space of brute_force_same_type
 
 
 @dataclass(frozen=True)
@@ -62,13 +77,6 @@ class SparsePolynomial:
             total += term
         return total
 
-    def scale(self, c) -> "SparsePolynomial":
-        c = rat(c)
-        if c == 0:
-            return SparsePolynomial(self.blocks, {})
-        return SparsePolynomial(self.blocks,
-                                {k: v * c for k, v in self.monomials.items()})
-
     def block_projection(self, key: MonomialKey, block: int) -> MonomialKey:
         return tuple(((b, v), e) for (b, v), e in key if b == block)
 
@@ -107,7 +115,6 @@ def block_term_count(f: SparsePolynomial, block: int) -> int:
 class Linearization:
     """Monomial map of the last block and the polynomial linear in it."""
 
-    source: SparsePolynomial
     monomial_map: List[MonomialKey]     # the non-constant last-block monomials
     linear: SparsePolynomial            # blocks (d1..d_{k-1}, t)
 
@@ -142,7 +149,7 @@ def linearize_last_block(f: SparsePolynomial) -> Linearization:
             exps[(f.k - 1, j)] = 1
             terms.append((coeff, exps))
     linear = SparsePolynomial.from_terms(new_blocks, terms)
-    lin = Linearization(f, list(nonconstant), linear)
+    lin = Linearization(list(nonconstant), linear)
     _verify_linearization(f, lin)
     return lin
 
@@ -201,16 +208,36 @@ class YaoYaoPartition:
     points_used: List[Point]                # possibly perturbed copies
 
 
-class _Degenerate(Exception):
-    pass
+def yao_yao_partition(points: Sequence[Point], dim: int) -> YaoYaoPartition:
+    """Equipartition of n >= 2^dim points into 2^dim cones, dim in {1, 2}.
 
+    The cones have their three properties by construction:
 
-def yao_yao_partition(points: Sequence[Point], dim: int,
-                      max_perturb: int = 8) -> YaoYaoPartition:
-    """Equipartition into 2^dim cones for dim in {1, 2}.
+    * Size.  A median split leaves at least ceil(n/2) points on each
+      closed side; in 1-D the two cones are these sides.  In 2-D the cones
+      are the closed quadrants cut by the median line y = mu and the
+      bisector ab, a line through a point a of the upper side and a point
+      b of the lower side whose two closed sides each hold at least half
+      of either median side (the bisector test).  The bisector is not
+      horizontal, since a[1] != b[1], so it meets the median line in the
+      center, and each quadrant is a closed median side cut with a closed
+      side of ab: it holds at least half of ceil(n/2) points, so n/4.
+    * Cover.  Every point lies on a closed median side and on a closed
+      side of ab, so in one of the cones; the quadrants cover the plane.
+    * Halfspace.  Two distinct lines through the center cut sectors
+      alpha, pi - alpha, alpha, pi - alpha, each spanned by one ray r or
+      -r of the median line and one ray d or -d of the bisector.  A closed
+      halfplane through the center holds r or -r and d or -d, hence, being
+      convex, the cone they span.  In 1-D it holds the ray r or -r.
 
-    Inputs that defeat the exact construction (ties, collinearity) are
-    deterministically perturbed: point i moves by (i+1) * (eps, eps^2)
+    Nothing re-checks these properties.  What stays checked at run time
+    is their use: _covered_cone raises when no cone lies in a halfspace
+    of its functional, and same_type_refine sweeps the final product for
+    sign constancy and size.
+
+    The one real degeneracy is a 2-D input with no bisector through an
+    upper and a lower point (one common y-coordinate, say).  Such inputs
+    are deterministically perturbed: point i moves by (i+1) * (eps, eps^2)
     with eps = 2^-64, squaring eps on every retry.  The partition then
     describes the perturbed multiset, which is recorded in the result.
     """
@@ -219,22 +246,16 @@ def yao_yao_partition(points: Sequence[Point], dim: int,
         raise PreconditionViolated("partition implemented for dimensions 1 and 2")
     if len(pts) < 2 ** dim:
         raise ValidationError("not enough points")
+    if dim == 1:
+        return _yao_yao_1d(pts)
     eps = Fraction(1, 2 ** 64)
-    for attempt in range(max_perturb + 1):
-        try:
-            if dim == 1:
-                part = _yao_yao_1d(pts)
-            else:
-                part = _yao_yao_2d(pts)
-            _validate_partition(part)
+    for _ in range(_MAX_PERTURB + 1):
+        part = _yao_yao_2d(pts)
+        if part is not None:
             return part
-        except _Degenerate:
-            if dim == 1:
-                pts = [(p[0] + (i + 1) * eps,) for i, p in enumerate(pts)]
-            else:
-                pts = [(p[0] + (i + 1) * eps, p[1] + (i + 1) * eps * eps)
-                       for i, p in enumerate(pts)]
-            eps = eps * eps
+        pts = [(p[0] + (i + 1) * eps, p[1] + (i + 1) * eps * eps)
+               for i, p in enumerate(pts)]
+        eps = eps * eps
     raise RetryExhausted("partition construction kept hitting degeneracies")
 
 
@@ -267,20 +288,18 @@ def _halfplane_counts(pts, a, b):
     return left, right
 
 
-def _yao_yao_2d(pts) -> YaoYaoPartition:
+def _yao_yao_2d(pts) -> Optional[YaoYaoPartition]:
+    """The partition, or None when no bisector exists."""
     n = len(pts)
     ys = sorted(p[1] for p in pts)
     mu = ys[(n - 1) // 2] if n % 2 == 1 else (ys[n // 2 - 1] + ys[n // 2]) / 2
     upper = [p for p in pts if p[1] >= mu]
     lower = [p for p in pts if p[1] <= mu]
-    half = (n + 1) // 2
-    if len(upper) < half or len(lower) < half:
-        raise _Degenerate  # median ties spilled too far to one side
     # simultaneous bisector of the two halves through one point of each
     found = None
     for a in upper:
         for b in lower:
-            if a == b or a[1] == b[1]:
+            if a[1] == b[1]:
                 continue  # must cross the median line at a finite point
             ul, ur = _halfplane_counts(upper, a, b)
             ll, lr = _halfplane_counts(lower, a, b)
@@ -291,7 +310,7 @@ def _yao_yao_2d(pts) -> YaoYaoPartition:
         if found:
             break
     if found is None:
-        raise _Degenerate
+        return None
     a, b = found
     # center: crossing of the bisector with the median level
     t = (mu - a[1]) / (b[1] - a[1])
@@ -304,79 +323,25 @@ def _yao_yao_2d(pts) -> YaoYaoPartition:
             (-d2[0], -d2[1])]
     gens = [(rays[i], rays[(i + 1) % 4]) for i in range(4)]
     cone_points: List[List[int]] = [[] for _ in range(4)]
+    scale = Fraction(1)
     for i, p in enumerate(pts):
         w = (p[0] - center[0], p[1] - center[1])
         for ci, (g1, g2) in enumerate(gens):
-            lam = _cone_coordinates(w, g1, g2)
-            if lam is not None and lam[0] >= 0 and lam[1] >= 0:
+            l1, l2 = _cone_coordinates(w, g1, g2)
+            if l1 >= 0 and l2 >= 0:
                 cone_points[ci].append(i)
-    scale = Fraction(1)
-    for ci, (g1, g2) in enumerate(gens):
-        for i in cone_points[ci]:
-            w = (pts[i][0] - center[0], pts[i][1] - center[1])
-            lam = _cone_coordinates(w, g1, g2)
-            scale = max(scale, lam[0] + lam[1])
+                scale = max(scale, l1 + l2)
     return YaoYaoPartition(2, center, gens, cone_points, scale + 1, list(pts))
 
 
 def _cone_coordinates(w, g1, g2):
+    """Coordinates of w in the basis g1, g2.  A cone's generators are
+    always a basis: one lies on the median line, the other on the
+    bisector."""
     det = g1[0] * g2[1] - g1[1] * g2[0]
-    if det == 0:
-        return None
     l1 = (w[0] * g2[1] - w[1] * g2[0]) / det
     l2 = (g1[0] * w[1] - g1[1] * w[0]) / det
     return (l1, l2)
-
-
-def _validate_partition(part: YaoYaoPartition):
-    n = len(part.points_used)
-    need = Fraction(n, 2 ** part.dim)
-    for ci, members in enumerate(part.cone_points):
-        if len(members) < need:
-            raise _Degenerate
-    if part.dim == 1:
-        if not set(part.cone_points[0]) | set(part.cone_points[1]) == set(range(n)):
-            raise _Degenerate
-        return
-    covered = set()
-    for members in part.cone_points:
-        covered.update(members)
-    if covered != set(range(n)):
-        raise _Degenerate
-    _check_halfspace_property(part)
-
-
-def _check_halfspace_property(part: YaoYaoPartition):
-    """Exact rotating sweep: for every combinatorially distinct closed
-    halfplane through the center, some cone lies entirely inside."""
-    rays = [g for cone in part.generators for g in cone]
-    uniq: List[Point] = []
-    for r in rays:
-        if not any(r[0] * s[1] - r[1] * s[0] == 0
-                   and r[0] * s[0] + r[1] * s[1] > 0 for s in uniq):
-            uniq.append(r)
-    candidates: List[Point] = []
-    for r in uniq:
-        candidates.append((-r[1], r[0]))
-        candidates.append((r[1], -r[0]))
-    # midpoint directions between angularly consecutive candidates
-    def angle_key(u):
-        import math
-        return math.atan2(float(u[1]), float(u[0]))
-    ordered = sorted(candidates, key=angle_key)
-    for u1, u2 in zip(ordered, ordered[1:] + ordered[:1]):
-        mid = (u1[0] + u2[0], u1[1] + u2[1])
-        if mid != (0, 0):
-            candidates.append(mid)
-    for u in candidates:
-        ok = False
-        for (g1, g2) in part.generators:
-            if (u[0] * g1[0] + u[1] * g1[1] >= 0
-                    and u[0] * g2[0] + u[1] * g2[1] >= 0):
-                ok = True
-                break
-        if not ok:
-            raise _Degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +374,8 @@ def same_type_refine(multisets: Sequence[PointMultiset],
     k = len(multisets)
     if k < 1:
         raise ValidationError("need at least one multiset")
+    if any(len(F) == 0 for F in multisets):
+        raise ValidationError("empty multiset")
     for f in polys:
         if f.k != k:
             raise ValidationError("polynomial block count mismatch")
@@ -452,52 +419,48 @@ def _refine_single(points, active, f: SparsePolynomial) -> int:
         raise PreconditionViolated(
             f"last block linearizes to dimension {t} > 2")
 
-    lifted = [lin.lift_point(points[k - 1][i]) for i in active[k - 1]]
+    last = active[k - 1]
+    lifted = [lin.lift_point(points[k - 1][i]) for i in last]
+    if len(lifted) < 2 ** t:
+        # too few points to partition: keep one and fix it in f, which
+        # keeps at least 1/2^t of the block
+        del last[1:]
+        return _refine_single(points, active,
+                              _substitute_last_block(lin.linear, lifted[0]))
     part = yao_yao_partition(lifted, t)
     center = part.center
     T = part.simplex_scale
-    vertices: List[Point] = [center]
+    # the distinct simplex vertices, center first, and each cone's
+    # vertices (center, center + T g) as indices into them
+    vertices: Dict[Point, int] = {center: 0}
+    cone_vertices: List[List[int]] = []
     for gens in part.generators:
+        corners = [0]
         for g in gens:
             w = tuple(center[j] + T * g[j] for j in range(t))
-            if w not in vertices:
-                vertices.append(w)
+            corners.append(vertices.setdefault(w, len(vertices)))
+        cone_vertices.append(corners)
 
     # vertex polynomials g_m = f'(x_1..x_{k-1}, v_m), refined recursively
-    vertex_signs = []
-    for v in vertices:
-        g_m = _substitute_last_block(lin.linear, v)
-        vertex_signs.append(_refine_single(points, active, g_m))
-
-    sign_of_vertex = dict(zip(range(len(vertices)), vertex_signs))
-    cone_idx, s = _covered_cone(part, vertices, sign_of_vertex)
+    vertex_signs = [
+        _refine_single(points, active, _substitute_last_block(lin.linear, v))
+        for v in vertices]
+    cone_idx, s = _covered_cone(cone_vertices, vertex_signs)
 
     # split the chosen cone's points between the zero face and the rest
     gens = part.generators[cone_idx]
-    members = part.cone_points[cone_idx]
+    corners = cone_vertices[cone_idx]
     zero_face: List[int] = []
     positive_part: List[int] = []
-    for local in members:
-        z = part.points_used[local]
-        lam = _simplex_coordinates(z, center, gens, T)
-        on_face = True
-        for mu, vtx in zip(lam, _cone_vertex_list(center, gens, T)):
-            vi = vertices.index(vtx)
-            if sign_of_vertex[vi] != 0 and mu != 0:
-                on_face = False
-                break
+    for local in part.cone_points[cone_idx]:
+        lam = _simplex_coordinates(part.points_used[local], center, gens, T)
+        on_face = all(mu == 0 or vertex_signs[v] == 0
+                      for mu, v in zip(lam, corners))
         (zero_face if on_face else positive_part).append(local)
     chosen = zero_face if len(zero_face) >= len(positive_part) else positive_part
     result_sign = 0 if chosen is zero_face else s
-    active[k - 1][:] = [active[k - 1][i] for i in chosen]
+    last[:] = [last[i] for i in chosen]
     return result_sign
-
-
-def _cone_vertex_list(center, gens, T):
-    out = [center]
-    for g in gens:
-        out.append(tuple(center[j] + T * g[j] for j in range(len(center))))
-    return out
 
 
 def _simplex_coordinates(z, center, gens, T):
@@ -513,18 +476,12 @@ def _simplex_coordinates(z, center, gens, T):
     return (1 - a1 - a2, a1, a2)
 
 
-def _covered_cone(part, vertices, sign_of_vertex):
+def _covered_cone(cone_vertices, vertex_signs):
     """Cone fully inside the positive or negative halfspace of the linear
     functional, which exists by the halfspace property."""
     for target in (1, -1):
-        for ci, gens in enumerate(part.generators):
-            ok = True
-            for vtx in _cone_vertex_list(part.center, gens, part.simplex_scale):
-                vi = vertices.index(vtx)
-                if sign_of_vertex[vi] * target < 0:
-                    ok = False
-                    break
-            if ok:
+        for ci, corners in enumerate(cone_vertices):
+            if all(vertex_signs[v] * target >= 0 for v in corners):
                 return ci, target
     raise AssertionError("no cone lies in a halfspace; partition is broken")
 
@@ -545,14 +502,13 @@ def _substitute_last_block(linear: SparsePolynomial, value: Point
     return SparsePolynomial.from_terms(linear.blocks[:-1], terms)
 
 
-def _constant_sign(points, active, f: SparsePolynomial,
-                   budget: int = 200000) -> Optional[int]:
+def _constant_sign(points, active, f: SparsePolynomial) -> Optional[int]:
     """The common sign when f is already constant on the active product,
     else None; skipped when the product is too large to sweep."""
     size = 1
     for i in range(f.k):
         size *= len(active[i])
-        if size > budget:
+        if size > _SWEEP_BUDGET:
             return None
     sign = None
     for combo in itertools.product(*[[points[i][j] for j in active[i]]
@@ -580,21 +536,18 @@ def _refine_base(pts, active, f: SparsePolynomial) -> int:
 
 def brute_force_same_type(multisets: Sequence[PointMultiset],
                           poly: SparsePolynomial,
-                          target_sizes: Sequence[int],
-                          limit: int = 10 ** 7):
+                          target_sizes: Sequence[int]):
     """Exhaustive search for sign-constant product subsets of the target
-    sizes; None when no such subsets exist."""
-    import math
+    sizes, the first in lexicographic order; None when no such subsets
+    exist."""
     k = len(multisets)
     if any(s > len(F) for s, F in zip(target_sizes, multisets)):
         return None
     space = 1
     for F, s in zip(multisets, target_sizes):
         space *= math.comb(len(F), s)
-    if space > limit:
-        raise ValidationError(f"search space {space} exceeds {limit}")
-    if k == 2:
-        return _brute_force_two(multisets, poly, target_sizes)
+    if space > _SEARCH_LIMIT:
+        raise ValidationError(f"search space {space} exceeds {_SEARCH_LIMIT}")
     for combos in itertools.product(*[
             itertools.combinations(range(len(F)), s)
             for F, s in zip(multisets, target_sizes)]):
@@ -612,17 +565,3 @@ def brute_force_same_type(multisets: Sequence[PointMultiset],
             return [list(c) for c in combos], sign
     return None
 
-
-def _brute_force_two(multisets, poly, target_sizes):
-    F1, F2 = multisets
-    s1, s2 = target_sizes
-    for combo in itertools.combinations(range(len(F1)), s1):
-        groups: Dict[int, List[int]] = {}
-        for j, q in enumerate(F2.points):
-            sgns = {sign_of(poly.evaluate((F1.points[i], q))) for i in combo}
-            if len(sgns) == 1:
-                groups.setdefault(sgns.pop(), []).append(j)
-        for sgn, js in groups.items():
-            if len(js) >= s2:
-                return [list(combo), js[:s2]], sgn
-    return None

@@ -264,12 +264,10 @@ def stair_crossing_exists(anchor_pairs: Sequence[Tuple]) -> StairCrossing:
 
 def _line_boxes_np(kind: int, piece: int, x0, y0, c3, z1):
     """Coordinate ranges of one stair-line piece as broadcast arrays."""
-    big = np.full(x0.shape if hasattr(x0, "shape") else (), _BIG)
-    zero = 0
     if kind < 2:
         y1 = c3
         if piece == 0:
-            return ((x0, x0), (y0, y0), (zero, z1))
+            return ((x0, x0), (y0, y0), (0, z1))
         if piece == 1:
             return ((x0, x0), (np.minimum(y0, y1), np.maximum(y0, y1)), (z1, z1))
         if kind == 0:
@@ -277,7 +275,7 @@ def _line_boxes_np(kind: int, piece: int, x0, y0, c3, z1):
         return ((-_BIG, x0), (y1, y1), (z1, z1))
     x1 = c3
     if piece == 0:
-        return ((x0, x0), (y0, y0), (zero, z1))
+        return ((x0, x0), (y0, y0), (0, z1))
     if piece == 1:
         return ((x1, x1), (-_BIG, y0), (z1, z1))
     return ((np.minimum(x0, x1), np.maximum(x0, x1)), (y0, y0), (z1, z1))

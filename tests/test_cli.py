@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import random
 
@@ -77,6 +78,26 @@ def test_count_planar_and_lift_sphere(tmp_path, capsys):
     # lifting a non-flat drawing is a validation error
     code, doc = run(capsys, "lift-sphere", "--input", lifted)
     assert (code, doc["code"]) == (1, "ValidationError")
+
+
+def test_drawings_print_to_stdout_and_read_from_stdin(tmp_path, capsys,
+                                                      monkeypatch):
+    # without --output the drawing is stdout, as it pipes into the next
+    # command
+    assert cli.main(["gen-fixture", "--kind", "drawing",
+                     "--params", '{"n": 7, "flat": true}']) == 0
+    flat = capsys.readouterr().out
+    assert decode_drawing(flat).graph.n == 7
+    monkeypatch.setattr("sys.stdin", io.StringIO(flat))
+    assert cli.main(["lift-sphere", "--input", "-", "--subdivision", "2"]) == 0
+    lifted = capsys.readouterr().out
+    f = str(tmp_path / "lifted.json")
+    assert run(capsys, "lift-sphere", "--input", write(tmp_path / "flat.json",
+                                                       json.loads(flat)),
+               "--subdivision", "2", "--output", f) == (
+        0, {"written": f, "subdivision": 2})
+    assert decode_drawing(lifted).positions == decode_drawing(
+        (tmp_path / "lifted.json").read_text()).positions
 
 
 def test_gen_hexgrid_writes_drawing_and_reports_to_stdout(tmp_path, capsys):
@@ -192,6 +213,17 @@ def test_sametype_commands(tmp_path, capsys):
             {"coeff": "1", "exponents": {"0:0": 1}}]}]})
     code, doc = run(capsys, "same-type", "--input", same)
     assert (code, doc["subsets"], doc["signs"]) == (0, [[0, 2]], [1])
+    # x z0 - z1 on three points of the plane, fewer than the four cones
+    # of a partition
+    small = write(tmp_path / "small.json", {
+        "multisets": [{"dim": 1, "points": [["-2"], ["1"], ["3"]]},
+                      {"dim": 2, "points": [["0", "-2"], ["1", "0"],
+                                            ["2", "2"]]}],
+        "polynomials": [{"blocks": [1, 2], "monomials": [
+            {"coeff": "1", "exponents": {"0:0": 1, "1:0": 1}},
+            {"coeff": "-1", "exponents": {"1:1": 1}}]}]})
+    code, doc = run(capsys, "same-type", "--input", small)
+    assert (code, doc["subsets"], doc["signs"]) == (0, [[0, 1, 2], [0]], [1])
 
 
 def test_unknown_fixture_kind_exits_1(capsys):
