@@ -29,7 +29,11 @@ With ``prefilter`` each tuple passes a funnel of three steps, and
    the signs prove that no transversal exists, and accepts it when they
    prove that one does; without ``want_witnesses`` an accepted
    combination counts its tuple, whose other combinations are then
-   skipped.
+   skipped.  On a block of a few hundred rows its cost is the number of
+   numpy calls, not of rows, so independent instances of one program run
+   once over their rows stacked end to end: the four supporting lines,
+   the planes through lines 2 and 3, the two range forms and the three
+   traces.
 3. The exact predicate ``transversal_exists_segments`` on every
    combination left (with ``want_witnesses`` also the accepted ones),
    tuple by tuple in lexicographic order of the combinations; a tuple
@@ -85,11 +89,15 @@ with room to spare, which also covers the rounding of a and e
 themselves; ``_ERR_UNIT`` is the 4 u.  A sign counts only when |v|
 exceeds this bound plus ``_ERR_TINY``, which absorbs underflow: after
 scaling every input is below 1, intermediates stay below 2^45 and there
-are under 2^10 operations, so underflow costs below 2^-1000.  This is a
-semi-static filter in the sense of Shewchuk, "Adaptive Precision
-Floating-Point Arithmetic and Fast Robust Geometric Predicates" (1997),
-and Bronnimann, Burnikel & Pion, "Interval arithmetic yields efficient
-dynamic filters" (2001).
+are under 2^10 operations, so underflow costs below 2^-1000.  Stacking
+changes none of this: each entry of a stacked array meets the float
+operations it would meet alone, in the same order, and ``_join`` stacks
+only values with one rounding count n, so every row keeps its own v, a,
+e and n.  A product with an exact constant (e = 0) leaves out only terms
+that are exactly 0.  This is a semi-static filter in the sense of
+Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+Geometric Predicates" (1997), and Bronnimann, Burnikel & Pion, "Interval
+arithmetic yields efficient dynamic filters" (2001).
 """
 
 from __future__ import annotations
@@ -436,13 +444,24 @@ class _Approx:
     program on the exact inputs (the inputs carry absolute errors), and
     ``n`` is the largest number of roundings on a path from an input.  The
     geometry kernel's vector helpers and ``_Regulus`` run on it unchanged,
-    so the filter evaluates the kernel's own polynomials.
+    so the filter evaluates the kernel's own polynomials.  ``ae``, a + e,
+    is computed once and shared by ``sign`` and every product that takes
+    the value on the right.  An exact constant has e = 0.0, a float, not an
+    array; a product with one drops the terms of a e' + e (a' + e') that
+    are exactly 0 (for finite a, e >= 0), and each remaining float
+    operation is one that the general formula makes.
     """
 
-    __slots__ = ("v", "a", "e", "n")
+    __slots__ = ("v", "a", "e", "n", "_ae")
 
     def __init__(self, v, a, e, n):
-        self.v, self.a, self.e, self.n = v, a, e, n
+        self.v, self.a, self.e, self.n, self._ae = v, a, e, n, None
+
+    @property
+    def ae(self):
+        if self._ae is None:
+            self._ae = self.a + self.e
+        return self._ae
 
     def __add__(self, o):
         return _Approx(self.v + o.v, self.a + o.a, self.e + o.e,
@@ -453,8 +472,13 @@ class _Approx:
                        max(self.n, o.n) + 1)
 
     def __mul__(self, o):
-        return _Approx(self.v * o.v, self.a * o.a,
-                       self.a * o.e + self.e * (o.a + o.e), self.n + o.n + 1)
+        if type(o.e) is float:          # an exact constant
+            e = self.e * o.a
+        elif type(self.e) is float:
+            e = self.a * o.e
+        else:
+            e = self.a * o.e + self.e * o.ae
+        return _Approx(self.v * o.v, self.a * o.a, e, self.n + o.n + 1)
 
     def __neg__(self):
         return _Approx(-self.v, self.a, self.e, self.n)
@@ -465,12 +489,12 @@ class _Approx:
 
     def sign(self) -> np.ndarray:
         """Per row +1 or -1 where the sign is certain, else 0 (nan too)."""
-        err = self.e + self.n * _ERR_UNIT * (self.a + self.e) + _ERR_TINY
+        err = self.e + self.n * _ERR_UNIT * self.ae + _ERR_TINY
         return (np.asarray(self.v > err, dtype=np.int8)
                 - np.asarray(self.v < -err, dtype=np.int8))
 
 
-_ZERO, _ONE, _TWO, _FOUR = (_Approx(c, c, 0.0, 0) for c in (0.0, 1.0, 2.0, 4.0))
+_ONE, _TWO, _FOUR = (_Approx(c, c, 0.0, 0) for c in (1.0, 2.0, 4.0))
 
 
 def _root_signs(qa, qb, qc, sa, l1, l0):
@@ -495,23 +519,81 @@ def _root_signs(qa, qb, qc, sa, l1, l0):
 
 
 def _take(x, rows):
-    """``x``, an ``_Approx``, a ``_Regulus`` of them or nested lists and
-    tuples of them, at ``rows`` only."""
+    """``x``, an ``_Approx`` or nested lists and tuples of them, at ``rows``
+    only."""
     if isinstance(x, _Approx):
         return x.take(rows)
-    if isinstance(x, _Regulus):
-        sub = copy.copy(x)
-        vars(sub).update((k, _take(v, rows)) for k, v in vars(x).items())
-        return sub
     return [_take(y, rows) for y in x]
 
 
-def _join(x, y):
-    """The rows of ``x`` followed by those of ``y``, leaf by leaf."""
+def _join(*xs):
+    """The rows of each of ``xs`` in turn, leaf by leaf.  Joined values
+    must have the same rounding count n: a stacked row must keep its own
+    error bound, never take a looser one."""
+    x = xs[0]
     if isinstance(x, _Approx):
-        return _Approx(*(np.concatenate([s, t]) for s, t in
-                         ((x.v, y.v), (x.a, y.a), (x.e, y.e))), max(x.n, y.n))
-    return [_join(s, t) for s, t in zip(x, y)]
+        if any(y.n != x.n for y in xs):
+            raise ValueError(f"joined values have rounding counts "
+                             f"{[y.n for y in xs]}")
+        return _Approx(*(np.concatenate(leaf) for leaf in zip(
+            *((y.v, y.a, y.e) for y in xs))), x.n)
+    return [_join(*ys) for ys in zip(*xs)]
+
+
+def _lines_of(P, Q, eP, eQ):
+    """The supporting lines of the four segments of each row (P, Q:
+    (rows, 4, 3) endpoints, eP, eQ their errors) from one ``_int_triple``:
+    the stack (p, d, m), line i of row r at i * rows + r, and its four
+    lines."""
+    n = len(P)
+    ends = []
+    for X, E in ((P, eP), (Q, eQ)):
+        X, E = (Y.transpose(2, 1, 0).reshape(3, 4 * n) for Y in (X, E))
+        A = np.abs(X)
+        ends.append(tuple(_Approx(X[j], A[j], E[j], 0) for j in range(3)))
+    stack = _int_triple(*ends)
+    return stack, [_take(stack, slice(i * n, (i + 1) * n)) for i in range(4)]
+
+
+def _regulus_of(stack, line):
+    """The ``_Regulus`` along the first of ``_lines_of``'s lines through
+    the second and third, and its planes 2 and 3 stacked, from one run of
+    its plane program over those two lines."""
+    n = len(line[0][0][0].v)
+    reg = _Regulus.__new__(_Regulus)
+    reg.p1, reg.d1 = _join(line[0][:2], line[0][:2])
+    planes = reg._plane_coeffs(_take(stack, slice(n, 3 * n)))
+    reg.p1, reg.d1 = line[0][:2]
+    (reg.A2, reg.B2, reg.a2, reg.b2), (reg.A3, reg.B3, reg.a3, reg.b3) = (
+        _take(planes, slice(i * n, (i + 1) * n)) for i in range(2))
+    return reg, planes
+
+
+def _range_signs(q, sa):
+    """Per root of q = (qa, qb, qc), the ``_root_signs`` of h t (row 0)
+    and h (t - 1) (row 1): l1 = 1 and l0 = 0, then -1, over the rows
+    twice."""
+    n = len(sa)
+    l0 = _Approx(np.repeat([0.0, -1.0], n), np.repeat([0.0, 1.0], n), 0.0, 0)
+    return [s.reshape(2, n)
+            for s in _root_signs(*_join(q, q), np.tile(sa, 2), _ONE, l0)]
+
+
+def _trace_signs(reg, planes, stack, q, sa, live):
+    """Per form (num, den, num - den) and root, the ``_root_signs`` at rows
+    ``live`` of the traces of the second line on plane 3 (row 0) and of
+    the third and fourth on plane 2 (rows 1, 2): one trace fraction of a
+    plane 2 stacked from ``_regulus_of``'s planes."""
+    n = len(sa)
+    traces = copy.copy(reg)
+    traces.A2, traces.B2, traces.a2, traces.b2 = _take(
+        planes, np.concatenate([live + n, live, live]))
+    num, den = traces.trace_fraction(2, (*_take(stack[:2], np.concatenate(
+        [live + n, live + 2 * n, live + 3 * n])), None))
+    diff = (num[0] - den[0], num[1] - den[1])
+    q, sa = _take(q, np.tile(live, 3)), np.tile(sa[live], 3)
+    return [[s.reshape(3, len(live)) for s in _root_signs(*q, sa, *form)]
+            for form in (num, den, diff)]
 
 
 def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -531,6 +613,11 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     non-finite coordinate, no certainly skew triple or an uncertain sign
     are undecided.  Each step runs only on the rows it can still change,
     and a row's answer does not depend on the other rows.
+
+    Independent instances of one program run once over their rows stacked
+    end to end (``_lines_of``, ``_regulus_of``, ``_range_signs``,
+    ``_trace_signs``); each value, bound and sign is the one the program
+    gives a row alone (module docstring).
     """
     decide = np.zeros(len(P), dtype=np.int8)
     # move each row's first endpoint to the origin; each coordinate then
@@ -543,59 +630,51 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
                           & np.isfinite(eQ).all(axis=(1, 2)))
     if not len(rows):
         return decide
+    if len(rows) < len(P):
+        P0, Q0, eP, eQ = P0[rows], Q0[rows], eP[rows], eQ[rows]
     # an exact power of two per row brings every coordinate below 1, so
     # no product overflows and underflow stays far below _ERR_TINY
-    P0, Q0, eP, eQ = P0[rows], Q0[rows], eP[rows], eQ[rows]
     big = np.maximum(np.abs(P0).max(axis=(1, 2)), np.abs(Q0).max(axis=(1, 2)))
     shift = -np.frexp(big)[1][:, None, None]
     P0, Q0, eP, eQ = (np.ldexp(X, shift) for X in (P0, Q0, eP, eQ))
 
-    def lines_of(P, Q, eP, eQ):
-        return [_int_triple(*(
-            tuple(_Approx(X[:, i, j], np.abs(X[:, i, j]), E[:, i, j], 0)
-                  for j in range(3)) for X, E in ((P, eP), (Q, eQ))))
-            for i in range(4)]
+    stack, line = _lines_of(P0, Q0, eP, eQ)
 
-    def skew(lines, i, j):
-        return (v_dot(lines[i][1], lines[j][2])
-                + v_dot(lines[j][1], lines[i][2])).sign() != 0
+    def skew(i, j):
+        return (v_dot(line[i][1], line[j][2])
+                + v_dot(line[j][1], line[i][2])).sign() != 0
 
     # the first triple of certainly skew supporting lines goes first.  Rows
     # where that is (0, 1, 2) keep their lines; the others test the pairs
     # with line 3, and those with a skew triple get their lines reordered
-    lines = lines_of(P0, Q0, eP, eQ)
-    sk = {ij: skew(lines, *ij) for ij in ((0, 1), (0, 2), (1, 2))}
+    # (the first such triple in lexicographic order, as in the kernel)
+    sk = {ij: skew(*ij) for ij in ((0, 1), (0, 2), (1, 2))}
     in_order = sk[0, 1] & sk[0, 2] & sk[1, 2]
-    other = np.flatnonzero(~in_order)
-    if len(other):
-        rest = _take(lines, other)
-        sk = {ij: s[other] for ij, s in sk.items()}
-        sk.update({(i, 3): skew(rest, i, 3) for i in range(3)})
-        order = np.zeros((len(other), 4), dtype=np.intp)
-        has = np.zeros(len(other), dtype=bool)
-        for tri in ((1, 2, 3), (0, 2, 3), (0, 1, 3)):
+    if not in_order.all():
+        sk.update({(i, 3): skew(i, 3) for i in range(3)})
+        order = np.zeros((len(rows), 4), dtype=np.intp)
+        has = np.zeros(len(rows), dtype=bool)
+        for tri in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
             ok = sk[tri[0], tri[1]] & sk[tri[0], tri[2]] & sk[tri[1], tri[2]]
             order[ok] = (*tri, *(i for i in range(4) if i not in tri))
             has |= ok
-        keep, moved = np.flatnonzero(in_order), other[has]
-        lines = _take(lines, keep)
-        if len(moved):
-            pick = (moved[:, None], order[has])
-            lines = _join(lines, lines_of(P0[pick], Q0[pick], eP[pick],
-                                          eQ[pick]))
-        rows = np.concatenate([rows[keep], rows[moved]])
+        rows = rows[has]
         if not len(rows):
             return decide
-
-    reg = _Regulus(lines[0][0], lines[0][1], lines[1], lines[2])
-    qa, qb, qc = reg.incidence_quadratic(lines[3])
+        pick = (np.flatnonzero(has)[:, None], order[has])
+        stack, line = _lines_of(P0[pick], Q0[pick], eP[pick], eQ[pick])
+    # the regulus and range steps set the peak memory: free the endpoints,
+    # then the moments m, which no step after the quadratic reads
+    del P0, Q0, eP, eQ
+    reg, planes = _regulus_of(stack, line)
+    q = qa, qb, qc = reg.incidence_quadratic(line[3])
+    stack, line = stack[:2], None
     sa = qa.sign()
     s_disc = (qb * qb - (qa * qc) * _FOUR).sign()
-    t_pos = _root_signs(qa, qb, qc, sa, _ONE, _ZERO)       # h t
-    t_le1 = _root_signs(qa, qb, qc, sa, _ONE, -_ONE)       # h (t - 1)
     # per root: some range test certainly fails, or all certainly hold
-    out = [(s * sa < 0) | (s1 * sa > 0) for s, s1 in zip(t_pos, t_le1)]
-    inside = [(s * sa > 0) & (s1 * sa < 0) for s, s1 in zip(t_pos, t_le1)]
+    t_range = _range_signs(q, sa)
+    out = [(s[0] * sa < 0) | (s[1] * sa > 0) for s in t_range]
+    inside = [(s[0] * sa > 0) & (s[1] * sa < 0) for s in t_range]
     real = (sa != 0) & (s_disc > 0)
     decide[rows[(sa != 0) & ((s_disc < 0) | (real & out[0] & out[1]))]] = -1
     # the traces can settle only the rows with two real roots that have not
@@ -603,18 +682,15 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(real & ~(out[0] & out[1]))
     if not len(live):
         return decide
-    rows, reg = rows[live], _take(reg, live)
-    l2, l3, l4, qa, qb, qc = _take((*lines[1:], qa, qb, qc), live)
-    sa, out, inside = sa[live], [o[live] for o in out], [i[live] for i in inside]
-    for num, den in (reg.trace_fraction(3, l2), reg.trace_fraction(2, l3),
-                     reg.trace_fraction(2, l4)):
-        diff = (num[0] - den[0], num[1] - den[1])
-        signs = [_root_signs(qa, qb, qc, sa, *form) for form in (num, den, diff)]
-        for r in range(2):
-            s_n, s_d, s_nd = (s[r] for s in signs)
-            out[r] |= (s_d != 0) & ((s_n * s_d < 0) | (s_nd * s_d > 0))
-            inside[r] &= (s_n * s_d > 0) & (s_nd * s_d < 0)
-    decide[rows] = (inside[0] | inside[1]).astype(np.int8) - (out[0] & out[1])
+    signs = _trace_signs(reg, planes, stack, q, sa, live)
+    for r in range(2):
+        s_n, s_d, s_nd = (s[r] for s in signs)
+        out[r] = out[r][live] | ((s_d != 0) & (
+            (s_n * s_d < 0) | (s_nd * s_d > 0))).any(axis=0)
+        inside[r] = inside[r][live] & (
+            (s_n * s_d > 0) & (s_nd * s_d < 0)).all(axis=0)
+    decide[rows[live]] = ((inside[0] | inside[1]).astype(np.int8)
+                          - (out[0] & out[1]))
     return decide
 
 

@@ -539,7 +539,11 @@ def brute_force_same_type(multisets: Sequence[PointMultiset],
                           target_sizes: Sequence[int]):
     """Exhaustive search for sign-constant product subsets of the target
     sizes, the first in lexicographic order; None when no such subsets
-    exist."""
+    exist.  Every target size must be at least 1 (an empty subset has no
+    sign); a smaller one raises ``ValidationError``."""
+    if any(s < 1 for s in target_sizes):
+        raise ValidationError(
+            f"target sizes must be at least 1: {list(target_sizes)}")
     k = len(multisets)
     if any(s > len(F) for s, F in zip(target_sizes, multisets)):
         return None

@@ -13,7 +13,8 @@ from spacecross.counting import (count_line_crossings, count_planar_crossings,
                                  enumerate_disjoint_tuples, lift_to_sphere)
 from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.errors import ValidationError
-from spacecross.geometry import Segment3, point3, transversal_exists_segments
+from spacecross.geometry import (Segment3, _int_triple, _Regulus, point3,
+                                 transversal_exists_segments)
 from spacecross.linking import PolygonalCycle
 from spacecross.pipeline import hexgrid_construction, hexgrid_graph
 
@@ -815,6 +816,169 @@ def test_certified_rejection_implies_no_transversal(segs):
 def test_certified_acceptance_implies_a_transversal(segs):
     if decide_row(segs) > 0:
         assert transversal_exists_segments(segs).exists is True
+
+
+def mixed_floats(rng, size):
+    """float64 values of both signs and many magnitudes, with +-0, +-1e-300
+    and +-1e30 among them."""
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    pick = rng.random(size) < 0.3
+    x[pick] = rng.choice([0.0, -0.0, 1e-300, -1e-300, 1e30, -1e30], pick.sum())
+    return x
+
+
+def random_approx(rng, size, exact=False):
+    """An ``_Approx`` of ``mixed_floats``: v of both signs, a and e >= 0; an
+    exact constant (e the float 0.0) when ``exact``."""
+    v = mixed_floats(rng, size)
+    a = np.abs(v) if exact else np.abs(mixed_floats(rng, size))
+    return counting._Approx(v, a, 0.0 if exact else np.abs(
+        mixed_floats(rng, size)), 0 if exact else int(rng.integers(0, 40)))
+
+
+def general_product(x, y):
+    """v, a, e and n of x * y by the general formulas."""
+    return (x.v * y.v, x.a * y.a, x.a * y.e + x.e * (y.a + y.e),
+            x.n + y.n + 1)
+
+
+def same_bytes(x, ref):
+    v, a, e, n = ref
+    assert x.n == n
+    for got, want in zip((x.v, x.a, x.e), (v, a, e)):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_exact_constant_products_match_the_general_formula():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = random_approx(rng, 97)
+        consts = [random_approx(rng, 97, exact=True), counting._ONE,
+                  counting._TWO, counting._FOUR, -counting._ONE,
+                  counting._Approx(0.0, 0.0, 0.0, 0)]
+        for c in consts:
+            same_bytes(x * c, general_product(x, c))
+            same_bytes(c * x, general_product(c, x))
+
+
+def test_cached_a_plus_e_matches_the_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x, y = random_approx(rng, 97), random_approx(rng, 97)
+        ref = general_product(x, y)
+        same_bytes(x * y, ref)          # computes and keeps y's a + e
+        same_bytes(x * y, ref)          # reuses it
+        same_bytes(y * y, general_product(y, y))
+        err = y.e + y.n * counting._ERR_UNIT * (y.a + y.e) + counting._ERR_TINY
+        want = (y.v > err).astype(np.int8) - (y.v < -err).astype(np.int8)
+        assert y.sign().tobytes() == want.tobytes()
+
+
+def test_join_needs_equal_rounding_counts():
+    x, y = (counting._Approx(np.ones(2), np.ones(2), np.zeros(2), n)
+            for n in (3, 4))
+    joined = counting._join(x, x, x)
+    assert (joined.n, len(joined.v)) == (3, 6)
+    with pytest.raises(ValueError):
+        counting._join(x, y)
+    with pytest.raises(ValueError):
+        counting._join([x, x], [x, y])
+
+
+def scaled_block(rng, rows):
+    """Rows of four segments as ``_certified_decide`` hands them to its
+    programs: coordinates below 1 and their errors, which grow by up to
+    2^40 from row to row so that some signs are left uncertain."""
+    P, Q = (rng.uniform(-1, 1, (rows, 4, 3)) for _ in range(2))
+    grow = 2.0 ** rng.integers(0, 40, (rows, 1, 1))
+    eP, eQ = (counting._ERR_UNIT * np.abs(X) * grow for X in (P, Q))
+    return P, Q, eP, eQ
+
+
+def unstacked_signs(P, Q, eP, eQ):
+    """The quadratic and the range and trace signs of the unstacked
+    program, the reference of the stacked one: one ``_int_triple`` per
+    line, one ``_Regulus`` run per plane, one ``_root_signs`` call per
+    form."""
+    A = counting._Approx
+    lines = [_int_triple(*(
+        tuple(A(X[:, i, j], np.abs(X[:, i, j]), E[:, i, j], 0)
+              for j in range(3)) for X, E in ((P, eP), (Q, eQ))))
+        for i in range(4)]
+    reg = _Regulus(lines[0][0], lines[0][1], lines[1], lines[2])
+    q = reg.incidence_quadratic(lines[3])
+    sa = q[0].sign()
+    ranges = [counting._root_signs(*q, sa, counting._ONE, l0)
+              for l0 in (A(0.0, 0.0, 0.0, 0), -counting._ONE)]
+    traces = []
+    for num, den in (reg.trace_fraction(3, lines[1]),
+                     reg.trace_fraction(2, lines[2]),
+                     reg.trace_fraction(2, lines[3])):
+        diff = (num[0] - den[0], num[1] - den[1])
+        traces.append([counting._root_signs(*q, sa, *form)
+                       for form in (num, den, diff)])
+    return q, ranges, traces
+
+
+def test_stacked_range_and_trace_signs_match_the_loop():
+    rng = np.random.default_rng(13)
+    zeros = 0
+    for rows in (1, 2, 7, 126, 300):
+        P, Q, eP, eQ = scaled_block(rng, rows)
+        ref_q, ref_ranges, ref_traces = unstacked_signs(P, Q, eP, eQ)
+        stack, line = counting._lines_of(P, Q, eP, eQ)
+        reg, planes = counting._regulus_of(stack, line)
+        q = reg.incidence_quadratic(line[3])
+        for got, want in zip(q, ref_q):
+            same_bytes(got, (want.v, want.a, want.e, want.n))
+        sa = q[0].sign()
+        ranges = counting._range_signs(q, sa)
+        for root in range(2):
+            for k in range(2):
+                assert (ranges[root][k] == ref_ranges[k][root]).all()
+        live = np.flatnonzero(rng.random(rows) < 0.7)
+        traces = counting._trace_signs(reg, planes, stack, q, sa, live)
+        for j in range(3):
+            for form in range(3):
+                for root in range(2):
+                    want = ref_traces[j][form][root][live]
+                    assert (traces[form][root][j] == want).all()
+                    zeros += int((want == 0).sum())
+    assert zeros > 0
+
+
+def crossing_pair_row(rng):
+    """Four integer segments: the first two cross at their midpoint X on a
+    line L, so their lines are coplanar, and the other two are random or
+    cross L.  The filter must reorder the lines of such a row."""
+    def vec(k=6):
+        return rng.integers(-k, k + 1, 3)
+    base, axis = vec(), vec()
+    X = base + 2 * axis
+    segs = [(X - v, X + v) for v in (vec(), vec())]
+    for s in (4, 6):
+        if rng.random() < 0.5:
+            v = vec()
+            segs.append((base + s * axis - v, base + s * axis + v))
+        else:
+            segs.append((vec(12), vec(12)))
+    return [tuple(tuple(int(c) for c in x) for x in seg) for seg in segs]
+
+
+def test_rows_with_coplanar_leading_lines_are_reordered_and_sound():
+    rng = np.random.default_rng(14)
+    rows = [crossing_pair_row(rng) for _ in range(120)]
+    rows = [[Segment3(*(tuple(map(Fraction, x)) for x in seg)) for seg in r]
+            for r in rows if len({x for seg in r for x in seg}) == 8]
+    P, Q = (np.array([[[float(c) for c in getattr(s, end)] for s in r]
+                      for r in rows]) for end in "pq")
+    out = counting._certified_decide(P, Q)
+    assert (out > 0).any() and (out < 0).any()
+    for i, r in enumerate(rows):
+        assert decide_row(r) == out[i]
+        if out[i]:
+            assert transversal_exists_segments(r).exists is bool(out[i] > 0)
 
 
 def endpoint_contact_drawing(seed):

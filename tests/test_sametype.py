@@ -110,6 +110,19 @@ def test_same_type_refine_agrees_with_brute_force():
     assert brute_force_same_type(sets, f, [6, 6]) is None
 
 
+def test_brute_force_needs_non_empty_targets():
+    # an empty subset has no sign: the sweep over an empty product used to
+    # return ([...], None)
+    f = SparsePolynomial.from_terms([1, 1], [(1, {(0, 0): 1}),
+                                             (-1, {(1, 0): 1})])
+    sets = [PointMultiset(1, [(F(i),) for i in range(3)]),
+            PointMultiset(1, [(F(i),) for i in range(3)])]
+    for sizes in ([0, 2], [2, 0], [0, 0], [-1, 2]):
+        with pytest.raises(ValidationError):
+            brute_force_same_type(sets, f, sizes)
+    assert brute_force_same_type(sets, f, [1, 1]) == ([[0], [0]], 0)
+
+
 def _assert_refined(res, sets, polys):
     """The result's signs hold on the whole retained product and every
     subset keeps at least the guaranteed fraction of its multiset."""
