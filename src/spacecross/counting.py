@@ -19,21 +19,24 @@ With ``prefilter`` each tuple passes a funnel of three steps, and
    segment combinations (one segment of each edge) of the surviving
    tuples, it evaluates in float64 the signs that the exact kernel takes
    on its skew-triple branch, each step only on the rows it can still
-   change.  Rows with finite coordinates test supporting lines 0, 1, 2
-   for being pairwise skew; rows where that is not certain test the pairs
-   with line 3, and those with another certainly skew triple are
-   reordered.  Every row with a skew triple gets the regulus quadratic,
-   its discriminant and the two range tests of each root (0 < t < 1).
-   Only rows with two certainly real roots, not both certainly out of
-   range, go on to the three trace tests.  It rejects a combination when
-   the signs prove that no transversal exists, and accepts it when they
-   prove that one does; without ``want_witnesses`` an accepted
-   combination counts its tuple, whose other combinations are then
-   skipped.  On a block of a few hundred rows its cost is the number of
-   numpy calls, not of rows, so independent instances of one program run
-   once over their rows stacked end to end: the four supporting lines,
-   the planes through lines 2 and 3, the two range forms and the three
-   traces.
+   change.  Rows with finite coordinates, whose input errors stay within
+   the row's extent, test supporting lines 0, 1, 2 for being pairwise
+   skew; rows where that is not certain test the pairs with line 3, and
+   those with another certainly skew triple are reordered.  Every row
+   with a skew triple gets the regulus quadratic, its discriminant and
+   the two range tests of each root (0 < t < 1).  Only rows with two
+   certainly real roots, not both certainly out of range, go on to the
+   three trace tests.  It rejects a combination when the signs prove that
+   no transversal exists, and accepts it when they prove that one does;
+   without ``want_witnesses`` an accepted combination counts its tuple,
+   whose other combinations are then skipped.  On a block of a few
+   hundred rows its cost is the number of numpy calls, not of rows, so
+   independent instances of one program run once over their rows stacked
+   end to end: the four supporting lines, the planes through lines 2 and
+   3, the two range forms and the three traces.  Each value carries its
+   error bound as two programs on non-negative numbers, so a product
+   costs three array multiplications and a sum three additions (the
+   error bound below).
 3. The exact predicate ``transversal_exists_segments`` on every
    combination left (with ``want_witnesses`` also the accepted ones),
    tuple by tuple in lexicographic order of the combinations; a tuple
@@ -68,35 +71,61 @@ something to decide.  The filter evaluates them on the translated,
 scaled exact coordinates, which have a transversal exactly when the
 originals do; the error bound below makes every sign it uses certain.
 
-Error bound of the certified filter.  A coordinate x of a drawing becomes
-the double x~ with |x~ - x| <= u |x|, u = 2^-53 (beyond the double range
-it becomes +-inf, below the normal range nan; such rows are kept).  Each
-row is moved by its first float endpoint o, an exact translation, to
-x' = fl(x~ - o), so x' is off the exact x - o by at most
-u |x| + u |x'| < eps = 4 u (|x~| + |x'|) (conversion and subtraction),
-and is then scaled by a power of two, which is exact.  Every polynomial
-is evaluated by the kernel's own program (``_Regulus``, ``v_dot``,
-``v_cross``) on ``_Approx`` values that carry, besides the value v, the
-program a run on absolute values, a bound e on how far the inputs' errors
-move the exact result (eps at an input, e + e' for a sum, a e' + e (a' +
-e') for a product) and the number n of roundings on a path from an
-input.  The
-classical bound |v - P(x')| <= gamma_n A(|x'|), gamma_n = n u / (1 - n u),
-for a program with n roundings and absolute-value program A (Higham,
-"Accuracy and Stability of Numerical Algorithms", ch. 3), together with
-A(|x'|) <= a (1 + gamma_n), gives |v - P(x - o)| <= e + 4 n u (a + e)
-with room to spare, which also covers the rounding of a and e
-themselves; ``_ERR_UNIT`` is the 4 u.  A sign counts only when |v|
-exceeds this bound plus ``_ERR_TINY``, which absorbs underflow: after
-scaling every input is below 1, intermediates stay below 2^45 and there
-are under 2^10 operations, so underflow costs below 2^-1000.  Stacking
+Error bound of the certified filter.  Let u = 2^-53 and U = 4 u, the
+``_ERR_UNIT``.  A coordinate x of a drawing becomes the double x~ with
+|x~ - x| <= u |x| (beyond the double range it becomes +-inf, below the
+normal range nan; such rows are left undecided).  Each row is moved by
+its first float endpoint o, an exact translation, to x' = fl(x~ - o); x'
+is off y = x - o by at most u |x| + u |x'| / (1 - u), below the input error
+e_in = fl(U (|x~| + |x'|)).  A row whose largest e_in exceeds its extent,
+the largest |x'|, is left undecided; the others are scaled by a power of
+two that brings every |x'| and e_in below 1, exactly but for underflow.
+A polynomial P is evaluated by the kernel's own program (``_Regulus``,
+``v_dot``, ``v_cross``) on ``_Approx`` values (v, a, b, n).  Let A be the
+absolute-value program: inputs and constants taken absolutely, every
+subtraction made an addition.  v runs P on x', a runs A on |x'|, b runs A
+on b_in = fl(|x'| + e_in), and n counts the roundings on a path from an
+input: 0 at an input or constant, max(n, n') + 1 for a sum or
+difference, n + n' + 1 for a product.  Four facts give the bound.
+
+(1) In exact arithmetic b is B = A(|x'| + e_in), and B - A(|x'|) bounds
+    |P(x') - P(y)| for every y within e_in of x', by induction: for a
+    sum both sides add, and for a product, as |x1| <= A1 and
+    |y2| <= |x2| + |x2 - y2| <= B2,
+    |x1 x2 - y1 y2| <= A1 (B2 - A2) + (B1 - A1) B2 = B1 B2 - A1 A2.
+    So b = a + e for the usual bound e (e + e' for a sum, a e' + e (a' +
+    e') for a product), and every ring operation acts componentwise.
+(2) a and b are programs on non-negative values, so their rounding is
+    relative: each monomial of the result takes at most n factors
+    (1 + d), |d| <= u (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3).  Hence a <= A(|x'|) (1 + u)^n, and
+    |v - P(x')| <= gamma_n A(|x'|), gamma_n = n u / (1 - n u), is the
+    classical bound.  Rounding is monotone and b_in >= |x'|, so b >= a
+    holds in floats too.
+(3) The degree of a program is at most n + 1 (1 at an input; a sum keeps
+    the larger degree, a product adds them).  The one rounding of b_in
+    moves each input by a factor (1 + d), so each monomial by a factor
+    of at least (1 - u)^(n + 1): b >= B (1 - u)^(2n + 1), as if b's
+    rounding count were 2n + 1.
+(4) By (1) to (3), with a <= b,
+    |v - P(y)| <= B - A(|x'|) + gamma_n A(|x'|)
+               <= (b - a) + (gamma_(2n+1) + gamma_n + n u) b,
+    below (b - a) + (4 n + 1) u b (1 + 2^-40), as n <= 40 in the
+    filter's programs.  The threshold that ``sign`` computes, (b - a) +
+    (n + 2) U b + ``_ERR_TINY``, adds 7 u b more: the +2 covers the
+    rounding of b - a (which is >= 0 by (2)) and of the threshold's two
+    additions, 3 u b in all, and the second-order terms.
+
+A sign counts only when |v| exceeds the threshold.  ``_ERR_TINY`` absorbs
+underflow: after scaling every input |x'| and e_in is below 1, so b_in
+<= 2, the intermediates of v, a and b stay below 2^40 and there are
+under 2^10 operations, so underflow costs below 2^-1000.  Stacking
 changes none of this: each entry of a stacked array meets the float
 operations it would meet alone, in the same order, and ``_join`` stacks
 only values with one rounding count n, so every row keeps its own v, a,
-e and n.  A product with an exact constant (e = 0) leaves out only terms
-that are exactly 0.  This is a semi-static filter in the sense of
-Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
-Geometric Predicates" (1997), and Bronnimann, Burnikel & Pion, "Interval
+b and n.  This is a semi-static filter in the sense of Shewchuk,
+"Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+Predicates" (1997), and Bronnimann, Burnikel & Pion, "Interval
 arithmetic yields efficient dynamic filters" (2001).
 """
 
@@ -430,7 +459,7 @@ def _triple_filter(idx: np.ndarray, finite, centers, radii, chord_p, chord_q,
 # of the certified filter (module docstring).
 _ERR_UNIT = 2.0 ** -51
 # absolute slack for underflow, far above what it can cost once a row's
-# coordinates are scaled below 1
+# coordinates and their errors are scaled below 1
 _ERR_TINY = 2.0 ** -960
 
 
@@ -439,62 +468,52 @@ class _Approx:
     their error.
 
     ``v`` holds the computed values and ``a`` the same program run on
-    absolute values with every subtraction made an addition.  ``e`` bounds
-    how far the exact program on the computed inputs is from the exact
-    program on the exact inputs (the inputs carry absolute errors), and
-    ``n`` is the largest number of roundings on a path from an input.  The
-    geometry kernel's vector helpers and ``_Regulus`` run on it unchanged,
-    so the filter evaluates the kernel's own polynomials.  ``ae``, a + e,
-    is computed once and shared by ``sign`` and every product that takes
-    the value on the right.  An exact constant has e = 0.0, a float, not an
-    array; a product with one drops the terms of a e' + e (a' + e') that
-    are exactly 0 (for finite a, e >= 0), and each remaining float
-    operation is one that the general formula makes.
+    absolute values with every subtraction made an addition.  ``b`` is that
+    absolute-value program run on each input's absolute value plus its
+    error bound, so b - a bounds how far the inputs' errors move the exact
+    result; ``n`` is the largest number of roundings on a path from an
+    input.  Every ring operation acts componentwise on (v, a, b): a product
+    is three multiplications and a sum or difference three additions or
+    subtractions.  The geometry kernel's vector helpers and ``_Regulus``
+    run on it unchanged, so the filter evaluates the kernel's own
+    polynomials.  An exact constant c is (c, |c|, |c|) with n = 0, as
+    floats.
     """
 
-    __slots__ = ("v", "a", "e", "n", "_ae")
+    __slots__ = ("v", "a", "b", "n")
 
-    def __init__(self, v, a, e, n):
-        self.v, self.a, self.e, self.n, self._ae = v, a, e, n, None
-
-    @property
-    def ae(self):
-        if self._ae is None:
-            self._ae = self.a + self.e
-        return self._ae
+    def __init__(self, v, a, b, n):
+        self.v, self.a, self.b, self.n = v, a, b, n
 
     def __add__(self, o):
-        return _Approx(self.v + o.v, self.a + o.a, self.e + o.e,
+        return _Approx(self.v + o.v, self.a + o.a, self.b + o.b,
                        max(self.n, o.n) + 1)
 
     def __sub__(self, o):
-        return _Approx(self.v - o.v, self.a + o.a, self.e + o.e,
+        return _Approx(self.v - o.v, self.a + o.a, self.b + o.b,
                        max(self.n, o.n) + 1)
 
     def __mul__(self, o):
-        if type(o.e) is float:          # an exact constant
-            e = self.e * o.a
-        elif type(self.e) is float:
-            e = self.a * o.e
-        else:
-            e = self.a * o.e + self.e * o.ae
-        return _Approx(self.v * o.v, self.a * o.a, e, self.n + o.n + 1)
+        return _Approx(self.v * o.v, self.a * o.a, self.b * o.b,
+                       self.n + o.n + 1)
 
     def __neg__(self):
-        return _Approx(-self.v, self.a, self.e, self.n)
+        return _Approx(-self.v, self.a, self.b, self.n)
 
     def take(self, rows) -> "_Approx":
         """The values at ``rows`` only."""
-        return _Approx(self.v[rows], self.a[rows], self.e[rows], self.n)
+        return _Approx(self.v[rows], self.a[rows], self.b[rows], self.n)
 
     def sign(self) -> np.ndarray:
-        """Per row +1 or -1 where the sign is certain, else 0 (nan too)."""
-        err = self.e + self.n * _ERR_UNIT * self.ae + _ERR_TINY
+        """Per row +1 or -1 where the sign is certain, |v| above
+        (b - a) + (n + 2) U b + ``_ERR_TINY`` (module docstring), else 0
+        (nan too)."""
+        err = (self.b - self.a) + (self.n + 2) * _ERR_UNIT * self.b + _ERR_TINY
         return (np.asarray(self.v > err, dtype=np.int8)
                 - np.asarray(self.v < -err, dtype=np.int8))
 
 
-_ONE, _TWO, _FOUR = (_Approx(c, c, 0.0, 0) for c in (1.0, 2.0, 4.0))
+_ONE, _TWO, _FOUR = (_Approx(c, c, c, 0) for c in (1.0, 2.0, 4.0))
 
 
 def _root_signs(qa, qb, qc, sa, l1, l0):
@@ -536,7 +555,7 @@ def _join(*xs):
             raise ValueError(f"joined values have rounding counts "
                              f"{[y.n for y in xs]}")
         return _Approx(*(np.concatenate(leaf) for leaf in zip(
-            *((y.v, y.a, y.e) for y in xs))), x.n)
+            *((y.v, y.a, y.b) for y in xs))), x.n)
     return [_join(*ys) for ys in zip(*xs)]
 
 
@@ -550,7 +569,8 @@ def _lines_of(P, Q, eP, eQ):
     for X, E in ((P, eP), (Q, eQ)):
         X, E = (Y.transpose(2, 1, 0).reshape(3, 4 * n) for Y in (X, E))
         A = np.abs(X)
-        ends.append(tuple(_Approx(X[j], A[j], E[j], 0) for j in range(3)))
+        B = A + E
+        ends.append(tuple(_Approx(X[j], A[j], B[j], 0) for j in range(3)))
     stack = _int_triple(*ends)
     return stack, [_take(stack, slice(i * n, (i + 1) * n)) for i in range(4)]
 
@@ -574,7 +594,8 @@ def _range_signs(q, sa):
     and h (t - 1) (row 1): l1 = 1 and l0 = 0, then -1, over the rows
     twice."""
     n = len(sa)
-    l0 = _Approx(np.repeat([0.0, -1.0], n), np.repeat([0.0, 1.0], n), 0.0, 0)
+    a0 = np.repeat([0.0, 1.0], n)
+    l0 = _Approx(np.repeat([0.0, -1.0], n), a0, a0, 0)
     return [s.reshape(2, n)
             for s in _root_signs(*_join(q, q), np.tile(sa, 2), _ONE, l0)]
 
@@ -624,17 +645,23 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # carries its conversion error plus the rounding of the subtraction
     with np.errstate(all="ignore"):
         P0, Q0 = P - P[:, :1], Q - P[:, :1]
-        eP = _ERR_UNIT * (np.abs(P) + np.abs(P0))
-        eQ = _ERR_UNIT * (np.abs(Q) + np.abs(Q0))
-    rows = np.flatnonzero(np.isfinite(eP).all(axis=(1, 2))
-                          & np.isfinite(eQ).all(axis=(1, 2)))
+        aP, aQ = np.abs(P0), np.abs(Q0)
+        eP = _ERR_UNIT * (np.abs(P) + aP)
+        eQ = _ERR_UNIT * (np.abs(Q) + aQ)
+        big = np.maximum(aP.max(axis=(1, 2)), aQ.max(axis=(1, 2)))
+        del aP, aQ
+        # rows with a non-finite coordinate, or an error beyond the row's
+        # extent, stay undecided
+        rows = np.flatnonzero((np.maximum(eP.max(axis=(1, 2)),
+                                          eQ.max(axis=(1, 2))) <= big)
+                              & (big < np.inf))
     if not len(rows):
         return decide
     if len(rows) < len(P):
-        P0, Q0, eP, eQ = P0[rows], Q0[rows], eP[rows], eQ[rows]
-    # an exact power of two per row brings every coordinate below 1, so
-    # no product overflows and underflow stays far below _ERR_TINY
-    big = np.maximum(np.abs(P0).max(axis=(1, 2)), np.abs(Q0).max(axis=(1, 2)))
+        P0, Q0, eP, eQ, big = P0[rows], Q0[rows], eP[rows], eQ[rows], big[rows]
+    # an exact power of two per row brings every coordinate and error
+    # below 1, so no product overflows and underflow stays far below
+    # _ERR_TINY
     shift = -np.frexp(big)[1][:, None, None]
     P0, Q0, eP, eQ = (np.ldexp(X, shift) for X in (P0, Q0, eP, eQ))
 
@@ -793,7 +820,9 @@ def count_line_crossings(d: SpatialDrawing, k: int,
 
     witnesses: List[CrossingWitness] = []
     filter_s = exact_s = 0.0
-    segments = [s for e in g.edges for s in d.edge_segments(e)]
+    # every edge's segments, built on the first row that reaches the exact
+    # predicate; with the certified filter most counts have none
+    segments: List = []
     reached = np.zeros(len(survivors), dtype=bool)
     found = np.zeros(len(survivors), dtype=bool)
     for t, segs in _segment_combinations(survivors, first):
@@ -814,6 +843,8 @@ def count_line_crossings(d: SpatialDrawing, k: int,
         for ti, row in zip(t.tolist(), segs.tolist()):
             if found[ti]:
                 continue
+            if not segments:
+                segments = [s for e in g.edges for s in d.edge_segments(e)]
             res = transversal_exists_segments([segments[i] for i in row])
             if not res.exists:
                 continue

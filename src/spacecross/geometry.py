@@ -408,9 +408,9 @@ class SegmentTransversal:
 def _scaled_int_points(points):
     """Integer triples of the points times one common positive factor, and
     that factor."""
-    coords = [c for p in points for c in p]
-    scale = lcm(*(c.denominator for c in coords))
-    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    ratios = [c.as_integer_ratio() for p in points for c in p]
+    scale = lcm(*(den for _, den in ratios))
+    ints = [num * (scale // den) for num, den in ratios]
     return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)], scale
 
 
@@ -472,10 +472,12 @@ def _transversal_scaled(ints, scale) -> SegmentTransversal:
         return res
     tr = [triples[i] for i in order]
     reg = _Regulus(tr[0][0], tr[0][1], tr[1], tr[2])
-    traces = [reg.segment_trace(x) for x in tr[1:]]
     roots = None
     if len(ints) == 4:
         roots = _quadratic_roots(*reg.incidence_quadratic(tr[3]))
+        if roots == []:     # no real root: no transversal to trace
+            return SegmentTransversal(False)
+    traces = [reg.segment_trace(x) for x in tr[1:]]
     if roots is None:
         # k = 3, or the fourth supporting line meets every transversal of
         # the regulus: a one-parameter family

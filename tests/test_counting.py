@@ -828,51 +828,95 @@ def mixed_floats(rng, size):
 
 
 def random_approx(rng, size, exact=False):
-    """An ``_Approx`` of ``mixed_floats``: v of both signs, a and e >= 0; an
-    exact constant (e the float 0.0) when ``exact``."""
-    v = mixed_floats(rng, size)
-    a = np.abs(v) if exact else np.abs(mixed_floats(rng, size))
-    return counting._Approx(v, a, 0.0 if exact else np.abs(
-        mixed_floats(rng, size)), 0 if exact else int(rng.integers(0, 40)))
-
-
-def general_product(x, y):
-    """v, a, e and n of x * y by the general formulas."""
-    return (x.v * y.v, x.a * y.a, x.a * y.e + x.e * (y.a + y.e),
-            x.n + y.n + 1)
+    """An ``_Approx`` of ``mixed_floats``: v of both signs and 0 <= a <= b;
+    an exact constant (c, |c|, |c|) of floats when ``exact``."""
+    if exact:
+        c = float(mixed_floats(rng, 1)[0])
+        return counting._Approx(c, abs(c), abs(c), 0)
+    a = np.abs(mixed_floats(rng, size))
+    return counting._Approx(mixed_floats(rng, size), a,
+                            a + np.abs(mixed_floats(rng, size)),
+                            int(rng.integers(0, 40)))
 
 
 def same_bytes(x, ref):
-    v, a, e, n = ref
+    v, a, b, n = ref
     assert x.n == n
-    for got, want in zip((x.v, x.a, x.e), (v, a, e)):
+    for got, want in zip((x.v, x.a, x.b), (v, a, b)):
         got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_exact_constant_products_match_the_general_formula():
+def test_ring_operations_act_componentwise():
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = random_approx(rng, 97)
-        consts = [random_approx(rng, 97, exact=True), counting._ONE,
-                  counting._TWO, counting._FOUR, -counting._ONE,
-                  counting._Approx(0.0, 0.0, 0.0, 0)]
-        for c in consts:
-            same_bytes(x * c, general_product(x, c))
-            same_bytes(c * x, general_product(c, x))
+        for y in (random_approx(rng, 97), random_approx(rng, 97, exact=True),
+                  counting._ONE, counting._TWO, counting._FOUR,
+                  -counting._ONE):
+            n = max(x.n, y.n) + 1
+            same_bytes(x * y, (x.v * y.v, x.a * y.a, x.b * y.b, x.n + y.n + 1))
+            same_bytes(y * x, (y.v * x.v, y.a * x.a, y.b * x.b, x.n + y.n + 1))
+            same_bytes(x + y, (x.v + y.v, x.a + y.a, x.b + y.b, n))
+            same_bytes(x - y, (x.v - y.v, x.a + y.a, x.b + y.b, n))
+            same_bytes(y - x, (y.v - x.v, y.a + x.a, y.b + x.b, n))
+        same_bytes(-x, (-x.v, x.a, x.b, x.n))
 
 
-def test_cached_a_plus_e_matches_the_formula():
+def test_sign_threshold_matches_the_formula():
     rng = np.random.default_rng(12)
     for _ in range(50):
-        x, y = random_approx(rng, 97), random_approx(rng, 97)
-        ref = general_product(x, y)
-        same_bytes(x * y, ref)          # computes and keeps y's a + e
-        same_bytes(x * y, ref)          # reuses it
-        same_bytes(y * y, general_product(y, y))
-        err = y.e + y.n * counting._ERR_UNIT * (y.a + y.e) + counting._ERR_TINY
+        y = random_approx(rng, 97)
+        y.v[:3] = np.nan, np.inf, -np.inf
+        y.b[3] = np.inf
+        err = ((y.b - y.a) + (y.n + 2) * counting._ERR_UNIT * y.b
+               + counting._ERR_TINY)
         want = (y.v > err).astype(np.int8) - (y.v < -err).astype(np.int8)
         assert y.sign().tobytes() == want.tobytes()
+        assert not y.sign()[[0, 3]].any()
+
+
+def random_program(rng, rows, inputs=6, steps=60):
+    """The values of a random program of sums, differences, products and
+    negations on ``_Approx`` inputs below 1 with relative errors of 2^-52
+    to 2^-20, each with its exact value per row, the program run on exact
+    inputs anywhere within the errors."""
+    A = counting._Approx
+    pool = []
+    for _ in range(inputs):
+        x = rng.uniform(-1, 1, rows) * 2.0 ** rng.integers(-30, 1, rows)
+        e = np.abs(x) * 2.0 ** rng.integers(-52, -19, rows)
+        pool.append((A(x, np.abs(x), np.abs(x) + e, 0), [
+            Fraction(xi) + Fraction(ei) * Fraction(int(k), 64)
+            for xi, ei, k in zip(x, e, rng.integers(-64, 65, rows))]))
+    ops = [(lambda x, y: x + y), (lambda x, y: x - y), (lambda x, y: x * y),
+           (lambda x, y: -x)]
+    for _ in range(steps):
+        (x, ex), (y, ey) = (pool[i] for i in rng.integers(0, len(pool), 2))
+        op = ops[rng.integers(0, len(ops))]
+        z = op(x, y)
+        if z.n <= 40:       # the filter's programs stay within 40 roundings
+            pool.append((z, [op(p, q) for p, q in zip(ex, ey)]))
+    return pool
+
+
+def test_random_programs_keep_their_exact_values_within_the_threshold():
+    # b >= a holds in floats, as rounding is monotone; the threshold of
+    # ``sign`` bounds how far v is from the exact value, so a value less
+    # its exact value, rounded and taken as one more input, has no
+    # certain sign
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        for z, exact in random_program(rng, 24):
+            assert (z.b >= z.a).all()
+            err = ((z.b - z.a) + (z.n + 2) * counting._ERR_UNIT * z.b
+                   + counting._ERR_TINY)
+            for v, t, want in zip(z.v, err, exact):
+                assert abs(Fraction(v) - want) <= Fraction(t)
+            f = np.array([float(w) for w in exact])
+            rounded = counting._Approx(f, np.abs(f),
+                                       np.abs(f) * (1 + 2.0 ** -52), 0)
+            assert not (z - rounded).sign().any()
 
 
 def test_join_needs_equal_rounding_counts():
@@ -903,7 +947,8 @@ def unstacked_signs(P, Q, eP, eQ):
     form."""
     A = counting._Approx
     lines = [_int_triple(*(
-        tuple(A(X[:, i, j], np.abs(X[:, i, j]), E[:, i, j], 0)
+        tuple(A(X[:, i, j], np.abs(X[:, i, j]),
+                np.abs(X[:, i, j]) + E[:, i, j], 0)
               for j in range(3)) for X, E in ((P, eP), (Q, eQ))))
         for i in range(4)]
     reg = _Regulus(lines[0][0], lines[0][1], lines[1], lines[2])
@@ -931,7 +976,7 @@ def test_stacked_range_and_trace_signs_match_the_loop():
         reg, planes = counting._regulus_of(stack, line)
         q = reg.incidence_quadratic(line[3])
         for got, want in zip(q, ref_q):
-            same_bytes(got, (want.v, want.a, want.e, want.n))
+            same_bytes(got, (want.v, want.a, want.b, want.n))
         sa = q[0].sign()
         ranges = counting._range_signs(q, sa)
         for root in range(2):
@@ -1038,6 +1083,41 @@ def test_accept_error_bound_is_load_bearing(monkeypatch):
     loose = [count_line_crossings(d, 4).count for d in drawings]
     assert all(a >= b for a, b in zip(loose, exact))
     assert sum(loose) > sum(exact)
+
+
+def test_input_error_bound_is_load_bearing(monkeypatch):
+    # 2^20 from the origin the coordinates' conversion errors dwarf the
+    # rounding of the programs; with the threshold's b - a left out, some
+    # near misses are accepted and some endpoint contacts rejected
+    drawings = ([moved(near_miss_drawing(s), 1, 2 ** 20) for s in range(24)]
+                + [moved(endpoint_contact_drawing(s), 1, 2 ** 20)
+                   for s in range(8)])
+    exact = [count_line_crossings(d, 4, prefilter=False).count
+             for d in drawings]
+    assert [count_line_crossings(d, 4).count for d in drawings] == exact
+
+    def sign_without_input_errors(self):
+        err = (self.n + 2) * counting._ERR_UNIT * self.b + counting._ERR_TINY
+        return (np.asarray(self.v > err, dtype=np.int8)
+                - np.asarray(self.v < -err, dtype=np.int8))
+
+    monkeypatch.setattr(counting._Approx, "sign", sign_without_input_errors)
+    loose = [count_line_crossings(d, 4).count for d in drawings]
+    assert sum(loose[:24]) > sum(exact[:24])
+    assert sum(loose[24:]) < sum(exact[24:])
+
+
+def test_rows_with_errors_beyond_their_extent_stay_undecided(monkeypatch):
+    # within two units in the last place of 2^60 a row's input errors
+    # exceed its extent; the bound needs them below 1 once the row is
+    # scaled, so such a row never reaches the programs
+    rng = np.random.default_rng(16)
+    P, Q = (rng.integers(0, 2, (3, 4, 3)) * 256.0 for _ in range(2))
+    P[:, :, 0] += 2.0 ** 60
+    Q[:, :, 0] += 2.0 ** 60
+    assert counting._certified_decide(P, Q).tolist() == [0, 0, 0]
+    monkeypatch.setattr(counting, "_lines_of", None)
+    assert counting._certified_decide(P, Q).tolist() == [0, 0, 0]
 
 
 def tangent_drawing(delta):

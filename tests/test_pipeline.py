@@ -188,6 +188,37 @@ def test_k6_absence_proof_against_brute_force():
     assert 50 < found < 250
 
 
+# answers of the absence proof on ``_absence_corpus``, recorded while it
+# took the branch sets in lexicographic order of the vertices
+K6_ABSENCE_ANSWERS = (
+    "FTTFFFFFFFFFFTFTFFTFFTTFFFFFTFFFFTFFTFFTFFTTFFFTFTFFTFFFFTFTFFFFFF"
+    "TTFTTFFFFFFTTTFFFFFFTTFFFTFFFFTFFFFFFFFFFFFFFFFFFTFFTFFTFTFTFFFFFT"
+    "FFFFFTTFTFFFTFFFFF")
+
+
+def _absence_corpus():
+    """150 seeded random graphs on 10 to 14 vertices."""
+    for s in range(150):
+        rng = random.Random(s)
+        n = rng.choice([10, 11, 12, 13, 14])
+        p = rng.uniform(0.4, 0.7)
+        edges = itertools.combinations(range(n), 2)
+        yield Graph.from_edges(n, [e for e in edges if rng.random() < p])
+
+
+def test_k6_absence_answers_do_not_depend_on_the_branch_set_order():
+    rng = random.Random(3)
+    got = []
+    for g in _absence_corpus():
+        adj = [sorted(a) for a in g.adjacency()]
+        cand = [v for v in range(g.n) if len(adj[v]) >= 5]
+        answer = _k6_subdivision_absent(adj, cand)
+        rng.shuffle(cand)
+        assert _k6_subdivision_absent(adj, cand) is answer
+        got.append("T" if answer else "F")
+    assert "".join(got) == K6_ABSENCE_ANSWERS
+
+
 def _connected_without(adj, removed):
     rest = [v for v in range(len(adj)) if v not in removed]
     seen = {rest[0]}
