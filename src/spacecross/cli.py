@@ -21,12 +21,14 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import counting, generators, linking, pipeline, sametype, stairs
-from .drawing import SpatialDrawing, decode_drawing, encode_drawing
+from .drawing import (Graph, SpatialDrawing, _json_object, _list_from_doc,
+                      _points_from_doc, _pos_to_doc, decode_drawing,
+                      encode_drawing)
 from .errors import (DegenerateInput, DegeneratePosition, NotDisjoint,
                      PreconditionViolated, RetryExhausted, ValidationError)
 from .geometry import PluckerLine
 from .linking import PolygonalCycle
-from .scalars import rat_from_str, rat_to_str, scalar_to_json
+from .scalars import rat_to_str, scalar_to_json
 
 log = logging.getLogger("spacecross")
 
@@ -37,11 +39,22 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_input(path: Optional[str]):
+def _read_doc(path: Optional[str]) -> dict:
+    """The JSON object in the file at ``path``, or on stdin for None or -."""
     if path is None or path == "-":
-        return sys.stdin.read()
+        return _json_object(sys.stdin.read())
     with open(path, "rb") as fh:
-        return fh.read()
+        return _json_object(fh.read())
+
+
+def _point_set_from_doc(doc, where: str):
+    """(dim, points) of a {"dim", "points"} object; ``where`` prefixes the
+    key in error reports."""
+    try:
+        dim = int(doc["dim"])
+    except (TypeError, ValueError):
+        raise ValidationError("dimension must be an integer", where + "dim")
+    return dim, _points_from_doc(doc["points"], where + "points", dim)
 
 
 def _write_report(doc, path: Optional[str]):
@@ -67,10 +80,6 @@ def _emit_drawing(drawing: SpatialDrawing, args, **report) -> dict:
     return {"written": path, **report}
 
 
-def _point_doc(p):
-    return [rat_to_str(c) for c in p]
-
-
 def _line_doc(line: PluckerLine):
     return {"direction": [scalar_to_json(c) for c in line.direction],
             "moment": [scalar_to_json(c) for c in line.moment]}
@@ -87,9 +96,9 @@ def _witness_doc(w: counting.CrossingWitness):
 
 
 def _cycles_from_doc(doc) -> List[PolygonalCycle]:
-    return [PolygonalCycle(tuple(tuple(rat_from_str(c) for c in p)
-                                 for p in cyc))
-            for cyc in doc["cycles"]]
+    cycles = _list_from_doc(doc["cycles"], "cycles")
+    return [PolygonalCycle(tuple(_points_from_doc(cyc, f"cycles[{i}]")))
+            for i, cyc in enumerate(cycles)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +106,7 @@ def _cycles_from_doc(doc) -> List[PolygonalCycle]:
 # ---------------------------------------------------------------------------
 
 def cmd_count_crossings(args) -> dict:
-    d = decode_drawing(_read_input(args.input))
+    d = decode_drawing(_read_doc(args.input))
     rep = counting.count_line_crossings(d, args.k,
                                         want_witnesses=args.witnesses)
     doc = {"k": rep.k, "count": rep.count,
@@ -113,12 +122,12 @@ def cmd_count_crossings(args) -> dict:
 
 
 def cmd_count_planar(args) -> dict:
-    d = decode_drawing(_read_input(args.input))
+    d = decode_drawing(_read_doc(args.input))
     return {"count": counting.count_planar_crossings(d)}
 
 
 def cmd_lift_sphere(args) -> dict:
-    d = decode_drawing(_read_input(args.input))
+    d = decode_drawing(_read_doc(args.input))
     lifted = counting.lift_to_sphere(d, args.subdivision, seed=args.seed)
     return _emit_drawing(lifted, args, subdivision=args.subdivision)
 
@@ -144,15 +153,15 @@ def cmd_gen_hexgrid(args) -> dict:
 
 
 def cmd_linking(args) -> dict:
-    doc_in = json.loads(_read_input(args.input))
-    c1, c2 = _cycles_from_doc(doc_in)
-    return {"lk": linking.linking_number(c1, c2)}
+    cycles = _cycles_from_doc(_read_doc(args.input))
+    if len(cycles) != 2:
+        raise ValidationError(f"{len(cycles)} cycles, not 2", "cycles")
+    return {"lk": linking.linking_number(*cycles)}
 
 
 def cmd_conway_gordon(args) -> dict:
     if args.input:
-        doc_in = json.loads(_read_input(args.input))
-        pts = [tuple(rat_from_str(c) for c in p) for p in doc_in["points"]]
+        pts = _points_from_doc(_read_doc(args.input)["points"], "points")
     else:
         pts = generators.random_six_points(args.seed)
     res = linking.conway_gordon_check(pts)
@@ -164,8 +173,7 @@ def cmd_conway_gordon(args) -> dict:
 
 
 def cmd_transversal_4cycles(args) -> dict:
-    doc_in = json.loads(_read_input(args.input))
-    cycles = _cycles_from_doc(doc_in)
+    cycles = _cycles_from_doc(_read_doc(args.input))
     found = linking.transversal_through_cycles(cycles)
     if found is None:
         return {"found": False}
@@ -173,7 +181,7 @@ def cmd_transversal_4cycles(args) -> dict:
 
 
 def cmd_witness_pipeline(args) -> dict:
-    d = decode_drawing(_read_input(args.input))
+    d = decode_drawing(_read_doc(args.input))
     ws = pipeline.boost_witness_pipeline(d, seed=args.seed, budget=args.budget)
     return {"witnesses": [_witness_doc(w) for w in ws], "count": len(ws)}
 
@@ -188,9 +196,7 @@ def cmd_order_types(args) -> dict:
 
 
 def cmd_yao_yao(args) -> dict:
-    doc_in = json.loads(_read_input(args.input))
-    dim = int(doc_in["dim"])
-    pts = [tuple(rat_from_str(c) for c in p) for p in doc_in["points"]]
+    dim, pts = _point_set_from_doc(_read_doc(args.input), "")
     part = sametype.yao_yao_partition(pts, dim)
     return {
         "center": [rat_to_str(c) for c in part.center],
@@ -201,13 +207,12 @@ def cmd_yao_yao(args) -> dict:
 
 
 def cmd_same_type(args) -> dict:
-    doc_in = json.loads(_read_input(args.input))
-    multisets = [sametype.PointMultiset(
-        int(ms["dim"]), [tuple(rat_from_str(c) for c in p)
-                         for p in ms["points"]])
-        for ms in doc_in["multisets"]]
-    polys = [sametype.SparsePolynomial.from_json(p)
-             for p in doc_in["polynomials"]]
+    doc_in = _read_doc(args.input)
+    multisets = [sametype.PointMultiset(*_point_set_from_doc(
+        ms, f"multisets[{i}].")) for i, ms in enumerate(
+            _list_from_doc(doc_in["multisets"], "multisets"))]
+    polys = [sametype.SparsePolynomial.from_json(p) for p in
+             _list_from_doc(doc_in["polynomials"], "polynomials")]
     res = sametype.same_type_refine(multisets, polys)
     return {"subsets": res.subsets, "signs": res.signs,
             "epsilon": rat_to_str(res.epsilon)}
@@ -219,10 +224,9 @@ def cmd_gen_fixture(args) -> dict:
     if isinstance(obj, SpatialDrawing):
         return _emit_drawing(obj, args, kind=args.kind)
     if isinstance(obj, tuple) and obj and isinstance(obj[0], PolygonalCycle):
-        return {"cycles": [[_point_doc(p) for p in c.points] for c in obj]}
+        return {"cycles": [[_pos_to_doc(p) for p in c.points] for c in obj]}
     if isinstance(obj, list):
-        return {"points": [_point_doc(p) for p in obj]}
-    from .drawing import Graph
+        return {"points": [_pos_to_doc(p) for p in obj]}
     if isinstance(obj, Graph):
         return {"n": obj.n, "edges": [list(e) for e in obj.edges]}
     raise ValidationError(f"cannot serialize generator output {type(obj)}")

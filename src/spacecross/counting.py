@@ -47,8 +47,9 @@ Rejected combinations have no transversal and accepted ones have one, so
 both give the same counts, and with ``want_witnesses`` the same
 witnesses.
 
-Why an accepted combination has a transversal.  The filter takes the
-regulus of the kernel, ``_Regulus``, on three pairwise skew supporting
+Why an accepted combination has a transversal.  The filter runs the
+kernel's regulus functions (``geometry._plane``,
+``_incidence_quadratic``, ``_trace``) on three pairwise skew supporting
 lines: P(t) = p1 + t d1 runs along line 1, and T(t) is the meet of
 plane 2(t), through P(t) and line 2, with plane 3(t), through P(t) and
 line 3.  Both planes are proper, since P(t) lies on neither skew line,
@@ -80,13 +81,14 @@ is off y = x - o by at most u |x| + u |x'| / (1 - u), below the input error
 e_in = fl(U (|x~| + |x'|)).  A row whose largest e_in exceeds its extent,
 the largest |x'|, is left undecided; the others are scaled by a power of
 two that brings every |x'| and e_in below 1, exactly but for underflow.
-A polynomial P is evaluated by the kernel's own program (``_Regulus``,
-``v_dot``, ``v_cross``) on ``_Approx`` values (v, a, b, n).  Let A be the
-absolute-value program: inputs and constants taken absolutely, every
-subtraction made an addition.  v runs P on x', a runs A on |x'|, b runs A
-on b_in = fl(|x'| + e_in), and n counts the roundings on a path from an
-input: 0 at an input or constant, max(n, n') + 1 for a sum or
-difference, n + n' + 1 for a product.  Four facts give the bound.
+A polynomial P is evaluated by the kernel's own program (its regulus
+functions, ``v_dot``, ``v_cross``) on ``_Approx`` values (v, a, b, n).
+Let A be the absolute-value program: inputs and constants taken
+absolutely, every subtraction made an addition.  v runs P on x', a runs
+A on |x'|, b runs A on b_in = fl(|x'| + e_in), and n counts the
+roundings on a path from an input: 0 at an input or constant,
+max(n, n') + 1 for a sum or difference, n + n' + 1 for a product.  Four
+facts give the bound.
 
 (1) In exact arithmetic b is B = A(|x'| + e_in), and B - A(|x'|) bounds
     |P(x') - P(y)| for every y within e_in of x', by induction: for a
@@ -131,7 +133,6 @@ arithmetic yields efficient dynamic filters" (2001).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import sys
@@ -144,8 +145,9 @@ import numpy as np
 
 from .drawing import Edge, Graph, SpatialDrawing
 from .errors import ValidationError
-from .geometry import (PluckerLine, _int_triple, _Regulus,
-                       segments_intersect_2d, transversal_exists_segments, v_dot)
+from .geometry import (PluckerLine, _incidence_quadratic, _int_triple, _plane,
+                       _trace, segments_intersect_2d,
+                       transversal_exists_segments, v_dot)
 
 # rows (tuples or segment combinations) per vectorized filter batch; small
 # enough that a batch's arrays stay in cache (the certified filter runs
@@ -474,9 +476,9 @@ class _Approx:
     result; ``n`` is the largest number of roundings on a path from an
     input.  Every ring operation acts componentwise on (v, a, b): a product
     is three multiplications and a sum or difference three additions or
-    subtractions.  The geometry kernel's vector helpers and ``_Regulus``
-    run on it unchanged, so the filter evaluates the kernel's own
-    polynomials.  An exact constant c is (c, |c|, |c|) with n = 0, as
+    subtractions.  The geometry kernel's vector helpers and regulus
+    functions run on it unchanged, so the filter evaluates the kernel's
+    own polynomials.  An exact constant c is (c, |c|, |c|) with n = 0, as
     floats.
     """
 
@@ -575,18 +577,15 @@ def _lines_of(P, Q, eP, eQ):
     return stack, [_take(stack, slice(i * n, (i + 1) * n)) for i in range(4)]
 
 
-def _regulus_of(stack, line):
-    """The ``_Regulus`` along the first of ``_lines_of``'s lines through
-    the second and third, and its planes 2 and 3 stacked, from one run of
-    its plane program over those two lines."""
+def _planes_of(stack, line):
+    """Planes 2 and 3 along the first of ``_lines_of``'s lines, through the
+    second and third, from one ``_plane`` run over those two lines: the
+    planes stacked, then each."""
     n = len(line[0][0][0].v)
-    reg = _Regulus.__new__(_Regulus)
-    reg.p1, reg.d1 = _join(line[0][:2], line[0][:2])
-    planes = reg._plane_coeffs(_take(stack, slice(n, 3 * n)))
-    reg.p1, reg.d1 = line[0][:2]
-    (reg.A2, reg.B2, reg.a2, reg.b2), (reg.A3, reg.B3, reg.a3, reg.b3) = (
-        _take(planes, slice(i * n, (i + 1) * n)) for i in range(2))
-    return reg, planes
+    planes = _plane(*_join(line[0][:2], line[0][:2]),
+                    _take(stack, slice(n, 3 * n)))
+    return (planes,
+            *(_take(planes, slice(i * n, (i + 1) * n)) for i in range(2)))
 
 
 def _range_signs(q, sa):
@@ -600,17 +599,15 @@ def _range_signs(q, sa):
             for s in _root_signs(*_join(q, q), np.tile(sa, 2), _ONE, l0)]
 
 
-def _trace_signs(reg, planes, stack, q, sa, live):
+def _trace_signs(planes, stack, q, sa, live):
     """Per form (num, den, num - den) and root, the ``_root_signs`` at rows
     ``live`` of the traces of the second line on plane 3 (row 0) and of
-    the third and fourth on plane 2 (rows 1, 2): one trace fraction of a
-    plane 2 stacked from ``_regulus_of``'s planes."""
+    the third and fourth on plane 2 (rows 1, 2): one ``_trace`` over
+    ``_planes_of``'s stacked planes."""
     n = len(sa)
-    traces = copy.copy(reg)
-    traces.A2, traces.B2, traces.a2, traces.b2 = _take(
-        planes, np.concatenate([live + n, live, live]))
-    num, den = traces.trace_fraction(2, (*_take(stack[:2], np.concatenate(
-        [live + n, live + 2 * n, live + 3 * n])), None))
+    num, den = _trace(
+        _take(planes, np.concatenate([live + n, live, live])),
+        _take(stack, np.concatenate([live + n, live + 2 * n, live + 3 * n])))
     diff = (num[0] - den[0], num[1] - den[1])
     q, sa = _take(q, np.tile(live, 3)), np.tile(sa[live], 3)
     return [[s.reshape(3, len(live)) for s in _root_signs(*q, sa, *form)]
@@ -636,7 +633,7 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     and a row's answer does not depend on the other rows.
 
     Independent instances of one program run once over their rows stacked
-    end to end (``_lines_of``, ``_regulus_of``, ``_range_signs``,
+    end to end (``_lines_of``, ``_planes_of``, ``_range_signs``,
     ``_trace_signs``); each value, bound and sign is the one the program
     gives a row alone (module docstring).
     """
@@ -693,8 +690,8 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # the regulus and range steps set the peak memory: free the endpoints,
     # then the moments m, which no step after the quadratic reads
     del P0, Q0, eP, eQ
-    reg, planes = _regulus_of(stack, line)
-    q = qa, qb, qc = reg.incidence_quadratic(line[3])
+    planes, plane2, plane3 = _planes_of(stack, line)
+    q = qa, qb, qc = _incidence_quadratic(plane2, plane3, line[3])
     stack, line = stack[:2], None
     sa = qa.sign()
     s_disc = (qb * qb - (qa * qc) * _FOUR).sign()
@@ -709,7 +706,7 @@ def _certified_decide(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(real & ~(out[0] & out[1]))
     if not len(live):
         return decide
-    signs = _trace_signs(reg, planes, stack, q, sa, live)
+    signs = _trace_signs(planes, stack, q, sa, live)
     for r in range(2):
         s_n, s_d, s_nd = (s[r] for s in signs)
         out[r] = out[r][live] | ((s_d != 0) & (

@@ -123,13 +123,26 @@ def _pos_to_doc(p: Vec3) -> List[str]:
     return [rat_to_str(c) for c in p]
 
 
-def _pos_from_doc(doc, where: str) -> Vec3:
-    if not isinstance(doc, list) or len(doc) != 3:
-        raise ValidationError("position must be a list of three scalars", where)
+def _pos_from_doc(doc, where: str, dim: int = 3) -> Tuple[Fraction, ...]:
+    if not isinstance(doc, list) or len(doc) != dim:
+        raise ValidationError(f"position must be a list of {dim} scalars",
+                              where)
     try:
         return tuple(rat_from_str(c) for c in doc)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad scalar: {exc}", where)
+
+
+def _list_from_doc(doc, where: str) -> list:
+    if not isinstance(doc, list):
+        raise ValidationError("expected a list", where)
+    return doc
+
+
+def _points_from_doc(doc, where: str, dim: int = 3) -> List[tuple]:
+    """The list ``doc`` of positions in ``dim`` dimensions."""
+    return [_pos_from_doc(p, f"{where}[{i}]", dim)
+            for i, p in enumerate(_list_from_doc(doc, where))]
 
 
 def encode_drawing(d: SpatialDrawing) -> bytes:
@@ -144,18 +157,23 @@ def encode_drawing(d: SpatialDrawing) -> bytes:
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
-def decode_drawing(data) -> SpatialDrawing:
+def _json_object(data) -> dict:
+    """The JSON object of the text ``data`` (bytes or str), or ``data``
+    itself when it is already decoded."""
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
-            doc = json.loads(data)
+            data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"not valid JSON: {exc}", "document")
-    else:
-        doc = data
-    if not isinstance(doc, dict):
+    if not isinstance(data, dict):
         raise ValidationError("top level must be an object", "document")
+    return data
+
+
+def decode_drawing(data) -> SpatialDrawing:
+    doc = _json_object(data)
     try:
         n = int(doc["n"])
     except (KeyError, TypeError, ValueError):
@@ -175,7 +193,7 @@ def decode_drawing(data) -> SpatialDrawing:
         positions[vid] = _pos_from_doc(rec.get("pos"), where + ".pos")
     edges = []
     polylines: Dict[Edge, List[Vec3]] = {}
-    for k, rec in enumerate(doc.get("edges", [])):
+    for k, rec in enumerate(_list_from_doc(doc.get("edges", []), "edges")):
         where = f"edges[{k}]"
         try:
             u, v = int(rec["u"]), int(rec["v"])
@@ -185,22 +203,14 @@ def decode_drawing(data) -> SpatialDrawing:
             raise ValidationError(f"loop at vertex {u}", where)
         e = (min(u, v), max(u, v))
         edges.append(e)
-        poly = rec.get("polyline", [])
-        if poly:
-            pts = [_pos_from_doc(p, f"{where}.polyline[{i}]")
-                   for i, p in enumerate(poly)]
+        pts = _points_from_doc(rec.get("polyline") or [], f"{where}.polyline")
+        if pts:
             if (u, v) != e:
                 pts.reverse()
             polylines[e] = pts
     if len(set(edges)) != len(edges):
         raise ValidationError("multiple edge in document", "edges")
-    try:
-        g = Graph.from_edges(n, edges)
-        return SpatialDrawing(g, positions, polylines)
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(str(exc), "document")
+    return SpatialDrawing(Graph.from_edges(n, edges), positions, polylines)
 
 
 def drawing_codec(obj):

@@ -283,89 +283,83 @@ def _quadratic_roots(qa: int, qb: int, qc: int) -> Optional[List[_Param]]:
 # ---------------------------------------------------------------------------
 # regulus parametrization: transversals through three pairwise skew lines
 # ---------------------------------------------------------------------------
+#
+# Lines are (p, d, m) triples, pairwise skew.  T(t) is the meet of the planes
+# through P(t) = p1 + t*d1 and lines 2 and 3.  A plane is a tuple (A, B,
+# alpha, beta): <A + tB, y> + alpha + t beta = 0.  The kernel runs these
+# functions on ints, the certified filter on ``counting._Approx`` values.
 
-class _Regulus:
-    """Transversals T(t) through P(t) = p1 + t*d1 meeting lines 2 and 3.
+def _plane(p1, d1, line):
+    """The plane through P(t) = p1 + t*d1 and the line (p, d, m)."""
+    _, d, m = line
+    return (v_add(v_cross(d, p1), m), v_cross(d, d1),
+            -v_dot(m, p1), -v_dot(m, d1))
 
-    Lines are given by integer (p, d, m) triples with pairwise nonzero
-    incidence form (pairwise skew).  All plane coefficients are linear in t.
-    """
 
-    def __init__(self, p1, d1, l2, l3):
-        self.p1, self.d1 = p1, d1
-        self.A2, self.B2, self.a2, self.b2 = self._plane_coeffs(l2)
-        self.A3, self.B3, self.a3, self.b3 = self._plane_coeffs(l3)
+def _incidence_quadratic(plane2, plane3, line4):
+    """Coefficients (qa, qb, qc) in t of the incidence form of T(t) with
+    line 4."""
+    _, d4, m4 = line4
+    A2, B2, a2, b2 = plane2
+    A3, B3, a3, b3 = plane3
+    qa = v_dot(v_cross(B2, B3), m4) + v_dot(
+        d4, v_sub(v_scale(B3, b2), v_scale(B2, b3)))
+    qb = (v_dot(v_add(v_cross(A2, B3), v_cross(B2, A3)), m4)
+          + v_dot(d4, v_sub(v_add(v_scale(B3, a2), v_scale(A3, b2)),
+                            v_add(v_scale(B2, a3), v_scale(A2, b3)))))
+    qc = v_dot(v_cross(A2, A3), m4) + v_dot(
+        d4, v_sub(v_scale(A3, a2), v_scale(A2, a3)))
+    return qa, qb, qc
 
-    def _plane_coeffs(self, l):
-        p, d, m = l
-        A = v_add(v_cross(d, self.p1), m)
-        B = v_cross(d, self.d1)
-        alpha = -v_dot(m, self.p1)
-        beta = -v_dot(m, self.d1)
-        return A, B, alpha, beta
 
-    def incidence_quadratic(self, l4):
-        """Coefficients (A, B, C) of the incidence form with line 4 in t."""
-        _, d4, m4 = l4
-        A2, B2, a2, b2 = self.A2, self.B2, self.a2, self.b2
-        A3, B3, a3, b3 = self.A3, self.B3, self.a3, self.b3
-        qa = v_dot(v_cross(B2, B3), m4) + v_dot(
-            d4, v_sub(v_scale(B3, b2), v_scale(B2, b3)))
-        qb = (v_dot(v_add(v_cross(A2, B3), v_cross(B2, A3)), m4)
-              + v_dot(d4, v_sub(v_add(v_scale(B3, a2), v_scale(A3, b2)),
-                                v_add(v_scale(B2, a3), v_scale(A2, b3)))))
-        qc = v_dot(v_cross(A2, A3), m4) + v_dot(
-            d4, v_sub(v_scale(A3, a2), v_scale(A2, a3)))
-        return qa, qb, qc
+def _trace(plane, line):
+    """Parameter of the crossing of the line (p, d, ...) with the plane as
+    a pair of linear forms (num, den) in t."""
+    p, d = line[:2]
+    A, B, alpha, beta = plane
+    num = (-(v_dot(B, p) + beta), -(v_dot(A, p) + alpha))
+    den = (v_dot(B, d), v_dot(A, d))
+    return num, den
 
-    def trace_fraction(self, which: int, target):
-        """Parameter of the target line's crossing of plane 2 or 3 as a
-        pair of linear forms (num, den) in t."""
-        p, d, _ = target
-        if which == 2:
-            A, B, alpha, beta = self.A2, self.B2, self.a2, self.b2
-        else:
-            A, B, alpha, beta = self.A3, self.B3, self.a3, self.b3
-        num = (-(v_dot(B, p) + beta), -(v_dot(A, p) + alpha))
-        den = (v_dot(B, d), v_dot(A, d))
+
+def _segment_trace(plane2, plane3, line):
+    """``_trace`` on plane 2, or on plane 3 when both forms vanish
+    identically: the line is then line 2, which every plane 2 contains."""
+    num, den = _trace(plane2, line)
+    if any(num) or any(den):
         return num, den
+    return _trace(plane3, line)
 
-    def segment_trace(self, target):
-        """``trace_fraction`` of plane 2, or of plane 3 when both forms
-        vanish identically: the target then lies on line 2, which every
-        plane 2 contains."""
-        num, den = self.trace_fraction(2, target)
-        if any(num) or any(den):
-            return num, den
-        return self.trace_fraction(3, target)
 
-    def line_at(self, t: _Param):
-        """The transversal at t, scaled by h^2, as integer vectors
-        (da, db, ma, mb): direction da + db*sqrt(d), moment ma + mb*sqrt(d).
+def _line_at(plane2, plane3, t: _Param):
+    """The transversal at t, scaled by h^2, as integer vectors
+    (da, db, ma, mb): direction da + db*sqrt(d), moment ma + mb*sqrt(d).
 
-        The planes through P(t) and lines 2 and 3, scaled by h, are
-        (n2, e2) and (n3, e3); the line is d = n2 x n3, m = n3 e2 - n2 e3.
-        """
-        t0, t1, d, h = t.t0, t.t1, t.d, t.h
-        n2a = v_add(v_scale(self.A2, h), v_scale(self.B2, t0))
-        n3a = v_add(v_scale(self.A3, h), v_scale(self.B3, t0))
-        e2a, e3a = self.a2 * h + self.b2 * t0, self.a3 * h + self.b3 * t0
-        da = v_cross(n2a, n3a)
-        ma = v_sub(v_scale(n3a, e2a), v_scale(n2a, e3a))
-        if not t1:
-            return da, (0, 0, 0), ma, (0, 0, 0)
-        n2b, n3b = v_scale(self.B2, t1), v_scale(self.B3, t1)
-        e2b, e3b = self.b2 * t1, self.b3 * t1
-        da = v_add(da, v_scale(v_cross(n2b, n3b), d))
-        db = v_add(v_cross(n2a, n3b), v_cross(n2b, n3a))
-        ma = v_add(ma, v_scale(v_sub(v_scale(n3b, e2b), v_scale(n2b, e3b)), d))
-        mb = v_sub(v_add(v_scale(n3a, e2b), v_scale(n3b, e2a)),
-                   v_add(v_scale(n2a, e3b), v_scale(n2b, e3a)))
-        return da, db, ma, mb
+    The planes at t, scaled by h, are (n2, e2) and (n3, e3); the line is
+    d = n2 x n3, m = n3 e2 - n2 e3.
+    """
+    A2, B2, a2, b2 = plane2
+    A3, B3, a3, b3 = plane3
+    t0, t1, d, h = t.t0, t.t1, t.d, t.h
+    n2a = v_add(v_scale(A2, h), v_scale(B2, t0))
+    n3a = v_add(v_scale(A3, h), v_scale(B3, t0))
+    e2a, e3a = a2 * h + b2 * t0, a3 * h + b3 * t0
+    da = v_cross(n2a, n3a)
+    ma = v_sub(v_scale(n3a, e2a), v_scale(n2a, e3a))
+    if not t1:
+        return da, (0, 0, 0), ma, (0, 0, 0)
+    n2b, n3b = v_scale(B2, t1), v_scale(B3, t1)
+    e2b, e3b = b2 * t1, b3 * t1
+    da = v_add(da, v_scale(v_cross(n2b, n3b), d))
+    db = v_add(v_cross(n2a, n3b), v_cross(n2b, n3a))
+    ma = v_add(ma, v_scale(v_sub(v_scale(n3b, e2b), v_scale(n2b, e3b)), d))
+    mb = v_sub(v_add(v_scale(n3a, e2b), v_scale(n3b, e2a)),
+               v_add(v_scale(n2a, e3b), v_scale(n2b, e3a)))
+    return da, db, ma, mb
 
 
 def _public_line(line, t: _Param, scale: int) -> PluckerLine:
-    """The line of ``_Regulus.line_at`` divided by h^2, and its moment also
+    """The line of ``_line_at`` divided by h^2, and its moment also
     by the space scale."""
     da, db, ma, mb = line
     hh = t.h * t.h
@@ -471,13 +465,16 @@ def _transversal_scaled(ints, scale) -> SegmentTransversal:
             res.line = _unscale_line(res.line, scale)
         return res
     tr = [triples[i] for i in order]
-    reg = _Regulus(tr[0][0], tr[0][1], tr[1], tr[2])
+    p1, d1, _ = tr[0]
+    plane2, plane3 = _plane(p1, d1, tr[1]), _plane(p1, d1, tr[2])
     roots = None
     if len(ints) == 4:
-        roots = _quadratic_roots(*reg.incidence_quadratic(tr[3]))
+        roots = _quadratic_roots(*_incidence_quadratic(plane2, plane3, tr[3]))
         if roots == []:     # no real root: no transversal to trace
             return SegmentTransversal(False)
-    traces = [reg.segment_trace(x) for x in tr[1:]]
+    # t itself first: 0 <= t <= 1 is the range test of the trace t / 1
+    traces = [((1, 0), (0, 1)),
+              *(_segment_trace(plane2, plane3, x) for x in tr[1:])]
     if roots is None:
         # k = 3, or the fourth supporting line meets every transversal of
         # the regulus: a one-parameter family
@@ -485,7 +482,7 @@ def _transversal_scaled(ints, scale) -> SegmentTransversal:
     else:
         candidates = (t for t in roots if _in_unit_range(t, traces))
     for t in candidates:
-        line = reg.line_at(t)
+        line = _line_at(plane2, plane3, t)
         params = _certify(line, triples, t.d)
         if params is not None:
             return _public_transversal(line, params, t, scale)
@@ -497,8 +494,8 @@ def _rational_param(x: Fraction) -> _Param:
 
 
 def _in_unit_range(t: _Param, traces) -> bool:
-    """Division-free range checks of t and of the crossing parameters
-    num(t)/den(t) of the traces, all in Z[sqrt(d)].
+    """Division-free checks 0 <= num(t)/den(t) <= 1 of the traces, in
+    Z[sqrt(d)]; the trace t / 1 tests t itself.
 
     A trace with den(t) = 0 fails when num(t) != 0: the transversal is then
     parallel to the segment's line and misses it.  At 0/0 the segment's
@@ -506,9 +503,6 @@ def _in_unit_range(t: _Param, traces) -> bool:
     test goes on with the next trace and certification decides.
     """
     t0, t1, d, h = t.t0, t.t1, t.d, t.h
-    sh = 1 if h > 0 else -1
-    if _zsign(t0, t1, d) * sh < 0 or _zsign(t0 - h, t1, d) * sh > 0:
-        return False
     for (n1, n0), (d1, d0) in traces:
         # h*num(t) and h*den(t); the common factor h cancels in the tests
         na, nb = n1 * t0 + n0 * h, n1 * t1
@@ -544,7 +538,7 @@ def _family_samples(traces):
 
 
 def _certify(line, triples, d):
-    """Contact parameters of a line of ``_Regulus.line_at`` on every
+    """Contact parameters of a line of ``_line_at`` on every
     segment (p, q), or None when it misses one.
 
     With w = (q - p) x dir and r = mom - p x dir the segment is met exactly

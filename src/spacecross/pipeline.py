@@ -329,19 +329,12 @@ class HexGrid:
     """Truncated hexagonal grid: the hexagons with axial coordinates in
     [-k, k]^2 except two opposite corner cells (replaced by chords), plus
     one boundary chord per consecutive pair of degree-2 rim vertices.
-
-    The truncation rule is exposed through ``cells``, ``corner_chords``
-    and ``closure_chords`` for inspection.
     """
 
     k: int
     graph: Graph
     coords: List[Tuple[int, int]]
-    cells: List[Tuple[int, int]]
-    corner_chords: List[Edge]
-    closure_chords: List[Edge]
     faces: List[List[int]]
-    outer_face: int
 
 
 def _trace_faces(n: int, edges, coords):
@@ -385,22 +378,18 @@ def hexgrid_graph(k: int) -> HexGrid:
     cells = [(x, y) for x in range(-k, k + 1) for y in range(-k, k + 1)
              if (x, y) not in cut]
     edges_xy: Set[Tuple[Tuple[int, int], Tuple[int, int]]] = set()
-    corner_xy = []
 
-    def add(a, b, store=None):
-        e = (min(a, b), max(a, b))
-        edges_xy.add(e)
-        if store is not None:
-            store.append(e)
+    def add(a, b):
+        edges_xy.add((min(a, b), max(a, b)))
 
     for (x, y) in cells + sorted(cut):
         c = _hex_center(x, y)
         vs = [(c[0] + dx, c[1] + dy) for dx, dy in _HEX_OFFSETS]
         if (x, y) in cut:
             if (x, y) == (-k, k):
-                add(vs[5], vs[1], corner_xy)
+                add(vs[5], vs[1])
             else:
-                add(vs[2], vs[4], corner_xy)
+                add(vs[2], vs[4])
             continue
         for i in range(6):
             add(vs[i], vs[(i + 1) % 6])
@@ -442,11 +431,9 @@ def hexgrid_graph(k: int) -> HexGrid:
 
     all_edges = sorted(set(base_edges) | set(closure))
     graph = Graph(n, tuple(all_edges))
-    faces, outer = _trace_faces(n, all_edges, verts)
+    faces, _ = _trace_faces(n, all_edges, verts)
     _validate_hexgrid(graph, faces)
-    corner = sorted((index[a], index[b]) if index[a] < index[b]
-                    else (index[b], index[a]) for a, b in corner_xy)
-    return HexGrid(k, graph, verts, cells, corner, closure, faces, outer)
+    return HexGrid(k, graph, verts, faces)
 
 
 def _validate_hexgrid(graph: Graph, faces):

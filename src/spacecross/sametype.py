@@ -91,14 +91,19 @@ class SparsePolynomial:
 
     @staticmethod
     def from_json(doc: dict) -> "SparsePolynomial":
-        terms = []
-        for mono in doc["monomials"]:
-            exps = {}
-            for kv, e in mono["exponents"].items():
-                b, v = kv.split(":")
-                exps[(int(b), int(v))] = int(e)
-            terms.append((rat_from_str(mono["coeff"]), exps))
-        return SparsePolynomial.from_terms(doc["blocks"], terms)
+        try:
+            blocks = [int(b) for b in doc["blocks"]]
+            terms = []
+            for mono in doc["monomials"]:
+                exps = {}
+                for kv, e in mono["exponents"].items():
+                    b, v = kv.split(":")
+                    exps[(int(b), int(v))] = int(e)
+                terms.append((rat_from_str(mono["coeff"]), exps))
+        except (AttributeError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise ValidationError(f"bad polynomial: {exc}", "polynomials")
+        return SparsePolynomial.from_terms(blocks, terms)
 
 
 def block_term_count(f: SparsePolynomial, block: int) -> int:

@@ -226,6 +226,51 @@ def test_sametype_commands(tmp_path, capsys):
     assert (code, doc["subsets"], doc["signs"]) == (0, [[0, 1, 2], [0]], [1])
 
 
+def _drawing_doc(pos="0", edges=None):
+    return {"n": 2, "vertices": [{"id": 0, "pos": [pos, "0", "0"]},
+                                 {"id": 1, "pos": ["1", "0", "0"]}],
+            "edges": [{"u": 0, "v": 1}] if edges is None else edges}
+
+
+def _cycles_doc(scalar):
+    return {"cycles": [[[scalar, "0", "0"], ["1", "0", "0"], ["0", "1", "0"]],
+                       [["0", "0", "1"], ["1", "0", "1"], ["0", "1", "1"]]]}
+
+
+def _same_type_doc(scalar="1", coeff="1"):
+    return {"multisets": [{"dim": 1, "points": [[scalar], ["2"]]}],
+            "polynomials": [{"blocks": [1], "monomials": [
+                {"coeff": coeff, "exponents": {"0:0": 1}}]}]}
+
+
+# every subcommand that reads a document, with a malformed one
+MALFORMED = [
+    ("count-crossings", _drawing_doc(edges=5)),
+    ("count-planar", _drawing_doc(edges=[{"u": 0, "v": 1, "polyline": 5}])),
+    ("lift-sphere", _drawing_doc(pos="1/0")),
+    ("witness-pipeline", _drawing_doc(pos="x")),
+    ("linking", _cycles_doc("x")),
+    ("linking", {"cycles": _cycles_doc("0")["cycles"][:1]}),
+    ("transversal-4cycles", _cycles_doc("1/0")),
+    ("transversal-4cycles", {"cycles": 5}),
+    ("conway-gordon", {"points": [["x", "0", "0"]] * 6}),
+    ("yao-yao", {"dim": 1, "points": [["1/0"], ["1"]]}),
+    ("yao-yao", {"dim": "x", "points": []}),
+    ("same-type", _same_type_doc(scalar="x")),
+    ("same-type", _same_type_doc(coeff="1/0")),
+    ("same-type", {**_same_type_doc(), "polynomials": [5]}),
+    ("same-type", []),
+]
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED)
+def test_malformed_documents_exit_1_with_a_report(tmp_path, capsys, command,
+                                                  doc):
+    code, report = run(capsys, command,
+                       "--input", write(tmp_path / "bad.json", doc))
+    assert (code, report["code"]) == (1, "ValidationError")
+
+
 def test_unknown_fixture_kind_exits_1(capsys):
     code, doc = run(capsys, "gen-fixture", "--kind", "nope")
     assert (code, doc["code"]) == (1, "ValidationError")

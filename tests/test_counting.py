@@ -13,7 +13,8 @@ from spacecross.counting import (count_line_crossings, count_planar_crossings,
                                  enumerate_disjoint_tuples, lift_to_sphere)
 from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.errors import ValidationError
-from spacecross.geometry import (Segment3, _int_triple, _Regulus, point3,
+from spacecross.geometry import (Segment3, _incidence_quadratic,
+                                 _int_triple, _plane, _trace, point3,
                                  transversal_exists_segments)
 from spacecross.linking import PolygonalCycle
 from spacecross.pipeline import hexgrid_construction, hexgrid_graph
@@ -940,10 +941,29 @@ def scaled_block(rng, rows):
     return P, Q, eP, eQ
 
 
+def integer_block(rng, rows):
+    """Rows of four segments with integer coordinates |x| <= 4 and no
+    errors, on which every float value of the filter's programs is exact."""
+    P, Q = (rng.integers(-4, 5, (rows, 4, 3)).astype(float) for _ in range(2))
+    return P, Q, np.zeros_like(P), np.zeros_like(Q)
+
+
+def kernel_forms(P, Q, r):
+    """The quadratic and the trace forms of the kernel, on Python ints, of
+    row r: flat lists of (qa, qb, qc), then num and den of each trace."""
+    lines = [_int_triple(*(tuple(int(c) for c in X[r, i]) for X in (P, Q)))
+             for i in range(4)]
+    plane2, plane3 = (_plane(*lines[0][:2], x) for x in lines[1:3])
+    q = _incidence_quadratic(plane2, plane3, lines[3])
+    return list(q), [c for num, den in (
+        _trace(plane3, lines[1]), _trace(plane2, lines[2]),
+        _trace(plane2, lines[3])) for c in (*num, *den)]
+
+
 def unstacked_signs(P, Q, eP, eQ):
     """The quadratic and the range and trace signs of the unstacked
     program, the reference of the stacked one: one ``_int_triple`` per
-    line, one ``_Regulus`` run per plane, one ``_root_signs`` call per
+    line, one ``_plane`` call per plane, one ``_root_signs`` call per
     form."""
     A = counting._Approx
     lines = [_int_triple(*(
@@ -951,15 +971,14 @@ def unstacked_signs(P, Q, eP, eQ):
                 np.abs(X[:, i, j]) + E[:, i, j], 0)
               for j in range(3)) for X, E in ((P, eP), (Q, eQ))))
         for i in range(4)]
-    reg = _Regulus(lines[0][0], lines[0][1], lines[1], lines[2])
-    q = reg.incidence_quadratic(lines[3])
+    plane2, plane3 = (_plane(*lines[0][:2], x) for x in lines[1:3])
+    q = _incidence_quadratic(plane2, plane3, lines[3])
     sa = q[0].sign()
     ranges = [counting._root_signs(*q, sa, counting._ONE, l0)
               for l0 in (A(0.0, 0.0, 0.0, 0), -counting._ONE)]
     traces = []
-    for num, den in (reg.trace_fraction(3, lines[1]),
-                     reg.trace_fraction(2, lines[2]),
-                     reg.trace_fraction(2, lines[3])):
+    for num, den in (_trace(plane3, lines[1]), _trace(plane2, lines[2]),
+                     _trace(plane2, lines[3])):
         diff = (num[0] - den[0], num[1] - den[1])
         traces.append([counting._root_signs(*q, sa, *form)
                        for form in (num, den, diff)])
@@ -969,12 +988,13 @@ def unstacked_signs(P, Q, eP, eQ):
 def test_stacked_range_and_trace_signs_match_the_loop():
     rng = np.random.default_rng(13)
     zeros = 0
-    for rows in (1, 2, 7, 126, 300):
-        P, Q, eP, eQ = scaled_block(rng, rows)
+    blocks = [(scaled_block, rows) for rows in (1, 2, 7, 126, 300)]
+    for make, rows in blocks + [(integer_block, 60)]:
+        P, Q, eP, eQ = make(rng, rows)
         ref_q, ref_ranges, ref_traces = unstacked_signs(P, Q, eP, eQ)
         stack, line = counting._lines_of(P, Q, eP, eQ)
-        reg, planes = counting._regulus_of(stack, line)
-        q = reg.incidence_quadratic(line[3])
+        planes, plane2, plane3 = counting._planes_of(stack, line)
+        q = _incidence_quadratic(plane2, plane3, line[3])
         for got, want in zip(q, ref_q):
             same_bytes(got, (want.v, want.a, want.b, want.n))
         sa = q[0].sign()
@@ -983,13 +1003,22 @@ def test_stacked_range_and_trace_signs_match_the_loop():
             for k in range(2):
                 assert (ranges[root][k] == ref_ranges[k][root]).all()
         live = np.flatnonzero(rng.random(rows) < 0.7)
-        traces = counting._trace_signs(reg, planes, stack, q, sa, live)
+        traces = counting._trace_signs(planes, stack, q, sa, live)
         for j in range(3):
             for form in range(3):
                 for root in range(2):
                     want = ref_traces[j][form][root][live]
                     assert (traces[form][root][j] == want).all()
                     zeros += int((want == 0).sum())
+        if make is integer_block:
+            # exact floats: the stacked values are the kernel's integers
+            forms = [c.v for num, den in (
+                _trace(plane3, line[1]), _trace(plane2, line[2]),
+                _trace(plane2, line[3])) for c in (*num, *den)]
+            for r in range(rows):
+                want_q, want_forms = kernel_forms(P, Q, r)
+                assert [x.v[r] for x in q] == want_q
+                assert [f[r] for f in forms] == want_forms
     assert zeros > 0
 
 

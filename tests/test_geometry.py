@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacecross.errors import DegenerateInput
-from spacecross.geometry import (Segment3, _int_triple,
-                                 _pencil_through_point, _point_on_line,
-                                 _quadratic_roots, _Regulus,
+from spacecross.geometry import (Segment3, _incidence_quadratic,
+                                 _int_triple, _pencil_through_point, _plane,
+                                 _point_on_line, _quadratic_roots,
                                  _scaled_int_segments, _stab_in_plane,
                                  line_through_points,
                                  plucker_from_segment, point3, same_line,
@@ -141,8 +141,10 @@ def test_random_lines_count_matches_numeric_roots():
             continue
         ints, _ = _scaled_int_segments(segs)
         triples = [_int_triple(p, r) for p, r in ints]
-        reg = _Regulus(triples[0][0], triples[0][1], triples[1], triples[2])
-        roots = _quadratic_roots(*reg.incidence_quadratic(triples[3]))
+        p1, d1, _ = triples[0]
+        roots = _quadratic_roots(*_incidence_quadratic(
+            _plane(p1, d1, triples[1]), _plane(p1, d1, triples[2]),
+            triples[3]))
         numeric = _numeric_roots(mp, segs)
         if numeric is None:
             continue
