@@ -219,7 +219,10 @@ def cmd_same_type(args) -> dict:
 
 
 def cmd_gen_fixture(args) -> dict:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"not valid JSON: {exc}", "params")
     obj = generators.seeded_generators(args.kind, params, args.seed)
     if isinstance(obj, SpatialDrawing):
         return _emit_drawing(obj, args, kind=args.kind)

@@ -29,6 +29,10 @@ sign of num, den or num - den changes between their neighbouring roots,
 so range tests at those roots and the midpoints between them find each
 connected component of the transversals as a run of accepted sites, and
 one candidate per run decides: its midpoint, then its ends.
+
+The integer scaling serves that skew branch only.  With no three
+supporting lines pairwise skew, a case analysis on the caller's own
+segments decides, and its line is in the caller's coordinates.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def point3(x, y, z) -> Vec3:
 
 @dataclass(frozen=True)
 class Segment3:
-    """Closed nondegenerate segment between rational points p and q."""
+    """Closed nondegenerate segment from p to q, with Fraction coordinates."""
 
     p: Vec3
     q: Vec3
@@ -95,6 +99,8 @@ class Segment3:
     def __post_init__(self):
         if self.p == self.q:
             raise DegenerateInput(f"zero-length segment at {self.p}")
+        object.__setattr__(self, "p", tuple(map(rat, self.p)))
+        object.__setattr__(self, "q", tuple(map(rat, self.q)))
 
     @property
     def direction(self) -> Vec3:
@@ -116,13 +122,6 @@ class PluckerLine:
             raise DegenerateInput("line with zero direction")
         if sign_of(v_dot(self.direction, self.moment)) != 0:
             raise ValueError("Pluecker relation <d,m> = 0 violated")
-
-    def base_point(self) -> Vec3:
-        """The point of the line closest to the origin (rational lines only)."""
-        d, m = self.direction, self.moment
-        n2 = v_dot(d, d)
-        return tuple(Fraction(c, 1) / n2 if isinstance(c, int) else c / n2
-                     for c in v_cross(d, m))
 
     def is_rational(self) -> bool:
         return all(not isinstance(c, QuadExt) or c.is_rational
@@ -420,28 +419,23 @@ def _int_triple(p, q):
     return p, v_sub(q, p), v_cross(p, q)
 
 
-def _unscale_line(line: PluckerLine, scale: int) -> PluckerLine:
-    if scale == 1:
-        return line
-    return PluckerLine(line.direction, tuple(c / scale for c in line.moment))
-
-
 def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransversal:
     """Decide exactly whether one line meets all k closed segments (k in 3, 4).
 
-    The endpoints are scaled by the least common denominator ``scale`` to
-    integers.  When three supporting lines are pairwise skew, each candidate
-    line is the regulus transversal at a parameter t = T/h with T in
-    Z[sqrt(D)], and it is certified once against every segment by signs of
-    integers in Z[sqrt(D)].  A certified line is then divided by h^2 (its
-    moment also by ``scale``) and returned with the contact parameter on
-    each of the caller's segments; these equal the parameters on the scaled
-    segments, since scaling space does not move them.  A one-parameter
-    family (k = 3, or a fourth line meeting the whole regulus) is
-    range-tested at the trace roots and the midpoints between them; each
-    run of accepted sites is one component, whose midpoint, then ends, are
-    certified.  Other configurations are decided by case analysis and
-    certified with ``verify_transversal``.
+    The integer scaling serves the skew branch: the endpoints are scaled by
+    their least common denominator ``scale`` to integers.  When three
+    supporting lines are pairwise skew, each candidate line is the regulus
+    transversal at a parameter t = T/h with T in Z[sqrt(D)], and it is
+    certified once against every segment by signs of integers in
+    Z[sqrt(D)].  A certified line is then divided by h^2 (its moment also
+    by ``scale``) and returned with the contact parameter on each of the
+    caller's segments; these equal the parameters on the scaled segments,
+    since scaling space does not move them.  A one-parameter family
+    (k = 3, or a fourth line meeting the whole regulus) is range-tested at
+    the trace roots and the midpoints between them; each run of accepted
+    sites is one component, whose midpoint, then ends, are certified.
+    Other configurations are decided by case analysis on the caller's
+    segments, in their coordinates, and certified by ``verify_transversal``.
     """
     k = len(segments)
     if k not in (3, 4):
@@ -450,25 +444,16 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
         if not isinstance(s, Segment3):
             raise TypeError("expected Segment3 inputs")
     ints, scale = _scaled_int_segments(segments)
-    return _transversal_scaled(ints, scale)
-
-
-def _transversal_scaled(ints, scale) -> SegmentTransversal:
     triples = [_int_triple(p, q) for p, q in ints]
     order = _skew_triple_order([(d, m) for _, d, m in triples])
     if order is None:
-        segs = [Segment3(tuple(map(Fraction, p)), tuple(map(Fraction, q)))
-                for p, q in ints]
-        res = _transversal_degenerate(
-            segs, [plucker_from_segment(s) for s in segs])
-        if res.exists:
-            res.line = _unscale_line(res.line, scale)
-        return res
+        return _transversal_degenerate(
+            segments, [plucker_from_segment(s) for s in segments])
     tr = [triples[i] for i in order]
     p1, d1, _ = tr[0]
     plane2, plane3 = _plane(p1, d1, tr[1]), _plane(p1, d1, tr[2])
     roots = None
-    if len(ints) == 4:
+    if k == 4:
         roots = _quadratic_roots(*_incidence_quadratic(plane2, plane3, tr[3]))
         if roots == []:     # no real root: no transversal to trace
             return SegmentTransversal(False)
@@ -615,27 +600,15 @@ def _collinear_overlap(seg_a: Segment3, seg_b: Segment3):
     return seg_a.at(lo), seg_a.at(hi)
 
 
-def _lines_intersection_point(l1: PluckerLine, l2: PluckerLine):
-    """Common point of two coplanar lines; None when they are parallel."""
-    w = v_cross(l1.direction, l2.direction)
+def _lines_intersection_point(seg: Segment3, line: PluckerLine):
+    """Point where a coplanar line meets the line of seg; None if parallel."""
+    w = v_cross(seg.direction, line.direction)
     if v_is_zero(w):
         return None
-    # the point p1 + u d1 lying on l2:  (p1 + u d1) x d2 = m2
-    p1 = l1.base_point()
-    rhs = v_sub(l2.moment, v_cross(p1, l2.direction))
+    # the point p + u (q - p) lying on the line:  (p + u (q - p)) x d = m
+    rhs = v_sub(line.moment, v_cross(seg.p, line.direction))
     comp = next(i for i in range(3) if sign_of(w[i]) != 0)
-    return v_add(p1, v_scale(l1.direction, rhs[comp] / w[comp]))
-
-
-def _plane_of_coplanar_lines(l1: PluckerLine, l2: PluckerLine):
-    """Plane (n, e) spanned by two distinct coplanar lines."""
-    y = l2.base_point()
-    if _point_on_line(y, l1):
-        y = v_add(y, l2.direction)
-    n, e = plane_through_line_point(l1.direction, l1.moment, y)
-    if v_is_zero(n):
-        raise RuntimeError("identical lines span no plane")
-    return n, e
+    return seg.at(rhs[comp] / w[comp])
 
 
 def _checked(line: PluckerLine, segments) -> SegmentTransversal:
@@ -686,57 +659,46 @@ def _pencil_through_point(x, segs) -> Optional[PluckerLine]:
     if not free:
         d = segs[0].direction  # every line through x works
         return PluckerLine(d, v_cross(x, v_add(x, d)))
-    for line in map(plucker_from_segment, free):
+    lines = [plucker_from_segment(s) for s in free]
+    for line in lines:
         if _point_on_line(x, line):
             # any other line through x meets this one only at x, off its
             # segment: the supporting line is the only candidate
             return line if verify_transversal(line, free) is not None else None
-    if len(free) == 1:
-        return line_through_points(x, free[0].p)
-    s, r = free
-    lr = plucker_from_segment(r)
-    n, e = plane_through_line_point(lr.direction, lr.moment, x)
-    hp, hq = plane_eval(n, e, s.p), plane_eval(n, e, s.q)
-    sp, sq = sign_of(hp), sign_of(hq)
-    if sp * sq > 0:
-        return None  # s misses the plane of every line through x and r
-    if sp or sq:
-        ends = [s.at(Fraction(hp) / (hp - hq))]  # where s meets that plane
-    else:
-        # s lies in that plane: the lines through x meeting s, and those
-        # meeting r, form two angles; a common line turns to an endpoint
-        ends = [s.p, s.q, r.p, r.q]
-    for y in ends:
-        cand = line_through_points(x, y)
-        if verify_transversal(cand, free) is not None:
-            return cand
-    return None
+    # every line through x meeting the last free segment lies in one plane
+    n, e = plane_through_line_point(lines[-1].direction, lines[-1].moment, x)
+    res = _stab_in_plane(n, e, free, through=(x,))
+    return res.line if res.exists else None
 
 
 def _transversal_coplanar_pair(segments, lines, i, j) -> SegmentTransversal:
     """Distinct lines i and j span a plane.  A transversal leaving it meets
     both segments at the common point of the lines; any other lies in it."""
-    li, lj = lines[i], lines[j]
-    x = _lines_intersection_point(li, lj)
-    if x is not None and _point_on_segment(x, segments[i]) and \
-            _point_on_segment(x, segments[j]):
+    si, sj, li = segments[i], segments[j], lines[i]
+    x = _lines_intersection_point(si, lines[j])
+    if x is not None and _point_on_segment(x, si) and _point_on_segment(x, sj):
         others = [s for k, s in enumerate(segments) if k not in (i, j)]
         found = _pencil_through_point(x, others)
         if found is not None:
             return _checked(found, segments)
-    n, e = _plane_of_coplanar_lines(li, lj)
+    # the lines differ, so an end of segment j lies off line i
+    y = sj.q if _point_on_line(sj.p, li) else sj.p
+    n, e = plane_through_line_point(li.direction, li.moment, y)
     return _stab_in_plane(n, e, segments)
 
 
-def _stab_in_plane(n, e, segments) -> SegmentTransversal:
-    """A line inside the plane (n, e) meeting every segment.
+def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
+    """A line inside the plane (n, e) meeting every segment and passing
+    the points of ``through``, which lie in the plane.
 
     Each segment meets the plane in one point, lies in it, or misses it.
-    Two distinct points fix the only candidate.  Otherwise a pinning
-    argument turns a stabbing line until it passes the one point and an
-    endpoint, or two endpoints, of the in-plane segments.
+    The line passes the crossing points and those of ``through``: two
+    distinct ones fix the only candidate.  With one, x, the lines through x
+    meeting an in-plane segment form an angle; a line in all these angles
+    turns within them to one through an endpoint.  With none, a stabbing
+    line moves to an endpoint, then turns about it to a second.
     """
-    points, ends = [], []
+    points, ends = list(through), []
     for seg in segments:
         hp, hq = plane_eval(n, e, seg.p), plane_eval(n, e, seg.q)
         sp, sq = sign_of(hp), sign_of(hq)

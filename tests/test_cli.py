@@ -1,7 +1,10 @@
 import inspect
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -274,6 +277,55 @@ def test_malformed_documents_exit_1_with_a_report(tmp_path, capsys, command,
 def test_unknown_fixture_kind_exits_1(capsys):
     code, doc = run(capsys, "gen-fixture", "--kind", "nope")
     assert (code, doc["code"]) == (1, "ValidationError")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("drawing", '{"n": 7, "p": "x"}'),
+    ("drawing", '{"n": "seven"}'),
+    ("drawing", '[1]'),
+    ("drawing", '{"n": 7'),
+    ("drawing", '{"n": 7, "flatt": true}'),      # unknown key
+    ("drawing", '{"p": 0.5}'),                   # n is required
+    ("drawing", '{"n": 7, "p": 1.5}'),
+    ("drawing", '{"n": 7, "flat": 1}'),
+    ("points", '{"count": 2, "denominator_bound": 0}'),
+    ("points", '{"count": -1}'),
+    ("graph", '{"n": 4.5}'),
+    ("stacked-pairs", '{"offset": "far"}'),
+    ("hopf-pair", '{"offset": 1}'),
+    ("four-k6", '{"denominator_bound": true}'),
+])
+def test_malformed_fixture_params_exit_1(capsys, kind, params):
+    code, doc = run(capsys, "gen-fixture", "--kind", kind, "--params", params)
+    assert (code, doc["code"]) == (1, "ValidationError")
+
+
+@pytest.mark.parametrize("params", [
+    '{"n": 3, "span": 0}',
+    '{"n": 3, "denominator_bound": 0}',
+    # 2^3 = 8 and 2^2 = 4 distinct lattice points
+    '{"n": 9, "span": 1, "denominator_bound": 1}',
+    '{"n": 5, "span": 1, "denominator_bound": 1, "flat": true}',
+])
+def test_drawing_larger_than_its_lattice_exits_1(params):
+    # in a subprocess with a timeout: sampling such a drawing never ends
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spacecross.cli", "gen-fixture", "--kind",
+         "drawing", "--params", params], capture_output=True, text=True,
+        timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["code"] == "ValidationError"
+
+
+def test_drawing_fills_its_lattice(capsys):
+    for params in ('{"n": 8, "span": 1, "denominator_bound": 1}',
+                   '{"n": 4, "span": 1, "denominator_bound": 1, "flat": true}',
+                   # values 0, 1/2, 1: 27 points
+                   '{"n": 27, "span": 1, "denominator_bound": 2}'):
+        code, doc = run(capsys, "gen-fixture", "--kind", "drawing",
+                        "--params", params)
+        assert code == 0 and len(doc["vertices"]) == json.loads(params)["n"]
 
 
 def test_subcommands_take_only_their_flags(capsys):

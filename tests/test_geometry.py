@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -63,6 +64,17 @@ def test_plucker_moment_against_symbolic_cross():
 def test_degenerate_segment_rejected():
     with pytest.raises(DegenerateInput):
         Segment3(point3(1, 2, 3), point3(1, 2, 3))
+
+
+def test_integer_endpoints_give_fraction_answers():
+    # the case analysis divides the caller's own coordinates
+    segs = [Segment3((0, 0, 0), (2, 0, 0)), Segment3((1, -1, 0), (1, 1, 0)),
+            Segment3((3, -1, 0), (3, 2, 0))]
+    assert {type(c) for s in segs for c in s.p + s.q} == {Fraction}
+    res = transversal_exists_segments(segs)
+    assert res.params == [Fraction(1, 2), Fraction(1, 2), 0]
+    assert {type(c) for c in res.params + list(res.line.direction)} == {
+        Fraction}
 
 
 def test_side_product_examples():
@@ -615,6 +627,13 @@ _O = point3(0, 0, 0)
     ([((5, 20, -1), (5, 20, 1)), ((1, -1, 0), (1, 1, 0))], None),
     # ... or stays on one side of that plane
     ([((5, 5, 1), (5, 6, 2)), ((1, -1, 0), (1, 1, 0))], None),
+    # one free segment beside one through the point
+    ([((-1, 0, 0), (1, 0, 0)), ((0, 1, 1), (0, 2, 1))], "through x"),
+    # the first meets the plane of the point and the second at its end
+    ([((5, 5, 0), (5, 5, 1)), ((1, -1, 0), (1, 1, 0))], "through x"),
+    # both in one plane with the point: only the line to (2, 2, 0), an end
+    # of the second, meets both
+    ([((1, -1, 0), (1, 3, 0)), ((2, 2, 0), (2, 4, 0))], "through x"),
 ])
 def test_pencil_through_point(ends, expected):
     segs = _segs(*ends)
@@ -644,6 +663,118 @@ def test_stab_in_plane_traces(third, exists):
         assert verify_transversal(res.line, segs) == res.params
         assert res.line.direction[2] == 0 and _point_on_line(
             point3(1, 1, 0), res.line)
+
+
+_HALVES = [Fraction(a, 2) for a in range(7)]
+
+
+def _no_skew_triple(segs):
+    lines = [plucker_from_segment(s) for s in segs]
+    return not any(all(side_product(lines[a], lines[b])
+                       for a, b in itertools.combinations(triple, 2))
+                   for triple in itertools.combinations(range(len(segs)), 3))
+
+
+def _degenerate_corpus(count=2000, seed=1102):
+    """Seeded sets of 3 or 4 segments with no three supporting lines
+    pairwise skew, in turn flat, with two segments on one line, with
+    segments sharing an endpoint, and with an endpoint inside another
+    segment, built from points with coordinates in halves."""
+    rng = random.Random(seed)
+
+    def grid_point():
+        return tuple(rng.choice(_HALVES) for _ in range(3))
+
+    def seg(p, q):
+        return Segment3(p, q) if rng.random() < 0.5 else Segment3(q, p)
+
+    def random_seg():
+        p, q = grid_point(), grid_point()
+        return seg(p, q) if p != q else random_seg()
+
+    def extras(segs, k):
+        # random segments, or ones from an endpoint of an earlier segment
+        while len(segs) < k:
+            s = random_seg()
+            if rng.random() < 0.5:
+                x = rng.choice(segs).p
+                s = seg(x, s.q) if x != s.q else s
+            segs.append(s)
+        return segs
+
+    corpus = []
+    while len(corpus) < count:
+        k, kind = rng.choice((3, 4)), len(corpus) % 4
+        if kind == 0:       # in the plane z = c - a x - b y
+            a, b = rng.choice((0, 1, -1, 2)), rng.choice((0, 1, -1))
+            c = rng.choice(_HALVES)
+            pts = [(x, y, c - a * x - b * y) for x, y in (
+                (rng.choice(_HALVES), rng.choice(_HALVES))
+                for _ in range(2 * k))]
+            segs = [seg(p, q) for p, q in zip(pts[::2], pts[1::2]) if p != q]
+        elif kind == 1:     # two segments on one line, apart or overlapping
+            p = grid_point()
+            d = tuple(rng.choice((-1, 0, 1)) for _ in range(3))
+            if not any(d):
+                continue
+            ts = sorted(rng.sample(range(-4, 5), 4))
+            ts = rng.choice((ts, [ts[0], ts[2], ts[1], ts[3]],
+                             [ts[0], ts[1], ts[1], ts[2]]))
+            ends = [v_add(p, tuple(Fraction(t, 2) * c for c in d))
+                    for t in ts]
+            segs = extras([seg(*ends[:2]), seg(*ends[2:])], k)
+        elif kind == 2:     # two or all segments from one hub
+            hub = grid_point()
+            segs = [seg(hub, q) for q in (grid_point() for _ in range(
+                rng.choice((2, k)))) if q != hub]
+            if not segs:
+                continue
+            segs = extras(segs, k)
+        else:               # an endpoint inside another segment
+            s = random_seg()
+            x, q = s.at(Fraction(rng.randint(1, 3), 4)), grid_point()
+            if q == x:
+                continue
+            segs = extras([s, seg(x, q)], k)
+        if len(segs) == k and _no_skew_triple(segs):
+            rng.shuffle(segs)
+            corpus.append(segs)
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def degenerate_answers():
+    corpus = _degenerate_corpus()
+    return corpus, [transversal_exists_segments(s) for s in corpus]
+
+
+def test_degenerate_corpus_answers_are_pinned(degenerate_answers):
+    # exists, contact parameters and the line with its first nonzero
+    # direction component scaled to 1, so that no positive factor shows
+    corpus, answers = degenerate_answers
+    rows = []
+    for segs, res in zip(corpus, answers):
+        if not res.exists:
+            rows.append("-")
+            continue
+        assert verify_transversal(res.line, segs) == res.params
+        line = res.line.direction + res.line.moment
+        f = next(c for c in line if c != 0)
+        rows.append(" ".join(map(str, [*res.params, *(c / f for c in line)])))
+    assert sum(r != "-" for r in rows) == 1778
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == (
+        "649e7bf9294b11d1")
+
+
+@pytest.mark.parametrize("factor", [Fraction(2) ** 30, Fraction(2) ** -30])
+def test_degenerate_corpus_survives_scaling_and_translation(
+        degenerate_answers, factor):
+    corpus, answers = degenerate_answers
+    for segs, res in zip(corpus, answers):
+        moved = [Segment3(*(tuple(c * factor + 10 ** 6 for c in x)
+                            for x in (s.p, s.q))) for s in segs]
+        got = transversal_exists_segments(moved)
+        assert (got.exists, got.params) == (res.exists, res.params)
 
 
 # ---------------------------------------------------------------------------
