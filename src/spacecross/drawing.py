@@ -49,24 +49,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> List[int]:
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return sorted(out)
-
     def adjacency(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
 
 
 @dataclass
@@ -211,10 +199,3 @@ def decode_drawing(data) -> SpatialDrawing:
     if len(set(edges)) != len(edges):
         raise ValidationError("multiple edge in document", "edges")
     return SpatialDrawing(Graph.from_edges(n, edges), positions, polylines)
-
-
-def drawing_codec(obj):
-    """Encode a SpatialDrawing to bytes, or decode bytes/str back."""
-    if isinstance(obj, SpatialDrawing):
-        return encode_drawing(obj)
-    return decode_drawing(obj)

@@ -59,25 +59,32 @@ def _check_lattice(n: int, denominator_bound: int, span: int,
             f"{values}^{dim} lattice points cannot place {n} vertices")
 
 
+def _lattice_points(rng: random.Random, n: int, denominator_bound: int,
+                    span: int, flat: bool = False
+                    ) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """n distinct points whose coordinates are drawn in turn by
+    ``random_rational(rng, denominator_bound, span)``, with z = 0 when
+    ``flat``.  The lattice must hold n points."""
+    dim = 2 if flat else 3
+    _check_lattice(n, denominator_bound, span, dim)
+    pts = []
+    while len(pts) < n:
+        xyz = [random_rational(rng, denominator_bound, span)
+               for _ in range(dim)]
+        cand = point3(*xyz, 0) if flat else point3(*xyz)
+        if cand not in pts:
+            pts.append(cand)
+    return pts
+
+
 def random_drawing(n: int, p: float, seed: int, denominator_bound: int = 64,
                    span: int = 4, flat: bool = False) -> SpatialDrawing:
     """Straight-line drawing of G(n, p) on distinct lattice points: each
     coordinate is a/b in [0, span] with 0 < b <= denominator_bound, and
     z = 0 when ``flat``.  The lattice must hold n points."""
-    _check_lattice(n, denominator_bound, span, 2 if flat else 3)
-    g = erdos_renyi(n, p, seed)
-    rng = _rng(seed ^ 0x9E3779B97F4A7C15)
-    pts = []
-    while len(pts) < n:
-        if flat:
-            cand = point3(random_rational(rng, denominator_bound, span),
-                          random_rational(rng, denominator_bound, span), 0)
-        else:
-            cand = point3(*(random_rational(rng, denominator_bound, span)
-                            for _ in range(3)))
-        if cand not in pts:
-            pts.append(cand)
-    return SpatialDrawing(g, pts)
+    pts = _lattice_points(_rng(seed ^ 0x9E3779B97F4A7C15), n,
+                          denominator_bound, span, flat)
+    return SpatialDrawing(erdos_renyi(n, p, seed), pts)
 
 
 def random_six_points(seed: int, denominator_bound: int = 64
@@ -107,20 +114,12 @@ def four_k6_drawing(seed: int, denominator_bound: int = 64
     """Four vertex-disjoint K6 copies at generic rational positions; the
     witness pipeline fixture.  Coordinates are a/b in [0, 8] with
     0 < b <= denominator_bound."""
-    _check_lattice(24, denominator_bound, 8, 3)
+    pts = _lattice_points(_rng(seed), 24, denominator_bound, 8)
     edges = []
     for c in range(4):
         edges.extend((a + 6 * c, b + 6 * c)
                      for a, b in itertools.combinations(range(6), 2))
-    g = Graph.from_edges(24, edges)
-    rng = _rng(seed)
-    pts = []
-    while len(pts) < 24:
-        cand = point3(*(random_rational(rng, denominator_bound, span=8)
-                        for _ in range(3)))
-        if cand not in pts:
-            pts.append(cand)
-    return SpatialDrawing(g, pts)
+    return SpatialDrawing(Graph.from_edges(24, edges), pts)
 
 
 def _integer(v) -> bool:

@@ -30,9 +30,11 @@ so range tests at those roots and the midpoints between them find each
 connected component of the transversals as a run of accepted sites, and
 one candidate per run decides: its midpoint, then its ends.
 
-The integer scaling serves that skew branch only.  With no three
-supporting lines pairwise skew, a case analysis on the caller's own
-segments decides, and its line is in the caller's coordinates.
+With no three supporting lines pairwise skew, the same integer lines pick
+the degenerate case: two segments on one line, or two coplanar lines.  A
+case analysis on the caller's own segments then decides, in their
+coordinates, and builds lines only for its answers and the candidates it
+verifies.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def v_cross(a, b):
 
 
 def v_is_zero(a) -> bool:
-    return all(sign_of(c) == 0 for c in a)
+    return not any(a)
 
 
 def point3(x, y, z) -> Vec3:
@@ -161,24 +163,6 @@ def same_line(l1: PluckerLine, l2: PluckerLine) -> bool:
     lhs = v_scale(l2.moment, d1[i])
     rhs = v_scale(l1.moment, d2[i])
     return all(sign_of(a - b) == 0 for a, b in zip(lhs, rhs))
-
-
-# ---------------------------------------------------------------------------
-# planes
-# ---------------------------------------------------------------------------
-
-def plane_through_line_point(line_d, line_m, x):
-    """Plane (n, e) with <n,y> + e = 0 containing the line and the point x.
-
-    Degenerate (n = 0) exactly when x lies on the line.
-    """
-    n = v_add(v_cross(line_d, x), line_m)
-    e = -v_dot(line_m, x)
-    return n, e
-
-
-def plane_eval(n, e, x):
-    return v_dot(n, x) + e
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +418,9 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
     (k = 3, or a fourth line meeting the whole regulus) is range-tested at
     the trace roots and the midpoints between them; each run of accepted
     sites is one component, whose midpoint, then ends, are certified.
-    Other configurations are decided by case analysis on the caller's
-    segments, in their coordinates, and certified by ``verify_transversal``.
+    Other configurations are classified on the integer lines, decided by
+    case analysis on the caller's segments, in their coordinates, and
+    certified by ``verify_transversal``.
     """
     k = len(segments)
     if k not in (3, 4):
@@ -447,8 +432,10 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
     triples = [_int_triple(p, q) for p, q in ints]
     order = _skew_triple_order([(d, m) for _, d, m in triples])
     if order is None:
-        return _transversal_degenerate(
-            segments, [plucker_from_segment(s) for s in segments])
+        i, j, shared = _coplanar_pair(triples)
+        if shared:
+            return _transversal_shared_line(segments, i, j)
+        return _transversal_coplanar_pair(segments, i, j)
     tr = [triples[i] for i in order]
     p1, d1, _ = tr[0]
     plane2, plane3 = _plane(p1, d1, tr[1]), _plane(p1, d1, tr[2])
@@ -457,7 +444,11 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
         roots = _quadratic_roots(*_incidence_quadratic(plane2, plane3, tr[3]))
         if roots == []:     # no real root: no transversal to trace
             return SegmentTransversal(False)
-    # t itself first: 0 <= t <= 1 is the range test of the trace t / 1
+    # t itself first: 0 <= t <= 1 is the range test of the trace t / 1.
+    # It changes no answer (certification tests segment 1 too), but it is
+    # the only trace to reject some roots, which would otherwise go through
+    # _line_at and _certify: 127 of 1,377 range tests on the witness
+    # pipeline of random_drawing(40, .4, seed) for seeds 7000-7009.
     traces = [((1, 0), (0, 1)),
               *(_segment_trace(plane2, plane3, x) for x in tr[1:])]
     if roots is None:
@@ -570,17 +561,37 @@ def _public_transversal(line, params, t: _Param, scale) -> SegmentTransversal:
 # -- degenerate configurations ----------------------------------------------
 #
 # With no three supporting lines pairwise skew, two of them are coplanar:
-# one line carries two segments, or two distinct lines span a plane.  The
-# planar part is line stabbing of segments in a plane (Edelsbrunner et al.,
-# "Stabbing line segments", BIT 1982).  Each line found is re-checked by
-# ``verify_transversal``.
+# one line carries two segments, or two distinct lines span a plane.
+# ``_coplanar_pair`` picks that pair from the integer lines the kernel has
+# already built; the case analysis then runs on the caller's segments, in
+# their coordinates, and builds a ``PluckerLine`` only for a line that it
+# verifies or returns.  The planar part is line stabbing of segments in a
+# plane (Edelsbrunner et al., "Stabbing line segments", BIT 1982).  Each
+# line found is re-checked by ``verify_transversal``.
 
-def _point_on_line(x, line: PluckerLine) -> bool:
-    return v_is_zero(v_sub(v_cross(x, line.direction), line.moment))
+def _coplanar_pair(triples):
+    """(i, j, shared) for the first pair of the integer lines (p, d, m), in
+    ``itertools.combinations`` order, that lie on one line (shared), else
+    for the first coplanar pair.  Some pair is coplanar whenever no three
+    lines are pairwise skew."""
+    pairs = list(itertools.combinations(range(len(triples)), 2))
+    for i, j in pairs:
+        (pi, di, _), (pj, dj, _) = triples[i], triples[j]
+        if not any(v_cross(di, dj)) and not any(v_cross(di, v_sub(pj, pi))):
+            return i, j, True
+    for i, j in pairs:
+        (_, di, mi), (_, dj, mj) = triples[i], triples[j]
+        if v_dot(di, mj) + v_dot(dj, mi) == 0:
+            return i, j, False
+
+
+def _on_line_of(x, seg: Segment3) -> bool:
+    """Whether the point x lies on the supporting line of seg."""
+    return v_is_zero(v_cross(v_sub(x, seg.p), seg.direction))
 
 
 def _point_on_segment(x, seg: Segment3) -> bool:
-    if not v_is_zero(v_cross(v_sub(x, seg.p), seg.direction)):
+    if not _on_line_of(x, seg):
         return False
     d = seg.direction
     comp = next(i for i in range(3) if sign_of(d[i]) != 0)
@@ -600,15 +611,24 @@ def _collinear_overlap(seg_a: Segment3, seg_b: Segment3):
     return seg_a.at(lo), seg_a.at(hi)
 
 
-def _lines_intersection_point(seg: Segment3, line: PluckerLine):
-    """Point where a coplanar line meets the line of seg; None if parallel."""
-    w = v_cross(seg.direction, line.direction)
+def _lines_intersection_point(seg: Segment3, other: Segment3):
+    """Point where the coplanar line of other meets the line of seg; None
+    if they are parallel."""
+    d = other.direction
+    w = v_cross(seg.direction, d)
     if v_is_zero(w):
         return None
     # the point p + u (q - p) lying on the line:  (p + u (q - p)) x d = m
-    rhs = v_sub(line.moment, v_cross(seg.p, line.direction))
+    rhs = v_sub(v_cross(other.p, other.q), v_cross(seg.p, d))
     comp = next(i for i in range(3) if sign_of(w[i]) != 0)
     return seg.at(rhs[comp] / w[comp])
+
+
+def _plane_through(seg: Segment3, x):
+    """Plane (n, e) with <n,y> + e = 0 containing seg and the point x off
+    its line."""
+    n = v_cross(seg.direction, v_sub(x, seg.p))
+    return n, -v_dot(n, seg.p)
 
 
 def _checked(line: PluckerLine, segments) -> SegmentTransversal:
@@ -619,23 +639,13 @@ def _checked(line: PluckerLine, segments) -> SegmentTransversal:
     return SegmentTransversal(True, line, params)
 
 
-def _transversal_degenerate(segments, lines) -> SegmentTransversal:
-    pairs = list(itertools.combinations(range(len(segments)), 2))
-    for i, j in pairs:
-        if same_line(lines[i], lines[j]):
-            return _transversal_shared_line(segments, lines, i, j)
-    for i, j in pairs:
-        if side_product(lines[i], lines[j]) == 0:
-            return _transversal_coplanar_pair(segments, lines, i, j)
-    raise RuntimeError("inconsistent skew classification")
-
-
-def _transversal_shared_line(segments, lines, i, j) -> SegmentTransversal:
+def _transversal_shared_line(segments, i, j) -> SegmentTransversal:
     """Segments i and j lie on one line L.  Every other transversal meets L
     once, at a point of both segments, so of their overlap."""
-    params = verify_transversal(lines[i], segments)
+    line = plucker_from_segment(segments[i])
+    params = verify_transversal(line, segments)
     if params is not None:
-        return SegmentTransversal(True, lines[i], params)
+        return SegmentTransversal(True, line, params)
     overlap = _collinear_overlap(segments[i], segments[j])
     if overlap is None:
         return SegmentTransversal(False)
@@ -659,31 +669,31 @@ def _pencil_through_point(x, segs) -> Optional[PluckerLine]:
     if not free:
         d = segs[0].direction  # every line through x works
         return PluckerLine(d, v_cross(x, v_add(x, d)))
-    lines = [plucker_from_segment(s) for s in free]
-    for line in lines:
-        if _point_on_line(x, line):
+    for s in free:
+        if _on_line_of(x, s):
             # any other line through x meets this one only at x, off its
             # segment: the supporting line is the only candidate
+            line = plucker_from_segment(s)
             return line if verify_transversal(line, free) is not None else None
     # every line through x meeting the last free segment lies in one plane
-    n, e = plane_through_line_point(lines[-1].direction, lines[-1].moment, x)
+    n, e = _plane_through(free[-1], x)
     res = _stab_in_plane(n, e, free, through=(x,))
     return res.line if res.exists else None
 
 
-def _transversal_coplanar_pair(segments, lines, i, j) -> SegmentTransversal:
+def _transversal_coplanar_pair(segments, i, j) -> SegmentTransversal:
     """Distinct lines i and j span a plane.  A transversal leaving it meets
     both segments at the common point of the lines; any other lies in it."""
-    si, sj, li = segments[i], segments[j], lines[i]
-    x = _lines_intersection_point(si, lines[j])
+    si, sj = segments[i], segments[j]
+    x = _lines_intersection_point(si, sj)
     if x is not None and _point_on_segment(x, si) and _point_on_segment(x, sj):
         others = [s for k, s in enumerate(segments) if k not in (i, j)]
         found = _pencil_through_point(x, others)
         if found is not None:
             return _checked(found, segments)
     # the lines differ, so an end of segment j lies off line i
-    y = sj.q if _point_on_line(sj.p, li) else sj.p
-    n, e = plane_through_line_point(li.direction, li.moment, y)
+    y = sj.q if _on_line_of(sj.p, si) else sj.p
+    n, e = _plane_through(si, y)
     return _stab_in_plane(n, e, segments)
 
 
@@ -700,7 +710,7 @@ def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
     """
     points, ends = list(through), []
     for seg in segments:
-        hp, hq = plane_eval(n, e, seg.p), plane_eval(n, e, seg.q)
+        hp, hq = v_dot(n, seg.p) + e, v_dot(n, seg.q) + e
         sp, sq = sign_of(hp), sign_of(hq)
         if sp * sq > 0:
             return SegmentTransversal(False)

@@ -12,11 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Rat = Fraction
-
-Scalar = Union[Fraction, "QuadExt"]
 
 
 def rat(value) -> Fraction:
@@ -154,15 +149,16 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, comparing a^2 against b^2 d."""
-        sa = _sign(self.a)
-        if self.b == 0:
+        a, b = self.a, self.b
+        sa = (a > 0) - (a < 0)
+        if b == 0:
             return sa
-        sb = _sign(self.b)
+        sb = (b > 0) - (b < 0)
         if sa == 0:
             return sb
         if sa == sb:
             return sa
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
+        lhs, rhs = a * a, b * b * self.d
         if lhs == rhs:
             return 0
         return sa if lhs > rhs else sb
@@ -211,19 +207,11 @@ class QuadExt:
         return QuadExt(rat_from_str(doc["a"]), rat_from_str(doc["b"]), rat_from_str(doc["d"]))
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def sign_of(x) -> int:
     """Exact sign of a Fraction, int, or QuadExt."""
     if isinstance(x, QuadExt):
         return x.sign()
-    return _sign(rat(x))
+    return (x > 0) - (x < 0)
 
 
 def scalar_to_json(x):

@@ -146,7 +146,7 @@ def interval_graph(n: int, m: int) -> Graph:
     """Vertices 0..n-1 joined when index distance is at most ceil(2m/n)."""
     if not (1 <= m <= n * (n - 1) // 2):
         raise ValidationError(f"need 1 <= m <= C({n},2)")
-    width = ceil(Fraction(2 * m, n))
+    width = interval_width(n, m)
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + width, n - 1) + 1)]
     return Graph.from_edges(n, edges)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spacecross.drawing import (Graph, SpatialDrawing, decode_drawing,
-                                drawing_codec, encode_drawing)
+                                encode_drawing)
 from spacecross.errors import ValidationError
 from spacecross.geometry import point3
 
@@ -25,7 +25,7 @@ def test_graph_validation():
         Graph(3, ((0, 1), (0, 1)))
     g = Graph.from_edges(4, [(2, 1), (1, 2), (0, 3)])
     assert g.edges == ((0, 3), (1, 2))
-    assert g.degree(1) == 1 and g.neighbors(1) == [2]
+    assert g.degree(1) == 1 and g.adjacency()[1] == [2]
 
 
 def test_codec_round_trip():
@@ -36,8 +36,7 @@ def test_codec_round_trip():
     assert back.graph == d.graph
     assert back.positions == d.positions
     assert back.polylines == d.polylines
-    # dispatcher flavor
-    assert drawing_codec(drawing_codec(d)).graph == d.graph
+    assert decode_drawing(encode_drawing(d)).graph == d.graph
 
 
 def test_codec_parses_exact_scalars():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacecross.errors import DegenerateInput
-from spacecross.geometry import (Segment3, _incidence_quadratic,
-                                 _int_triple, _pencil_through_point, _plane,
-                                 _point_on_line, _quadratic_roots,
+from spacecross.geometry import (Segment3, _coplanar_pair,
+                                 _incidence_quadratic, _int_triple,
+                                 _pencil_through_point, _plane,
+                                 _quadratic_roots,
                                  _scaled_int_segments, _stab_in_plane,
                                  line_through_points,
                                  plucker_from_segment, point3, same_line,
@@ -21,6 +22,10 @@ from spacecross.scalars import QuadExt
 
 coord = st.fractions(min_value=0, max_value=4, max_denominator=16)
 points = st.tuples(coord, coord, coord)
+
+
+def _point_on_line(x, line) -> bool:
+    return not any(v_sub(v_cross(x, line.direction), line.moment))
 
 
 def rand_segment(rng, span=64):
@@ -764,6 +769,30 @@ def test_degenerate_corpus_answers_are_pinned(degenerate_answers):
     assert sum(r != "-" for r in rows) == 1778
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == (
         "649e7bf9294b11d1")
+
+
+def _pluecker_pair(segs):
+    """The pair and case that same_line, then side_product, pick on the
+    segments' Pluecker lines."""
+    lines = [plucker_from_segment(s) for s in segs]
+    pairs = list(itertools.combinations(range(len(segs)), 2))
+    for i, j in pairs:
+        if same_line(lines[i], lines[j]):
+            return i, j, True
+    for i, j in pairs:
+        if side_product(lines[i], lines[j]) == 0:
+            return i, j, False
+
+
+def test_coplanar_pair_matches_the_pluecker_predicates(degenerate_answers):
+    corpus, _ = degenerate_answers
+    rng = random.Random(20)
+    turned = [[Segment3(s.q, s.p) for s in rng.sample(segs, len(segs))]
+              for segs in rng.sample(corpus, 200)]
+    for segs in corpus + turned:
+        ints, _ = _scaled_int_segments(segs)
+        triples = [_int_triple(p, q) for p, q in ints]
+        assert _coplanar_pair(triples) == _pluecker_pair(segs)
 
 
 @pytest.mark.parametrize("factor", [Fraction(2) ** 30, Fraction(2) ** -30])

@@ -275,7 +275,7 @@ def _face_separation(grid, u, v):
 def test_hexgrid_construction_chord_is_far_apart(k):
     hc = hexgrid_construction(k, 1)
     u, v = hc.special_edge
-    assert not hc.grid.graph.has_edge(u, v)
+    assert (u, v) not in hc.grid.graph.edges
     assert hc.graph.m == hc.grid.graph.m + 1
     sep = _face_separation(hc.grid, u, v)
     assert sep >= math.ceil((2 * k + 1) / 4)
@@ -292,7 +292,7 @@ def test_hexgrid_grid_edges_alone_can_have_a_transversal():
     hc = hexgrid_construction(3, 2)
     picks = (((0, 1), 1), ((3, 6), 0), ((5, 9), 1), ((12, 17), 0))
     edges = [e for e, _ in picks]
-    assert all(hc.grid.graph.has_edge(*e) for e in edges)
+    assert all(e in hc.grid.graph.edges for e in edges)
     assert len({v for e in edges for v in e}) == 8
     segs = [hc.drawing.edge_segments(e)[i] for e, i in picks]
     res = transversal_exists_segments(segs)

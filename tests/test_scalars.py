@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from spacecross.geometry import v_is_zero
 from spacecross.scalars import (QuadExt, rat_from_str, rat_to_str,
                                 scalar_from_json, scalar_to_json, sign_of)
 
@@ -86,3 +87,9 @@ def test_sign_of_plain_values():
     assert sign_of(Fraction(-2, 3)) == -1
     assert sign_of(0) == 0
     assert sign_of(7) == 1
+    assert sign_of(QuadExt(1, -1, 2)) == -1     # 1 - sqrt(2)
+    assert sign_of(QuadExt(-1, 1, 2)) == 1
+    assert sign_of(QuadExt(2, -2, 1)) == 0      # collapses to 0
+    # a vector of exact zeros, one of them an irrational-looking QuadExt
+    assert v_is_zero((QuadExt(0), QuadExt(3, -1, 9), Fraction(0)))
+    assert not v_is_zero((QuadExt(0), QuadExt(0, 1, 2), 0))
