@@ -42,7 +42,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import cmp_to_key
+from math import gcd, isqrt, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .scalars import DegenerateInput, QuadExt, rat, sign_of
@@ -437,20 +438,57 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
             return _transversal_shared_line(segments, i, j)
         return _transversal_coplanar_pair(segments, i, j)
     tr = [triples[i] for i in order]
-    p1, d1, _ = tr[0]
-    plane2, plane3 = _plane(p1, d1, tr[1]), _plane(p1, d1, tr[2])
-    roots = None
-    if k == 4:
-        roots = _quadratic_roots(*_incidence_quadratic(plane2, plane3, tr[3]))
-        if roots == []:     # no real root: no transversal to trace
-            return SegmentTransversal(False)
+    found = _regulus_transversal(_regulus(tr), triples,
+                                 tr[3] if k == 4 else None)
+    if found is None:
+        return SegmentTransversal(False)
+    return _public_transversal(*found, scale)
+
+
+def _regulus(lines):
+    """Planes 2 and 3 of the regulus through the first three integer lines
+    (p, d, m), which are pairwise skew, and the traces of t and of lines 2
+    and 3 on them."""
+    p1, d1, _ = lines[0]
+    plane2, plane3 = _plane(p1, d1, lines[1]), _plane(p1, d1, lines[2])
     # t itself first: 0 <= t <= 1 is the range test of the trace t / 1.
     # It changes no answer (certification tests segment 1 too), but it is
     # the only trace to reject some roots, which would otherwise go through
     # _line_at and _certify: 127 of 1,377 range tests on the witness
     # pipeline of random_drawing(40, .4, seed) for seeds 7000-7009.
-    traces = [((1, 0), (0, 1)),
-              *(_segment_trace(plane2, plane3, x) for x in tr[1:])]
+    traces = [((1, 0), (0, 1)), _segment_trace(plane2, plane3, lines[1]),
+              _segment_trace(plane2, plane3, lines[2])]
+    return plane2, plane3, traces
+
+
+def _scaled_regulus(regulus, c: int):
+    """``_regulus`` of the same lines with every point times c > 0: the
+    planes' normal parts grow by c^2 and their constants by c^3, and so
+    do the traces of lines 2 and 3."""
+    c2 = c * c
+    c3 = c2 * c
+    planes = [(v_scale(A, c2), v_scale(B, c2), a * c3, b * c3)
+              for A, B, a, b in regulus[:2]]
+    t, *traces = regulus[2]
+    return (*planes, [t, *(((n1 * c3, n0 * c3), (d1 * c3, d0 * c3))
+                           for (n1, n0), (d1, d0) in traces)])
+
+
+def _regulus_transversal(regulus, triples, fourth=None):
+    """The skew-branch decision.  ``triples`` are the integer lines
+    (p, d, m) of the segments, and ``regulus`` is the ``_regulus`` of three
+    of them.  Returns the first candidate transversal that meets every
+    segment, as ``(line, params, t)`` of ``_line_at`` and ``_certify``, or
+    None.  The candidates are the roots of the incidence quadratic of
+    ``fourth``, the fourth line; without one, or when that quadratic
+    vanishes, they are the samples of the family."""
+    plane2, plane3, traces = regulus
+    roots = None
+    if fourth is not None:
+        roots = _quadratic_roots(*_incidence_quadratic(plane2, plane3, fourth))
+        if roots == []:     # no real root: no transversal to trace
+            return None
+        traces = [*traces, _segment_trace(plane2, plane3, fourth)]
     if roots is None:
         # k = 3, or the fourth supporting line meets every transversal of
         # the regulus: a one-parameter family
@@ -461,12 +499,8 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
         line = _line_at(plane2, plane3, t)
         params = _certify(line, triples, t.d)
         if params is not None:
-            return _public_transversal(line, params, t, scale)
-    return SegmentTransversal(False)
-
-
-def _rational_param(x: Fraction) -> _Param:
-    return _Param(x.numerator, 0, 0, x.denominator, False)
+            return line, params, t
+    return None
 
 
 def _in_unit_range(t: _Param, traces) -> bool:
@@ -490,27 +524,46 @@ def _in_unit_range(t: _Param, traces) -> bool:
     return True
 
 
+# orders pairs (num, den) with den > 0 by the value num / den
+_BY_VALUE = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
+def _midpoint(x, y):
+    (a, b), (c, e) = x, y
+    return a * e + c * b, 2 * b * e
+
+
 def _family_samples(traces):
     """Rational t to certify along the family: the midpoint, then the
     ends, of each run of accepted sites, left to right.  The cuts are 0, 1
-    and the roots in (0, 1) of every trace's num, den and num - den."""
-    cuts = {Fraction(0), Fraction(1)}
+    and the roots in (0, 1) of every trace's num, den and num - den.
+
+    A rational is an integer pair (num, den) with den > 0: the cuts are
+    reduced, so that equal cuts are equal pairs, the midpoints are not,
+    and each sample is reduced as a ``_Param``."""
+    cuts = {(0, 1), (1, 1)}
     for (n1, n0), (d1, d0) in traces:
         for a, b in ((n1, n0), (d1, d0), (n1 - d1, n0 - d0)):
-            if a and 0 < Fraction(-b, a) < 1:
-                cuts.add(Fraction(-b, a))
-    cuts = sorted(cuts)
+            if a < 0:
+                a, b = -a, -b
+            if 0 < -b < a:      # the root -b/a lies in (0, 1)
+                g = gcd(a, b)
+                cuts.add((-b // g, a // g))
+    cuts = sorted(cuts, key=_BY_VALUE)
     sites = cuts[:1]
     for lo, hi in zip(cuts, cuts[1:]):
-        sites += [(lo + hi) / 2, hi]
+        sites += [_midpoint(lo, hi), hi]
     runs = itertools.groupby(
-        sites, lambda x: _in_unit_range(_rational_param(x), traces))
+        sites, lambda x: _in_unit_range(_Param(x[0], 0, 0, x[1], False),
+                                        traces))
     for accepted, run in runs:
         if accepted:
             run = list(run)
-            lo, hi = run[0], run[-1]
-            ends = ((lo + hi) / 2, lo, hi) if lo != hi else (lo,)
-            yield from map(_rational_param, ends)
+            ends = run[:1] if len(run) == 1 else (
+                _midpoint(run[0], run[-1]), run[0], run[-1])
+            for num, den in ends:
+                g = gcd(num, den)
+                yield _Param(num // g, 0, 0, den // g, False)
 
 
 def _certify(line, triples, d):

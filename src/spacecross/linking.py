@@ -1,24 +1,31 @@
 """Linking numbers of polygonal cycles and intrinsic linking of K6.
 
-The points of both cycles are scaled to integers by one positive factor,
-which changes no sign below.  The linking number is the sum of crossing
-signs in the projection along w = (1, t, t^2) for the first t = 1, 2, ...
-that is generic.  Every decision on the way (a segment whose image
-collapses, images that touch, the sign of a crossing, which strand passes
-over) is the sign of one integer determinant det(u, v, w) = (u x v) . w,
-so results are exact integers.
+Each cycle scales its points to integers once, by the least common
+denominator of their coordinates (its ``scale``).  Two cycles meet at the
+least common multiple of their scales, a positive factor, which changes no
+sign below.  The linking number is the sum of crossing signs in the
+projection along w = (1, t, t^2) for the first t = 1, 2, ... that is
+generic.  Every decision on the way (a segment whose image collapses,
+images that touch, the sign of a crossing, which strand passes over) is
+the sign of one integer determinant det(u, v, w) = (u x v) . w, so results
+are exact integers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DegeneratePosition, NotDisjoint, ValidationError
-from .geometry import (Segment3, _scaled_int_points, _scaled_int_segments,
-                       segments_intersect_2d, transversal_exists_segments,
-                       v_cross, v_dot, v_sub)
+from .geometry import (Segment3, _family_samples, _int_triple,
+                       _public_transversal, _regulus, _regulus_transversal,
+                       _scaled_int_points, _scaled_regulus,
+                       _skew_triple_order, segments_intersect_2d,
+                       transversal_exists_segments, v_cross, v_dot, v_scale,
+                       v_sub)
+from .scalars import rat
 
 Vec3 = Tuple
 _ZERO = (0, 0, 0)
@@ -26,9 +33,17 @@ _ZERO = (0, 0, 0)
 
 @dataclass(frozen=True)
 class PolygonalCycle:
-    """Closed polygonal curve given by at least three ordered points."""
+    """Closed polygonal curve given by at least three ordered points.
+
+    ``int_points`` are the points times ``scale``, the least common
+    denominator of their coordinates.  Both follow from ``points`` and
+    enter neither equality, hashing nor the repr.
+    """
 
     points: Tuple[Vec3, ...]
+    int_points: Tuple[Tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = self.points
@@ -37,7 +52,10 @@ class PolygonalCycle:
         for i in range(len(pts)):
             if pts[i] == pts[(i + 1) % len(pts)]:
                 raise ValidationError(f"repeated consecutive point {i}")
-        _check_simple(pts)
+        ints, scale = _scaled_int_points([tuple(map(rat, p)) for p in pts])
+        _check_simple(_int_segments(ints))
+        object.__setattr__(self, "int_points", tuple(ints))
+        object.__setattr__(self, "scale", scale)
 
     def __len__(self):
         return len(self.points)
@@ -46,6 +64,19 @@ class PolygonalCycle:
         pts = self.points
         return [Segment3(pts[i], pts[(i + 1) % len(pts)])
                 for i in range(len(pts))]
+
+    def int_segments(self, scale: int):
+        """Integer endpoint pairs of the segments with the points times
+        ``scale``, a multiple of ``self.scale``."""
+        f = scale // self.scale
+        pts = self.int_points
+        if f != 1:
+            pts = [(x * f, y * f, z * f) for x, y, z in pts]
+        return _int_segments(pts)
+
+
+def _int_segments(pts):
+    return list(zip(pts, [*pts[1:], pts[0]]))
 
 
 def _det(u, v, w):
@@ -76,10 +107,10 @@ def _segments_meet(s, r) -> bool:
                                  (image(c), image(d))) != "disjoint"
 
 
-def _check_simple(pts):
-    n = len(pts)
-    segs, _ = _scaled_int_segments(
-        [Segment3(pts[i], pts[(i + 1) % n]) for i in range(n)])
+def _check_simple(segs):
+    """Raise ValidationError unless the closed polygon with the integer
+    endpoint pairs ``segs`` is simple."""
+    n = len(segs)
     for i in range(n):
         for j in range(i + 1, n):
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
@@ -145,8 +176,8 @@ def linking_number(c1: PolygonalCycle, c2: PolygonalCycle) -> int:
     Sign convention: with the right-handed frame, the positively oriented
     polygonal Hopf pair links to +1.
     """
-    ints, _ = _scaled_int_segments(c1.segments() + c2.segments())
-    S1, S2 = ints[:len(c1)], ints[len(c1):]
+    scale = lcm(c1.scale, c2.scale)
+    S1, S2 = c1.int_segments(scale), c2.int_segments(scale)
     if any(_segments_meet(s, r) for s in S1 for r in S2):
         raise NotDisjoint("cycles share a point")
     for t in range(1, 10000):
@@ -280,18 +311,83 @@ def transversal_through_cycles(cycles: Sequence[PolygonalCycle]):
     ``indices[c]`` indexes ``cycles[c].segments()`` and ``result`` is the
     exact ``SegmentTransversal`` of those segments.  Linked first and last
     pairs guarantee a transversal, so finding none then raises (a defect
-    in the search, not in the mathematics)."""
+    in the search, not in the mathematics).
+
+    The scan takes one head, a segment of each of the first three cycles,
+    at a time.  When the head's supporting lines are pairwise skew, its
+    regulus is built once, on the integers of the head's own scale, and a
+    head whose family of transversals accepts no sample site (the exact
+    refutation of ``transversal_exists_segments`` for three segments) is
+    skipped: no line meets its segments, so none meets a row under it.
+    ``_row_transversal`` then decides each row in turn.  A row is scaled
+    exactly as ``transversal_exists_segments`` scales it, so each answer,
+    and the first row met with its result, is that function's."""
     if len(cycles) != 4:
         raise ValidationError("need exactly four cycles")
     seg_lists = [c.segments() for c in cycles]
-    for indices in itertools.product(*(range(len(s)) for s in seg_lists)):
-        res = transversal_exists_segments(
-            [segs[i] for segs, i in zip(seg_lists, indices)])
-        if res.exists:
-            return indices, res
+    ends = [_own_scale_segments(c) for c in cycles]
+    for head in itertools.product(*(range(len(c)) for c in cycles[:3])):
+        head_ends = [e[i] for e, i in zip(ends, head)]
+        scale = lcm(*(s for _, _, s in head_ends))
+        lines = [_int_line(e, scale) for e in head_ends]
+        regulus = None
+        if _skew_triple_order([(d, m) for _, d, m in lines]) is not None:
+            regulus = _regulus(lines)
+            if next(_family_samples(regulus[2]), None) is None:
+                continue
+        head_segs = [segs[i] for segs, i in zip(seg_lists, head)]
+        for i, fourth in enumerate(ends[3]):
+            res = _row_transversal([*head_segs, seg_lists[3][i]], regulus,
+                                   lines, scale, fourth)
+            if res is not None:
+                return (*head, i), res
     lk12 = linking_number(cycles[0], cycles[1])
     lk34 = linking_number(cycles[2], cycles[3])
     if lk12 != 0 and lk34 != 0:
         raise AssertionError(
             "linked pairs guarantee a transversal; none found (bug)")
     return None
+
+
+def _own_scale_segments(cycle: PolygonalCycle):
+    """(p, q, s) for each segment of the cycle: its integer endpoints times
+    s, the least common denominator of its own coordinates."""
+    out = []
+    for p, q in cycle.int_segments(cycle.scale):
+        g = gcd(cycle.scale, *p, *q)
+        out.append((tuple(x // g for x in p), tuple(x // g for x in q),
+                    cycle.scale // g))
+    return out
+
+
+def _int_line(ends, scale):
+    """Integer line (p, d, m) of a segment (p, q, s) of
+    ``_own_scale_segments`` with its points times ``scale``, a multiple of
+    s."""
+    p, q, s = ends
+    return _int_triple(v_scale(p, scale // s), v_scale(q, scale // s))
+
+
+def _row_transversal(segments, regulus, lines, scale, fourth):
+    """The ``SegmentTransversal`` of the four segments of a row of the
+    cycle scan if one line meets them, else None.
+
+    ``lines`` are the integer lines of the first three segments with their
+    points times ``scale``, the least common denominator of their
+    coordinates, and ``regulus`` is their ``_regulus``, or None when they
+    are not pairwise skew; such rows go to ``transversal_exists_segments``.
+    The fourth segment is (p, q, s) of ``_own_scale_segments``.  The row's
+    scale is that of ``transversal_exists_segments`` on it, and the
+    skew-branch decision then runs on that function's own integers."""
+    if regulus is None:
+        res = transversal_exists_segments(segments)
+        return res if res.exists else None
+    row_scale = lcm(scale, fourth[2])
+    c = row_scale // scale
+    if c != 1:
+        regulus = _scaled_regulus(regulus, c)
+        lines = [(v_scale(p, c), v_scale(d, c), v_scale(m, c * c))
+                 for p, d, m in lines]
+    line4 = _int_line(fourth, row_scale)
+    found = _regulus_transversal(regulus, [*lines, line4], line4)
+    return None if found is None else _public_transversal(*found, row_scale)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
@@ -182,13 +183,16 @@ def _k6_subdivision_absent(adj, cand) -> bool:
 
 
 def _weighted_sample(rng, items, weights, k):
+    """k distinct items, each drawn with probability proportional to its
+    positive weight among those left: the first item whose prefix sum of
+    weights reaches a uniform draw from [0, total]."""
     chosen = []
-    pool = list(zip(items, weights))
+    items, weights = list(items), list(weights)
     for _ in range(k):
-        r = rng.uniform(0, sum(w for _, w in pool))
-        sums = accumulate(w for _, w in pool)
-        idx = next((i for i, acc in enumerate(sums) if r <= acc), -1)
-        chosen.append(pool.pop(idx)[0])
+        sums = list(accumulate(weights))
+        idx = bisect_left(sums, rng.uniform(0, sums[-1]))
+        chosen.append(items.pop(idx))
+        weights.pop(idx)
     return chosen
 
 
@@ -271,7 +275,7 @@ def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
         productive = True
         for side_vertices in (bis.side1, bis.side2):
             sub = _induced_subgraph(g, side_vertices)
-            if sum(1 for v in side_vertices if sub.degree(v) >= 5) < 6:
+            if sum(len(nbrs) >= 5 for nbrs in sub.adjacency()) < 6:
                 productive = False
                 break
             sides.append(sub)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacecross.errors import DegenerateInput
-from spacecross.geometry import (Segment3, _coplanar_pair,
-                                 _incidence_quadratic, _int_triple,
-                                 _pencil_through_point, _plane,
-                                 _quadratic_roots,
-                                 _scaled_int_segments, _stab_in_plane,
+from spacecross.geometry import (Segment3, _coplanar_pair, _family_samples,
+                                 _in_unit_range, _incidence_quadratic,
+                                 _int_triple, _Param, _pencil_through_point,
+                                 _plane, _quadratic_roots, _regulus,
+                                 _scaled_int_segments, _scaled_regulus,
+                                 _stab_in_plane,
                                  line_through_points,
                                  plucker_from_segment, point3, same_line,
                                  segments_intersect_2d, side_form,
@@ -142,6 +143,63 @@ def test_plucker_relation_always_holds():
 # supporting lines: the regulus quadratic, and segment fixtures on line
 # configurations with a coplanar pair
 # ---------------------------------------------------------------------------
+
+def _fraction_family_samples(traces):
+    """``_family_samples`` with its cuts and sites as ``Fraction``s."""
+    cuts = {Fraction(0), Fraction(1)}
+    for (n1, n0), (d1, d0) in traces:
+        for a, b in ((n1, n0), (d1, d0), (n1 - d1, n0 - d0)):
+            if a and 0 < Fraction(-b, a) < 1:
+                cuts.add(Fraction(-b, a))
+    cuts = sorted(cuts)
+    sites = cuts[:1]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sites += [(lo + hi) / 2, hi]
+
+    def param(x):
+        return _Param(x.numerator, 0, 0, x.denominator, False)
+
+    for accepted, run in itertools.groupby(
+            sites, lambda x: _in_unit_range(param(x), traces)):
+        if accepted:
+            run = list(run)
+            lo, hi = run[0], run[-1]
+            yield from map(param, ((lo + hi) / 2, lo, hi) if lo != hi
+                           else (lo,))
+
+
+def test_family_samples_match_fraction_cuts():
+    rng = random.Random(21)
+    sampled = 0
+    for _ in range(3000):
+        def form():
+            return (rng.randint(-6, 6) * rng.choice((1, 7, 1000003)),
+                    rng.randint(-6, 6) * rng.choice((1, 7, 1000003)))
+
+        traces = [((1, 0), (0, 1)),
+                  *((form(), form()) for _ in range(rng.randint(1, 3)))]
+        samples = list(_family_samples(traces))
+        assert samples == list(_fraction_family_samples(traces))
+        sampled += bool(samples)
+    assert sampled >= 500
+
+
+def test_scaled_regulus_is_the_regulus_of_scaled_lines():
+    rng = random.Random(22)
+    checked = 0
+    while checked < 40:
+        segs = [rand_segment(rng, span=8) for _ in range(3)]
+        ints, _ = _scaled_int_segments(segs)
+        lines = [_int_triple(p, q) for p, q in ints]
+        if any(v_dot(d1, m2) + v_dot(d2, m1) == 0 for (_, d1, m1), (_, d2, m2)
+               in itertools.combinations(lines, 2)):
+            continue
+        for c in (2, 3, 60):
+            scaled = [_int_triple(tuple(c * x for x in p),
+                                  tuple(c * x for x in q)) for p, q in ints]
+            assert _scaled_regulus(_regulus(lines), c) == _regulus(scaled)
+        checked += 1
+
 
 def test_random_lines_count_matches_numeric_roots():
     # the incidence quadratic shared by the kernel and the certified filter,

@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from spacecross import linking
+from spacecross import linking, pipeline
 from spacecross.errors import (DegeneratePosition, NotDisjoint, ValidationError)
-from spacecross.geometry import (SegmentTransversal, _scaled_int_segments,
-                                 point3, transversal_exists_segments, v_add,
-                                 v_sub, verify_transversal)
+from spacecross.geometry import (_scaled_int_segments, point3,
+                                 transversal_exists_segments, v_add, v_sub,
+                                 verify_transversal)
 from spacecross.linking import (PolygonalCycle, conway_gordon_check,
                                 find_linked_pair, linking_number,
                                 transversal_through_cycles, _linking_along,
                                 _segments_meet)
 from spacecross.drawing import Graph, SpatialDrawing
-from spacecross.generators import hopf_pair, stacked_pairs
-from spacecross.pipeline import SubdivisionEmbedding
+from spacecross.generators import hopf_pair, random_drawing, stacked_pairs
+from spacecross.pipeline import SubdivisionEmbedding, boost_witness_pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,63 @@ def test_cycle_validation():
                         point3(0, 2, 0)))
 
 
+def test_cycle_validation_on_scaled_points():
+    third = Fraction(1, 3)
+    with pytest.raises(ValidationError, match="backtracks"):
+        PolygonalCycle((point3(0, 0, 0), point3(2 * third, 0, 0),
+                        point3(third, 0, 0), point3(0, Fraction(1, 7), 0)))
+    with pytest.raises(ValidationError, match="self-intersects"):
+        PolygonalCycle((point3(0, 0, 0), point3(2 * third, 2 * third, 0),
+                        point3(2 * third, 0, 0), point3(0, 2 * third, 0)))
+
+
+def test_cycles_with_equal_points_are_equal():
+    pts = (point3(Fraction(1, 2), 0, 0), point3(0, Fraction(1, 3), 0),
+           point3(0, 0, Fraction(5, 64)))
+    a = PolygonalCycle(pts)
+    b = PolygonalCycle(tuple(tuple(Fraction(c) for c in p) for p in pts))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"PolygonalCycle(points={pts!r})"
+    ints = PolygonalCycle(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert ints == PolygonalCycle(tuple(point3(*p) for p in ints.points))
+    assert hash(ints) == hash(PolygonalCycle(
+        tuple(point3(*p) for p in ints.points)))
+    assert a != ints
+
+
+def _fraction_scaled_linking(c1, c2):
+    """Linking number with the segments of both cycles scaled to integers
+    together, from their Fraction endpoints."""
+    ints, _ = _scaled_int_segments(c1.segments() + c2.segments())
+    S1, S2 = ints[:len(c1)], ints[len(c1):]
+    return next(lk for lk in (_linking_along(S1, S2, t)
+                              for t in itertools.count(1)) if lk is not None)
+
+
+def test_linking_matches_fraction_scaled_reference():
+    rng = random.Random(13)
+
+    def cycle():
+        # each cycle draws its own denominators, so the two scales differ
+        dens = [rng.randint(1, 64) for _ in range(3)]
+        return PolygonalCycle(tuple(
+            tuple(Fraction(rng.randint(0, 4 * b), b) for b in dens)
+            for _ in range(rng.randint(3, 5))))
+
+    checked, linked = 0, 0
+    while checked < 150:
+        try:
+            c1, c2 = cycle(), cycle()
+            lk = linking_number(c1, c2)
+        except (ValidationError, NotDisjoint):
+            continue
+        assert lk == _fraction_scaled_linking(c1, c2)
+        assert linking_number(c2, c1) == _fraction_scaled_linking(c2, c1)
+        checked += 1
+        linked += lk != 0
+    assert linked >= 10
+
+
 # ---------------------------------------------------------------------------
 # intrinsic linking of K6
 # ---------------------------------------------------------------------------
@@ -341,22 +398,21 @@ def test_stacked_hopf_pairs_admit_transversal():
 
 
 def test_linked_pairs_without_transversal_raise(monkeypatch):
-    monkeypatch.setattr(linking, "transversal_exists_segments",
-                        lambda segs: SegmentTransversal(False))
+    monkeypatch.setattr(linking, "_row_transversal", lambda *row: None)
     with pytest.raises(AssertionError, match="guarantee a transversal"):
         transversal_through_cycles(list(stacked_pairs()))
 
 
-def test_four_coplanar_triangles_crossing_axis():
+def _coplanar_triangles():
     tris = []
     for i in range(4):
         x = 3 * i
         tris.append(PolygonalCycle((point3(x, -1, 0), point3(x + 1, 1, 0),
                                     point3(x - 1, 1, 0))))
-    assert transversal_through_cycles(tris) is not None
+    return tris
 
 
-def test_far_unlinked_triangles_have_none():
+def _far_triangles():
     rng = random.Random(11)
     tris = []
     for i in range(4):
@@ -366,4 +422,62 @@ def test_far_unlinked_triangles_have_none():
                            Fraction(cz * 64 + rng.randint(-8, 8), 64))
                     for _ in range(3))
         tris.append(PolygonalCycle(pts))
-    assert transversal_through_cycles(tris) is None
+    return tris
+
+
+def test_four_coplanar_triangles_crossing_axis():
+    assert transversal_through_cycles(_coplanar_triangles()) is not None
+
+
+def test_far_unlinked_triangles_have_none():
+    assert transversal_through_cycles(_far_triangles()) is None
+
+
+def _shifted_stacked_pairs():
+    """``stacked_pairs`` with the last cycle moved by a small vector whose
+    denominators no other point has, so that each row's scale is a proper
+    multiple of its head's."""
+    *first, last = stacked_pairs()
+    shift = (Fraction(1, 97), Fraction(-1, 89), Fraction(1, 83))
+    return [*first, PolygonalCycle(tuple(v_add(p, shift)
+                                         for p in last.points))]
+
+
+def _brute_force_scan(cycles):
+    """``transversal_through_cycles`` as a plain loop: the first row in
+    ``itertools.product`` order that ``transversal_exists_segments`` meets,
+    as (indices, repr of the result), or None."""
+    seg_lists = [c.segments() for c in cycles]
+    for indices in itertools.product(*(range(len(s)) for s in seg_lists)):
+        res = transversal_exists_segments(
+            [segs[i] for segs, i in zip(seg_lists, indices)])
+        if res.exists:
+            return indices, repr(res)
+    return None
+
+
+def _scan(cycles):
+    found = transversal_through_cycles(cycles)
+    return None if found is None else (found[0], repr(found[1]))
+
+
+@pytest.mark.parametrize("cycles", [stacked_pairs, _shifted_stacked_pairs,
+                                    _coplanar_triangles, _far_triangles])
+def test_cycle_scan_matches_brute_force(cycles):
+    cycles = list(cycles())
+    assert _scan(cycles) == _brute_force_scan(cycles)
+
+
+def test_cycle_scan_matches_brute_force_on_pipeline_quadruples(monkeypatch):
+    quadruples = []
+
+    def scan(cycles):
+        quadruples.append(list(cycles))
+        return transversal_through_cycles(cycles)
+
+    monkeypatch.setattr(pipeline, "transversal_through_cycles", scan)
+    for seed in range(7000, 7010):
+        boost_witness_pipeline(random_drawing(40, 0.4, seed))
+    assert len(quadruples) == 31
+    for cycles in quadruples:
+        assert _scan(cycles) == _brute_force_scan(cycles)

@@ -75,6 +75,17 @@ _WITNESS_DIGESTS = [
     ("random", 0, 3, "68574036e9037344"),
     ("random", 6, 6, "3b2811dc9f5d3263"),
     ("random", 2005, 8, "9403fbb3fc01e870"),
+    # the inputs of the paper-constructions benchmark workload
+    ("random", 7000, 6, "eceab59f380652f6"),
+    ("random", 7001, 3, "fe2ee1d7141f1aee"),
+    ("random", 7002, 2, "63c19f1aed63e3ef"),
+    ("random", 7003, 3, "72b83a19f8e2a6a5"),
+    ("random", 7004, 3, "467f59a2b83b7db5"),
+    ("random", 7005, 3, "a3c6c9a33bd505c3"),
+    ("random", 7006, 3, "5b8f7b6bbe3e6633"),
+    ("random", 7007, 3, "791dde56b9fa647b"),
+    ("random", 7008, 2, "26445c17c112a10f"),
+    ("random", 7009, 3, "6a6b099593a00bb4"),
 ]
 
 
@@ -86,6 +97,30 @@ def test_witness_pipeline_witnesses_are_pinned(kind, seed, count, digest):
     text = repr([(w.edges, w.line, w.contacts) for w in ws])
     assert (len(ws), hashlib.sha256(text.encode()).hexdigest()[:16]) == (
         count, digest)
+
+
+def _linear_scan_sample(rng, items, weights, k):
+    """``pipeline._weighted_sample`` as a linear scan of the pool."""
+    chosen = []
+    pool = list(zip(items, weights))
+    for _ in range(k):
+        r = rng.uniform(0, sum(w for _, w in pool))
+        sums = itertools.accumulate(w for _, w in pool)
+        idx = next((i for i, acc in enumerate(sums) if r <= acc), -1)
+        chosen.append(pool.pop(idx)[0])
+    return chosen
+
+
+def test_weighted_sample_matches_a_linear_scan():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(6, 30)
+        items = rng.sample(range(100), n)
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        got = pipeline._weighted_sample(random.Random(seed), items,
+                                        weights, 6)
+        assert got == _linear_scan_sample(random.Random(seed), items,
+                                          weights, 6)
 
 
 def _reversed_edge_contact(p, q, line):
