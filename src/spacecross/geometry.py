@@ -344,12 +344,27 @@ def _line_at(plane2, plane3, t: _Param):
 
 def _public_line(line, t: _Param, scale: int) -> PluckerLine:
     """The line of ``_line_at`` divided by h^2, and its moment also
-    by the space scale."""
+    by the space scale.
+
+    ``PluckerLine``'s checks run on the integers, with its exceptions: the
+    direction is zero exactly when da = db = 0, and <d, m> = 0 exactly when
+    both parts of (da.ma + D db.mb) + (da.mb + db.ma) sqrt(D) vanish.  The
+    public values only divide these by positive integers, and sqrt(D) is
+    irrational whenever db != 0 (D = 0 leaves db = mb = 0)."""
     da, db, ma, mb = line
+    if not (any(da) or any(db)):
+        raise DegenerateInput("line with zero direction")
+    if (v_dot(da, ma) + t.d * v_dot(db, mb)
+            or v_dot(da, mb) + v_dot(db, ma)):
+        raise ValueError("Pluecker relation <d,m> = 0 violated")
     hh = t.h * t.h
-    return PluckerLine(
-        tuple(t.scalar(a, b, hh) for a, b in zip(da, db)),
-        tuple(t.scalar(a, b, hh * scale) for a, b in zip(ma, mb)))
+    public = object.__new__(PluckerLine)
+    object.__setattr__(public, "direction",
+                       tuple(t.scalar(a, b, hh) for a, b in zip(da, db)))
+    object.__setattr__(public, "moment",
+                       tuple(t.scalar(a, b, hh * scale)
+                             for a, b in zip(ma, mb)))
+    return public
 
 
 def _skew_triple_order(lines) -> Optional[Tuple[int, ...]]:

@@ -9,12 +9,21 @@ generic.  Every decision on the way (a segment whose image collapses,
 images that touch, the sign of a crossing, which strand passes over) is
 the sign of one integer determinant det(u, v, w) = (u x v) . w, so results
 are exact integers.
+
+Each projection reads its side tests from two tables: for each segment of
+one cycle, from a along u with g = w x u, and each vertex x of the other,
+g . x - g . a.  The same pass decides disjointness.  Two segments whose
+images strictly cross meet exactly when their preimages of the crossing
+coincide, a zero determinant; images that touch or overlap go to the exact
+``_segments_meet`` on that pair.  So ``NotDisjoint`` is raised exactly
+when the cycles share a point, without an all-pairs test in front.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -36,8 +45,9 @@ class PolygonalCycle:
     """Closed polygonal curve given by at least three ordered points.
 
     ``int_points`` are the points times ``scale``, the least common
-    denominator of their coordinates.  Both follow from ``points`` and
-    enter neither equality, hashing nor the repr.
+    denominator of their coordinates.  These, and the ``ends`` that the
+    cycle scan reads, follow from ``points`` and enter neither equality,
+    hashing nor the repr.
     """
 
     points: Tuple[Vec3, ...]
@@ -60,10 +70,25 @@ class PolygonalCycle:
     def __len__(self):
         return len(self.points)
 
-    def segments(self) -> List[Segment3]:
+    @cached_property
+    def ends(self):
+        """(p, q, s) for each segment: its integer endpoints times s, the
+        least common denominator of its own coordinates.  Built once, on
+        first use."""
+        scale = self.scale
+        out = []
+        for p, q in _int_segments(self.int_points):
+            g = gcd(scale, *p, *q)
+            out.append((tuple(x // g for x in p), tuple(x // g for x in q),
+                        scale // g))
+        return tuple(out)
+
+    def segment(self, i: int) -> Segment3:
         pts = self.points
-        return [Segment3(pts[i], pts[(i + 1) % len(pts)])
-                for i in range(len(pts))]
+        return Segment3(pts[i], pts[(i + 1) % len(pts)])
+
+    def segments(self) -> List[Segment3]:
+        return [self.segment(i) for i in range(len(self))]
 
     def int_segments(self, scale: int):
         """Integer endpoint pairs of the segments with the points times
@@ -134,12 +159,12 @@ def _check_simple(segs):
 # ---------------------------------------------------------------------------
 
 def _linking_along(S1, S2, t: int) -> Optional[int]:
-    """Linking number of two disjoint cycles, given as integer endpoint
-    pairs, from the projection along w = (1, t, t^2); None when that
-    projection is not generic.
+    """Linking number of two cycles, given as integer endpoint pairs, from
+    the projection along w = (1, t, t^2); None when that projection is not
+    generic.  Raises NotDisjoint when the cycles share a point.
 
     For a segment from a along u, let g = w x u.  Then
-    det(u, x - a, w) = g . (x - a) tells on which side of the segment's
+    det(u, x - a, w) = g . x - g . a tells on which side of the segment's
     image the image of x lies, and g = 0 when the image collapses.
     """
     w = (1, t, t * t)
@@ -147,39 +172,60 @@ def _linking_along(S1, S2, t: int) -> Optional[int]:
             for S in (S1, S2)]
     if any(g == _ZERO for S in segs for *_, g in S):
         return None
+    sides1, sides2 = _side_table(segs[0], S2), _side_table(segs[1], S1)
     total = 0
-    for a, b, u1, g1 in segs[0]:
-        for c, d, u2, g2 in segs[1]:
-            s12 = v_dot(g1, v_sub(c, a)) * v_dot(g1, v_sub(d, a))
-            s34 = v_dot(g2, v_sub(a, c)) * v_dot(g2, v_sub(b, c))
-            if s12 > 0 or s34 > 0:
+    for i, (a, b, u1, g1) in enumerate(segs[0]):
+        side1 = sides1[i]
+        for j, (c, d, u2, _) in enumerate(segs[1]):
+            s1, s2 = side1[j], side1[j + 1]
+            s3, s4 = sides2[j][i], sides2[j][i + 1]
+            if ((s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0)
+                    or (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0)):
                 continue                  # images disjoint
-            if s12 == 0 or s34 == 0:
+            if not (s1 and s2 and s3 and s4):
+                # images touch or overlap
+                if _segments_meet((a, b), (c, d)):
+                    raise NotDisjoint("cycles share a point")
                 if (v_cross(u1, v_sub(c, a)) == _ZERO
                         and v_cross(u1, v_sub(d, a)) == _ZERO):
                     # disjoint segments of one line in space: g1 != 0
                     # makes the projection one to one on that line
                     continue
-                return None               # images touch or overlap
+                return None
             # the images cross at p1 on (a, b) and p2 on (c, d), where
-            # p1 - p2 = (lam / den) w with den = det(u1, u2, w)
-            den = v_dot(g1, u2)
+            # p1 - p2 = (lam / den) w with den = det(u1, u2, w) != 0
             lam = _det(u1, u2, v_sub(a, c))
+            if not lam:
+                raise NotDisjoint("cycles share a point")
+            den = v_dot(g1, u2)
             if (lam > 0) == (den > 0):    # (a, b) passes over (c, d)
                 total -= 1 if den > 0 else -1
     return total
+
+
+def _side_table(segs, S):
+    """g_i . x_j - g_i . a_i for each segment i = (a_i, b_i, u_i, g_i) of
+    one cycle and each vertex x_j of the other, given as its segments S;
+    each row ends with its first entry again, so that entries j and j + 1
+    belong to the ends of segment j."""
+    pts = [p for p, _ in S]
+    pts.append(pts[0])
+    table = []
+    for a, _, _, (g0, g1, g2) in segs:
+        ga = g0 * a[0] + g1 * a[1] + g2 * a[2]
+        table.append([g0 * x + g1 * y + g2 * z - ga for x, y, z in pts])
+    return table
 
 
 def linking_number(c1: PolygonalCycle, c2: PolygonalCycle) -> int:
     """Sum of crossing signs where the first cycle passes over the second.
 
     Sign convention: with the right-handed frame, the positively oriented
-    polygonal Hopf pair links to +1.
+    polygonal Hopf pair links to +1.  Raises NotDisjoint when the cycles
+    share a point.
     """
     scale = lcm(c1.scale, c2.scale)
     S1, S2 = c1.int_segments(scale), c2.int_segments(scale)
-    if any(_segments_meet(s, r) for s in S1 for r in S2):
-        raise NotDisjoint("cycles share a point")
     for t in range(1, 10000):
         lk = _linking_along(S1, S2, t)
         if lk is not None:
@@ -324,10 +370,8 @@ def transversal_through_cycles(cycles: Sequence[PolygonalCycle]):
     and the first row met with its result, is that function's."""
     if len(cycles) != 4:
         raise ValidationError("need exactly four cycles")
-    seg_lists = [c.segments() for c in cycles]
-    ends = [_own_scale_segments(c) for c in cycles]
     for head in itertools.product(*(range(len(c)) for c in cycles[:3])):
-        head_ends = [e[i] for e, i in zip(ends, head)]
+        head_ends = [c.ends[i] for c, i in zip(cycles, head)]
         scale = lcm(*(s for _, _, s in head_ends))
         lines = [_int_line(e, scale) for e in head_ends]
         regulus = None
@@ -335,10 +379,8 @@ def transversal_through_cycles(cycles: Sequence[PolygonalCycle]):
             regulus = _regulus(lines)
             if next(_family_samples(regulus[2]), None) is None:
                 continue
-        head_segs = [segs[i] for segs, i in zip(seg_lists, head)]
-        for i, fourth in enumerate(ends[3]):
-            res = _row_transversal([*head_segs, seg_lists[3][i]], regulus,
-                                   lines, scale, fourth)
+        for i in range(len(cycles[3])):
+            res = _row_transversal(cycles, (*head, i), regulus, lines, scale)
             if res is not None:
                 return (*head, i), res
     lk12 = linking_number(cycles[0], cycles[1])
@@ -349,39 +391,29 @@ def transversal_through_cycles(cycles: Sequence[PolygonalCycle]):
     return None
 
 
-def _own_scale_segments(cycle: PolygonalCycle):
-    """(p, q, s) for each segment of the cycle: its integer endpoints times
-    s, the least common denominator of its own coordinates."""
-    out = []
-    for p, q in cycle.int_segments(cycle.scale):
-        g = gcd(cycle.scale, *p, *q)
-        out.append((tuple(x // g for x in p), tuple(x // g for x in q),
-                    cycle.scale // g))
-    return out
-
-
 def _int_line(ends, scale):
     """Integer line (p, d, m) of a segment (p, q, s) of
-    ``_own_scale_segments`` with its points times ``scale``, a multiple of
+    ``PolygonalCycle.ends`` with its points times ``scale``, a multiple of
     s."""
     p, q, s = ends
     return _int_triple(v_scale(p, scale // s), v_scale(q, scale // s))
 
 
-def _row_transversal(segments, regulus, lines, scale, fourth):
-    """The ``SegmentTransversal`` of the four segments of a row of the
-    cycle scan if one line meets them, else None.
+def _row_transversal(cycles, row, regulus, lines, scale):
+    """The ``SegmentTransversal`` of the four segments ``row`` of the
+    cycles, one per cycle, if one line meets them, else None.
 
     ``lines`` are the integer lines of the first three segments with their
     points times ``scale``, the least common denominator of their
     coordinates, and ``regulus`` is their ``_regulus``, or None when they
     are not pairwise skew; such rows go to ``transversal_exists_segments``.
-    The fourth segment is (p, q, s) of ``_own_scale_segments``.  The row's
-    scale is that of ``transversal_exists_segments`` on it, and the
-    skew-branch decision then runs on that function's own integers."""
+    The row's scale is that of ``transversal_exists_segments`` on it, and
+    the skew-branch decision then runs on that function's own integers."""
     if regulus is None:
-        res = transversal_exists_segments(segments)
+        res = transversal_exists_segments(
+            [cycle.segment(i) for cycle, i in zip(cycles, row)])
         return res if res.exists else None
+    fourth = cycles[3].ends[row[3]]
     row_scale = lcm(scale, fourth[2])
     c = row_scale // scale
     if c != 1:

@@ -116,6 +116,8 @@ class QuadExt:
         return self + (-self._coerce(other))
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(other - self.a, -self.b, self.d)
         return (-self) + other
 
     def __mul__(self, other):
@@ -167,6 +169,12 @@ class QuadExt:
         return self.sign() != 0
 
     def __eq__(self, other):
+        """Exact equality.  Against an int or a ``Fraction`` a value with
+        b != 0 is unequal at once: normalisation has folded every perfect
+        square radicand, so its sqrt(d) is irrational, and so is the value.
+        """
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
         try:
             return (self - other).sign() == 0
         except (ValueError, TypeError):

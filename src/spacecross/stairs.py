@@ -426,8 +426,9 @@ def _block_lengths(n: int, w: int) -> Dict[int, List[int]]:
                 add((k + 1, head_open), b)
             for j in range(k):
                 if head_open and j == 0:
-                    pad = [(0, 0)] * (a.ndim - 1) + [(0, lengths - spans)]
-                    add((k - 1, False), np.pad(np.moveaxis(a, 0, -1), pad))
+                    b = np.zeros(a.shape[1:] + (lengths,), a.dtype)
+                    b[..., :spans] = np.moveaxis(a, 0, -1)
+                    add((k - 1, False), b)
                 else:
                     add((k - 1, head_open), a.sum(axis=j))
         states = nxt

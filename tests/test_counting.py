@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spacecross import counting
+from spacecross import counting, generators, geometry
 from spacecross.counting import (count_line_crossings, count_planar_crossings,
                                  enumerate_disjoint_tuples, lift_to_sphere)
 from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.errors import ValidationError
-from spacecross.geometry import (Segment3, _incidence_quadratic,
+from spacecross.geometry import (PluckerLine, Segment3, _incidence_quadratic,
                                  _int_triple, _plane, _trace, point3,
                                  transversal_exists_segments)
 from spacecross.linking import PolygonalCycle
-from spacecross.pipeline import hexgrid_construction, hexgrid_graph
+from spacecross.pipeline import (boost_witness_pipeline, hexgrid_construction,
+                                 hexgrid_graph)
 
 
 def complete_graph(n):
@@ -457,6 +458,38 @@ def test_witnesses_match_recorded_values(case):
             for w in rep.witnesses] == witnesses
     assert _witness_digest(rep) == digest
     assert count_line_crossings(d, 4, prefilter=False).count == rep.count
+
+
+def test_witness_lines_pass_the_full_pluecker_check(monkeypatch):
+    """``_public_line`` checks a certified line on the kernel's integers;
+    on every parity and pipeline witness its line is the one that
+    ``PluckerLine`` builds with its own checks."""
+    checked = {}
+    public_line = geometry._public_line
+
+    def full_check(line, t, scale):
+        public = public_line(line, t, scale)
+        da, db, ma, mb = line
+        hh = t.h * t.h
+        full = PluckerLine(
+            tuple(t.scalar(a, b, hh) for a, b in zip(da, db)),
+            tuple(t.scalar(a, b, hh * scale) for a, b in zip(ma, mb)))
+        assert repr(public) == repr(full)
+        checked[id(public)] = public
+        return public
+
+    monkeypatch.setattr(geometry, "_public_line", full_check)
+    witnesses = []
+    for make, _, _ in WITNESS_PARITY:
+        witnesses += count_line_crossings(make(), 4,
+                                          want_witnesses=True).witnesses
+    for seed in range(3):
+        witnesses += boost_witness_pipeline(generators.four_k6_drawing(seed))
+    for seed in (7000, 7001, 7002):
+        witnesses += boost_witness_pipeline(
+            generators.random_drawing(40, 0.4, seed))
+    assert len(witnesses) == 30
+    assert all(id(w.line) in checked for w in witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spacecross import geometry
 from spacecross.errors import DegenerateInput
-from spacecross.geometry import (Segment3, _coplanar_pair, _family_samples,
+from spacecross.geometry import (PluckerLine, Segment3, _coplanar_pair,
+                                 _family_samples,
                                  _in_unit_range, _incidence_quadratic,
                                  _int_triple, _Param, _pencil_through_point,
-                                 _plane, _quadratic_roots, _regulus,
+                                 _plane, _public_line, _quadratic_roots,
+                                 _regulus,
                                  _scaled_int_segments, _scaled_regulus,
                                  _stab_in_plane,
                                  line_through_points,
@@ -471,6 +474,68 @@ def test_witness_reverifies_and_has_quad_coordinates():
         if not res.line.is_rational():
             found_irrational += 1
     assert found_irrational > 0
+
+
+def _full_pluecker_check(line, t, scale):
+    """The public line of the kernel's integer line, built by
+    ``PluckerLine`` with its own checks in exact scalar arithmetic."""
+    da, db, ma, mb = line
+    hh = t.h * t.h
+    return PluckerLine(
+        tuple(t.scalar(a, b, hh) for a, b in zip(da, db)),
+        tuple(t.scalar(a, b, hh * scale) for a, b in zip(ma, mb)))
+
+
+def _line_outcome(build, line, t, scale):
+    try:
+        return repr(build(line, t, scale))
+    except ValueError as e:     # DegenerateInput is a ValueError too
+        return type(e).__name__
+
+
+def test_pluecker_check_on_the_kernel_integers(monkeypatch):
+    calls = []
+    public_line = geometry._public_line
+    monkeypatch.setattr(geometry, "_public_line",
+                        lambda *args: calls.append(args) or public_line(*args))
+    rng = random.Random(7)
+    for _ in range(100):
+        segs = [rand_segment(rng) for _ in range(4)]
+        # four segments give roots of the quadratic, three the rational
+        # samples of a family
+        transversal_exists_segments(segs)
+        transversal_exists_segments(segs[:3])
+    monkeypatch.undo()
+    assert any(t.d for _, t, _ in calls) and any(not t.d for _, t, _ in calls)
+    changed, raised = 0, 0
+    for line, t, scale in calls:
+        assert (_line_outcome(public_line, line, t, scale)
+                == repr(_full_pluecker_check(line, t, scale)))
+        # with a rational t the line has no sqrt(d) parts db, mb to change
+        for part in ((0, 1, 2, 3) if t.d else (0, 2)):
+            for k in range(3):
+                bad = [list(v) for v in line]
+                bad[part][k] += 1
+                got = _line_outcome(public_line, bad, t, scale)
+                assert got == _line_outcome(_full_pluecker_check, bad, t,
+                                            scale)
+                changed += 1
+                raised += got == "ValueError"
+    assert raised == changed
+
+
+def test_zero_integer_direction_is_degenerate():
+    zero = (0, 0, 0)
+    for t in (_Param(1, 0, 0, 2, False), _Param(-3, 1, 5, 2, True)):
+        with pytest.raises(DegenerateInput):
+            _public_line((zero, zero, (1, 2, 3), zero), t, 3)
+        with pytest.raises(DegenerateInput):
+            _full_pluecker_check((zero, zero, (1, 2, 3), zero), t, 3)
+    # with an irrational t, a direction of sqrt(d) parts alone is nonzero
+    t = _Param(-3, 1, 5, 2, True)
+    line = (zero, (1, 0, 0), (0, 1, 0), zero)
+    assert (repr(_public_line(line, t, 3))
+            == repr(_full_pluecker_check(line, t, 3)))
 
 
 def test_invariance_under_permutation_and_flip():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from spacecross import linking, pipeline
 from spacecross.errors import (DegeneratePosition, NotDisjoint, ValidationError)
 from spacecross.geometry import (_scaled_int_segments, point3,
+                                 segments_intersect_2d,
                                  transversal_exists_segments, v_add, v_sub,
                                  verify_transversal)
 from spacecross.linking import (PolygonalCycle, conway_gordon_check,
@@ -169,6 +171,79 @@ def test_intersecting_cycles_rejected():
     c2 = PolygonalCycle((point3(1, 0, -1), point3(1, 0, 1), point3(3, 3, 1)))
     with pytest.raises(NotDisjoint):
         linking_number(c1, c2)
+
+
+_BASE_TRIANGLE = ((0, 0, 0), (4, 0, 0), (2, 3, 0))
+_MEETING_TRIANGLES = {
+    # a vertex inside an edge of the base triangle
+    "T-junction": ((2, 0, 0), (2, -1, 1), (2, -1, -1)),
+    "shared vertex": ((4, 0, 0), (5, 1, 1), (5, -1, 1)),
+    # an edge through an inner point of an edge of the base triangle
+    "interior crossing": ((1, -1, -2), (1, 1, 2), (3, -2, 2)),
+    "collinear overlap": ((3, 0, 0), (6, 0, 0), (5, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEETING_TRIANGLES))
+def test_cycles_that_share_a_point_are_rejected(name):
+    base, other = (PolygonalCycle(tuple(point3(*p) for p in pts))
+                   for pts in (_BASE_TRIANGLE, _MEETING_TRIANGLES[name]))
+    for c1, c2 in ((base, other), (other, base)):
+        with pytest.raises(NotDisjoint):
+            linking_number(c1, c2)
+
+
+def _image_along_111(p):
+    """Image of p in the projection along w = (1, 1, 1), in the basis
+    (1, -1, 0), (1, 1, -2) of the plane orthogonal to w."""
+    x, y, z = p
+    return (x - y, x + y - 2 * z)
+
+
+def test_shared_point_found_past_a_touching_first_projection():
+    # The first segments do not meet, but along w = (1, 1, 1) the end
+    # (3, 1, 1) of the second's projects onto (2, 0, 0), inside the first
+    # one's image, so that projection is not generic.  The vertex (0, 0, 2)
+    # of the second cycle lies on the last segment of the first.
+    first = ((0, 0, 0), (4, 0, 0), (0, 0, 4))
+    second = ((3, 1, 1), (3, 3, 3), (0, 0, 2))
+    assert not _segments_meet(first[:2], second[:2])
+    assert segments_intersect_2d(
+        tuple(map(_image_along_111, first[:2])),
+        tuple(map(_image_along_111, second[:2]))) == "touching"
+    c1, c2 = (PolygonalCycle(tuple(point3(*p) for p in pts))
+              for pts in (first, second))
+    for a, b in ((c1, c2), (c2, c1)):
+        with pytest.raises(NotDisjoint):
+            linking_number(a, b)
+
+
+def _small_cycle(rng):
+    return tuple(tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+                       for _ in range(3)) for _ in range(rng.randint(3, 5)))
+
+
+def test_linking_outcomes_on_small_integer_cycles_are_pinned():
+    """Linking numbers in both orders, or NotDisjoint, on seeded pairs of
+    small cycles with many touching, collinear and shared points; the
+    digest was recorded with an all-pairs disjointness test in front of
+    the projections."""
+    rng = random.Random(2026)
+    outcomes = []
+    while len(outcomes) < 3000:
+        try:
+            c1 = PolygonalCycle(_small_cycle(rng))
+            c2 = PolygonalCycle(_small_cycle(rng))
+        except ValidationError:
+            continue
+        try:
+            outcomes.append((linking_number(c1, c2), linking_number(c2, c1)))
+        except NotDisjoint:
+            with pytest.raises(NotDisjoint):
+                linking_number(c2, c1)
+            outcomes.append("NotDisjoint")
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+    assert (outcomes.count("NotDisjoint"), digest) == (589, "b579d7fd5f9f1e48")
 
 
 _SEGMENT_PAIRS = {

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,3 +94,37 @@ def test_sign_of_plain_values():
     # a vector of exact zeros, one of them an irrational-looking QuadExt
     assert v_is_zero((QuadExt(0), QuadExt(3, -1, 9), Fraction(0)))
     assert not v_is_zero((QuadExt(0), QuadExt(0, 1, 2), 0))
+
+
+def _quad_corpus():
+    """Seeded values a + b*sqrt(d), with zero, rationals and radicands that
+    are perfect rational squares, which collapse on construction."""
+    rng = random.Random(22)
+    radicands = [0, 1, 4, Fraction(9, 4), Fraction(4, 25), 49, 2, 3, 5,
+                 Fraction(2, 9), Fraction(7, 3)]
+    values = [QuadExt(0), QuadExt(0, 3, 2), QuadExt(2, -2, 1)]
+    for _ in range(400):
+        values.append(QuadExt(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                              Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                              rng.choice(radicands)))
+    return values
+
+
+def test_rational_comparisons_and_differences_match_their_definitions():
+    rng = random.Random(23)
+    collapsed = 0
+    for x in _quad_corpus():
+        collapsed += x.is_rational and x.d == 0
+        others = [0, 1, -2, Fraction(1, 2), Fraction(-7, 3),
+                  rng.randint(-3, 3), Fraction(rng.randint(-6, 6), 2)]
+        if x.is_rational:
+            others += [x.a, x.a + 1]
+            if x.a.denominator == 1:
+                others.append(int(x.a))
+        for r in others:
+            equal = (x - r).sign() == 0
+            assert (x == r) is equal and (r == x) is equal
+            assert (x != r) is not equal and (r != x) is not equal
+            diff, ref = r - x, (-x) + r
+            assert (diff.a, diff.b, diff.d) == (ref.a, ref.b, ref.d)
+    assert collapsed > 100
