@@ -33,8 +33,8 @@ one candidate per run decides: its midpoint, then its ends.
 With no three supporting lines pairwise skew, the same integer lines pick
 the degenerate case: two segments on one line, or two coplanar lines.  A
 case analysis on the caller's own segments then decides, in their
-coordinates, and builds lines only for its answers and the candidates it
-verifies.
+coordinates, by ``orient2d`` signs in a plane, and builds lines only for
+its answers and for the segments' own lines that it verifies.
 """
 
 from __future__ import annotations
@@ -634,8 +634,9 @@ def _public_transversal(line, params, t: _Param, scale) -> SegmentTransversal:
 # already built; the case analysis then runs on the caller's segments, in
 # their coordinates, and builds a ``PluckerLine`` only for a line that it
 # verifies or returns.  The planar part is line stabbing of segments in a
-# plane (Edelsbrunner et al., "Stabbing line segments", BIT 1982).  Each
-# line found is re-checked by ``verify_transversal``.
+# plane (Edelsbrunner et al., "Stabbing line segments", BIT 1982), decided
+# by ``orient2d`` signs in the plane's image.  Each line found is re-checked
+# by ``verify_transversal``.
 
 def _coplanar_pair(triples):
     """(i, j, shared) for the first pair of the integer lines (p, d, m), in
@@ -658,21 +659,20 @@ def _on_line_of(x, seg: Segment3) -> bool:
     return v_is_zero(v_cross(v_sub(x, seg.p), seg.direction))
 
 
-def _point_on_segment(x, seg: Segment3) -> bool:
-    if not _on_line_of(x, seg):
-        return False
+def _param_on(x, seg: Segment3):
+    """The u with x = p + u (q - p), for x on the supporting line of seg."""
     d = seg.direction
     comp = next(i for i in range(3) if sign_of(d[i]) != 0)
-    u = (x[comp] - seg.p[comp]) / d[comp]
-    return 0 <= u <= 1
+    return (x[comp] - seg.p[comp]) / d[comp]
+
+
+def _point_on_segment(x, seg: Segment3) -> bool:
+    return _on_line_of(x, seg) and 0 <= _param_on(x, seg) <= 1
 
 
 def _collinear_overlap(seg_a: Segment3, seg_b: Segment3):
     """Intersection of two segments on one common supporting line."""
-    d = seg_a.direction
-    comp = next(i for i in range(3) if sign_of(d[i]) != 0)
-    ub = sorted([(seg_b.p[comp] - seg_a.p[comp]) / d[comp],
-                 (seg_b.q[comp] - seg_a.p[comp]) / d[comp]])
+    ub = sorted([_param_on(seg_b.p, seg_a), _param_on(seg_b.q, seg_a)])
     lo, hi = max(Fraction(0), ub[0]), min(Fraction(1), ub[1])
     if lo > hi:
         return None
@@ -703,7 +703,7 @@ def _checked(line: PluckerLine, segments) -> SegmentTransversal:
     """A line of the case analysis with its contact parameters."""
     params = verify_transversal(line, segments)
     if params is None:
-        raise RuntimeError("case analysis returned a line missing a segment")
+        raise AssertionError("case analysis returned a line missing a segment")
     return SegmentTransversal(True, line, params)
 
 
@@ -775,8 +775,13 @@ def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
     meeting an in-plane segment form an angle; a line in all these angles
     turns within them to one through an endpoint.  With none, a stabbing
     line moves to an endpoint, then turns about it to a second.
+
+    A candidate through a and b is tested by ``orient2d`` signs in the
+    plane's ``_plane_image``: it passes every point (sign 0) and meets every
+    in-plane segment (its ends are not strictly on one side).  Only the
+    first candidate that passes becomes a line, certified by ``_checked``.
     """
-    points, ends = list(through), []
+    points, spans = list(through), []
     for seg in segments:
         hp, hq = v_dot(n, seg.p) + e, v_dot(n, seg.q) + e
         sp, sq = sign_of(hp), sign_of(hq)
@@ -785,26 +790,37 @@ def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
         if sp or sq:
             points.append(seg.at(Fraction(hp) / (hp - hq)))
         else:
-            ends += [seg.p, seg.q]
+            spans.append((seg.p, seg.q))
     points = list(dict.fromkeys(points))
-    ends = [q for q in dict.fromkeys(ends) if q not in points]
+    ends = [q for q in dict.fromkeys(x for s in spans for x in s)
+            if q not in points]
     if len(points) >= 2:
         pairs = [points[:2]]
     elif points:
         pairs = [(points[0], q) for q in ends]
     else:
         pairs = itertools.combinations(ends, 2)
+    image = dict(zip(points + ends, _plane_image(n, points + ends)))
     for a, b in pairs:
-        line = line_through_points(a, b)
-        params = verify_transversal(line, segments)
-        if params is not None:
-            return SegmentTransversal(True, line, params)
+        ia, ib = image[a], image[b]
+        if (all(orient2d(ia, ib, image[x]) == 0 for x in points)
+                and all(orient2d(ia, ib, image[p]) * orient2d(ia, ib, image[q])
+                        <= 0 for p, q in spans)):
+            return _checked(line_through_points(a, b), segments)
     return SegmentTransversal(False)
 
 
 # ---------------------------------------------------------------------------
 # planar segment classification
 # ---------------------------------------------------------------------------
+
+def _plane_image(n, points):
+    """The points of a plane with normal n without the first coordinate in
+    which n is nonzero: a one to one map of the plane, which keeps
+    collinearity and the sides of a line for ``orient2d``."""
+    k = next(i for i in range(3) if sign_of(n[i]) != 0)
+    return [p[:k] + p[k + 1:] for p in points]
+
 
 def orient2d(a, b, c):
     """Sign of the signed area of triangle abc."""

@@ -29,11 +29,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DegeneratePosition, NotDisjoint, ValidationError
 from .geometry import (Segment3, _family_samples, _int_triple,
-                       _public_transversal, _regulus, _regulus_transversal,
-                       _scaled_int_points, _scaled_regulus,
-                       _skew_triple_order, segments_intersect_2d,
-                       transversal_exists_segments, v_cross, v_dot, v_scale,
-                       v_sub)
+                       _plane_image, _public_transversal, _regulus,
+                       _regulus_transversal, _scaled_int_points,
+                       _scaled_regulus, _skew_triple_order,
+                       segments_intersect_2d, transversal_exists_segments,
+                       v_cross, v_dot, v_scale, v_sub)
 from .scalars import rat
 
 Vec3 = Tuple
@@ -116,20 +116,12 @@ def _segments_meet(s, r) -> bool:
     if n == _ZERO:
         if v_cross(u, ac) != _ZERO:
             return False                  # distinct parallel lines
-        # all four ends on one line: keep a coordinate that moves along it
-        k = next((i for i in range(3) if u[i] == 0), 0)
+        # all four ends on one line, which lies in a plane with normal n
+        n = (u[1], -u[0], 0) if u[0] or u[1] else (1, 0, 0)
     elif v_dot(n, ac) != 0:
         return False                      # skew lines
-    else:
-        # dropping a coordinate in which the normal n is nonzero maps their
-        # plane one to one onto the other two
-        k = next(i for i in range(3) if n[i] != 0)
-
-    def image(p):
-        return p[:k] + p[k + 1:]
-
-    return segments_intersect_2d((image(a), image(b)),
-                                 (image(c), image(d))) != "disjoint"
+    a, b, c, d = _plane_image(n, (a, b, c, d))
+    return segments_intersect_2d((a, b), (c, d)) != "disjoint"
 
 
 def _check_simple(segs):
@@ -230,7 +222,7 @@ def linking_number(c1: PolygonalCycle, c2: PolygonalCycle) -> int:
         lk = _linking_along(S1, S2, t)
         if lk is not None:
             return lk
-    raise RuntimeError("generic projection search exhausted")
+    raise AssertionError("generic projection search exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -450,19 +450,27 @@ def _validate_hexgrid(graph: Graph, faces):
     for v, nbrs in enumerate(adj):
         if len(nbrs) != 3:
             raise AssertionError(f"vertex {v} has degree {len(nbrs)}")
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for w in adj[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != graph.n:
+    if -1 in _bfs_levels(adj, 0):
         raise AssertionError("grid is not connected")
     euler = graph.n - graph.m + len(faces)
     if euler != 2:
         raise AssertionError(f"V - E + F = {euler}, not 2: the traced faces "
                              "are not a plane embedding")
+
+
+def _bfs_levels(adj, src) -> List[int]:
+    """Distance from src to each vertex of the graph with adjacency lists
+    adj, or -1 where src does not reach."""
+    level = [-1] * len(adj)
+    level[src] = 0
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if level[w] < 0:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return level
 
 
 def _vertex_face_distances(grid: HexGrid) -> np.ndarray:
@@ -480,19 +488,8 @@ def _vertex_face_distances(grid: HexGrid) -> np.ndarray:
         if len(fs) == 2:
             dual_adj[fs[0]].add(fs[1])
             dual_adj[fs[1]].add(fs[0])
-    rows = []
-    for src in range(len(grid.faces)):
-        row = [-1] * len(grid.faces)
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            f = queue.popleft()
-            for g in dual_adj[f]:
-                if row[g] < 0:
-                    row[g] = row[f] + 1
-                    queue.append(g)
-        rows.append(row)
-    face_dist = np.array(rows)
+    face_dist = np.array([_bfs_levels(dual_adj, src)
+                          for src in range(len(grid.faces))])
     to_face = np.array([face_dist[fs].min(axis=0) for fs in vertex_faces])
     return np.array([to_face[:, fs].min(axis=1) for fs in vertex_faces])
 

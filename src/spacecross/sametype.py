@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (PreconditionViolated, RetryExhausted, ValidationError)
+from .geometry import orient2d
 from .scalars import rat, rat_from_str, rat_to_str, sign_of
 
 Point = Tuple[Fraction, ...]
@@ -282,10 +283,9 @@ def _yao_yao_1d(pts) -> YaoYaoPartition:
 
 def _halfplane_counts(pts, a, b):
     """(left-closed, right-closed) counts of points against line a->b."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
     left = right = 0
     for p in pts:
-        s = sign_of(dx * (p[1] - a[1]) - dy * (p[0] - a[0]))
+        s = orient2d(a, b, p)
         if s >= 0:
             left += 1
         if s <= 0:
@@ -394,11 +394,10 @@ def same_type_refine(multisets: Sequence[PointMultiset],
         signs.append(_refine_single(points, active, f))
 
     # exhaustive verification over the final product
+    final = [[points[i][j] for j in active[i]] for i in range(k)]
     for f, expected in zip(polys, signs):
-        for combo in itertools.product(*[[points[i][j] for j in active[i]]
-                                         for i in range(k)]):
-            if sign_of(f.evaluate(combo)) != expected:
-                raise AssertionError("sign constancy verification failed")
+        if _product_sign(final, f) != expected:
+            raise AssertionError("sign constancy verification failed")
     eps = theorem_epsilon(polys)
     for i, F in enumerate(multisets):
         if len(active[i]) < eps * len(F):
@@ -515,9 +514,15 @@ def _constant_sign(points, active, f: SparsePolynomial) -> Optional[int]:
         size *= len(active[i])
         if size > _SWEEP_BUDGET:
             return None
+    return _product_sign([[points[i][j] for j in active[i]]
+                          for i in range(f.k)], f)
+
+
+def _product_sign(point_lists, f: SparsePolynomial) -> Optional[int]:
+    """The sign of f on every tuple of the product of the point lists, or
+    None when it changes (or the product is empty)."""
     sign = None
-    for combo in itertools.product(*[[points[i][j] for j in active[i]]
-                                     for i in range(f.k)]):
+    for combo in itertools.product(*point_lists):
         s = sign_of(f.evaluate(combo))
         if sign is None:
             sign = s
@@ -560,17 +565,9 @@ def brute_force_same_type(multisets: Sequence[PointMultiset],
     for combos in itertools.product(*[
             itertools.combinations(range(len(F)), s)
             for F, s in zip(multisets, target_sizes)]):
-        sign = None
-        ok = True
-        for choice in itertools.product(*[
-                [multisets[i].points[j] for j in combos[i]] for i in range(k)]):
-            s = sign_of(poly.evaluate(choice))
-            if sign is None:
-                sign = s
-            elif s != sign:
-                ok = False
-                break
-        if ok:
+        sign = _product_sign([[multisets[i].points[j] for j in combos[i]]
+                              for i in range(k)], poly)
+        if sign is not None:
             return [list(c) for c in combos], sign
     return None
 

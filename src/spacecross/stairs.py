@@ -190,16 +190,6 @@ def standard_stair_drawing(n: int, m: int, grid: StretchedGrid) -> StairDrawing:
 _BIG = 10 ** 9
 
 
-def _edge_boxes(s: int, t: int):
-    """The three axis-parallel pieces of the diagonal stair-path from
-    (s,s,s) to (t,t,t) with s < t, as coordinate-range boxes."""
-    return (
-        ((s, s), (s, s), (s, t)),   # rise in z
-        ((s, s), (s, t), (t, t)),   # run in y
-        ((s, t), (t, t), (t, t)),   # run in x
-    )
-
-
 @dataclass
 class StairCrossing:
     exists: bool
@@ -237,7 +227,12 @@ def stair_crossing_exists(anchor_pairs: Sequence[Tuple]) -> StairCrossing:
         return order[-1] + 1
 
     pairs_ranked = [tuple(sorted((rank[s], rank[t]))) for s, t in anchor_pairs]
-    edge_boxes = [_edge_boxes(s, t) for s, t in pairs_ranked]
+    # the pieces of each diagonal stair-path, drawn as in
+    # standard_stair_drawing, as coordinate-range boxes: with s < t each
+    # piece runs up in its coordinate
+    edge_boxes = [[tuple(zip(lo, hi))
+                   for lo, hi in stair_path((s,) * 3, (t,) * 3)]
+                  for s, t in pairs_ranked]
 
     c = np.array(cand_ranks)
     shape_axes = [c[:, None, None, None], c[None, :, None, None],

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from spacecross import cli, counting, pipeline
+from spacecross import cli, counting, geometry, pipeline
 from spacecross.drawing import decode_drawing
 
 
@@ -63,6 +63,18 @@ def test_count_crossings_invariant_failure_exits_2(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(counting, "count_line_crossings", broken)
     code, doc = run(capsys, "count-crossings", "--input", f)
+    assert (code, doc["code"]) == (2, "AssertionError")
+
+
+def test_case_analysis_invariant_failure_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    # a flat drawing's rows go to the case analysis, whose answers are
+    # certified by verify_transversal; a refusal there is a broken invariant
+    f = str(tmp_path / "f.json")
+    run(capsys, "gen-fixture", "--kind", "drawing",
+        "--params", '{"n": 8, "flat": true}', "--output", f)
+    monkeypatch.setattr(geometry, "verify_transversal", lambda *args: None)
+    code, doc = run(capsys, "count-crossings", "--input", f, "--k", "3")
     assert (code, doc["code"]) == (2, "AssertionError")
 
 

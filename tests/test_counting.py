@@ -460,6 +460,26 @@ def test_witnesses_match_recorded_values(case):
     assert count_line_crossings(d, 4, prefilter=False).count == rep.count
 
 
+# flat random drawings: every row goes to the degenerate case analysis.
+# (n, k), then the count and the digest of edges, line and contacts
+FLAT_WITNESSES = [
+    ((8, 3), 32, "8e5efc3e45012414"),
+    ((10, 3), 181, "a5ed2c6c649896da"),
+    ((10, 4), 72, "d4116767bf2f9fe6"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FLAT_WITNESSES)))
+def test_flat_witnesses_match_recorded_values(case):
+    (n, k), count, digest = FLAT_WITNESSES[case]
+    rep = count_line_crossings(generators.random_drawing(n, .5, 0, flat=True),
+                               k, want_witnesses=True)
+    assert rep.count == count
+    text = repr([(w.edges, w.line.direction, w.line.moment, w.contacts)
+                 for w in rep.witnesses])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_witness_lines_pass_the_full_pluecker_check(monkeypatch):
     """``_public_line`` checks a certified line on the kernel's integers;
     on every parity and pipeline witness its line is the one that

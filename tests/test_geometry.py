@@ -894,6 +894,41 @@ def test_degenerate_corpus_answers_are_pinned(degenerate_answers):
         "649e7bf9294b11d1")
 
 
+def test_stab_in_plane_builds_and_verifies_at_most_one_line(
+        degenerate_answers, monkeypatch):
+    # candidates are tested on orient2d signs; only the answer becomes a
+    # line, verified once
+    corpus, answers = degenerate_answers
+    calls, inside = [], []
+    stab = geometry._stab_in_plane
+
+    def counted_stab(*args, **kwargs):
+        calls.append([0, 0])
+        inside.append(True)
+        try:
+            return stab(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(i, f):
+        def wrapper(*args):
+            if inside:
+                calls[-1][i] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_stab_in_plane", counted_stab)
+    monkeypatch.setattr(geometry, "line_through_points",
+                        counted(0, geometry.line_through_points))
+    monkeypatch.setattr(geometry, "verify_transversal",
+                        counted(1, geometry.verify_transversal))
+    for segs, res in zip(corpus, answers):
+        got = transversal_exists_segments(segs)
+        assert (got.exists, got.params) == (res.exists, res.params)
+    assert len(calls) > 500
+    assert {tuple(c) for c in calls} == {(0, 0), (1, 1)}
+
+
 def _pluecker_pair(segs):
     """The pair and case that same_line, then side_product, pick on the
     segments' Pluecker lines."""
