@@ -34,7 +34,9 @@ With no three supporting lines pairwise skew, the same integer lines pick
 the degenerate case: two segments on one line, or two coplanar lines.  A
 case analysis on the caller's own segments then decides, in their
 coordinates, by ``orient2d`` signs in a plane, and builds lines only for
-its answers and for the segments' own lines that it verifies.
+its answers and for the segments' own lines that it verifies.  The
+function that returns an answer as a ``SegmentTransversal`` certifies it
+once, by ``verify_transversal`` on all of its segments.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .scalars import DegenerateInput, QuadExt, rat, sign_of
+from .scalars import (DegenerateInput, QuadExt, _exact_isqrt, _zsign, rat,
+                      sign_of)
 
 Scalar = Union[int, Fraction, QuadExt]
 Vec3 = Tuple[Scalar, Scalar, Scalar]
@@ -210,18 +213,6 @@ def verify_transversal(line: PluckerLine, segments: Sequence[Segment3]):
 # integer arithmetic in Z[sqrt(d)]
 # ---------------------------------------------------------------------------
 
-def _zsign(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0."""
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if not sb or sa == sb:
-        return sa
-    if not sa:
-        return sb if d else 0
-    x = a * a - b * b * d
-    return sa if x > 0 else sb if x < 0 else 0
-
-
 class _Param(NamedTuple):
     """Candidate parameter t = (t0 + t1*sqrt(d)) / h with integers t0, t1,
     d >= 0 (t1 = 0 whenever d = 0) and h != 0.  ``quad`` marks the roots
@@ -256,8 +247,8 @@ def _quadratic_roots(qa: int, qb: int, qc: int) -> Optional[List[_Param]]:
         return []
     if disc == 0:
         return [_Param(-qb, 0, 0, 2 * qa, False)]
-    root = isqrt(disc)
-    if root * root == disc:
+    root = _exact_isqrt(disc)
+    if root is not None:
         return [_Param(-qb + root, 0, 0, 2 * qa, True),
                 _Param(-qb - root, 0, 0, 2 * qa, True)]
     return [_Param(-qb, 1, disc, 2 * qa, True),
@@ -307,8 +298,8 @@ def _trace(plane, line):
 
 
 def _segment_trace(plane2, plane3, line):
-    """``_trace`` on plane 2, or on plane 3 when both forms vanish
-    identically: the line is then line 2, which every plane 2 contains."""
+    """The fourth line's ``_trace`` on plane 2, or on plane 3 when both
+    forms vanish identically: it is then line 2, in every plane 2."""
     num, den = _trace(plane2, line)
     if any(num) or any(den):
         return num, den
@@ -462,8 +453,8 @@ def transversal_exists_segments(segments: Sequence[Segment3]) -> SegmentTransver
 
 def _regulus(lines):
     """Planes 2 and 3 of the regulus through the first three integer lines
-    (p, d, m), which are pairwise skew, and the traces of t and of lines 2
-    and 3 on them."""
+    (p, d, m), which are pairwise skew, and the traces of t, of line 2 on
+    plane 3 (every plane 2 contains it) and of line 3 on plane 2."""
     p1, d1, _ = lines[0]
     plane2, plane3 = _plane(p1, d1, lines[1]), _plane(p1, d1, lines[2])
     # t itself first: 0 <= t <= 1 is the range test of the trace t / 1.
@@ -471,8 +462,8 @@ def _regulus(lines):
     # the only trace to reject some roots, which would otherwise go through
     # _line_at and _certify: 127 of 1,377 range tests on the witness
     # pipeline of random_drawing(40, .4, seed) for seeds 7000-7009.
-    traces = [((1, 0), (0, 1)), _segment_trace(plane2, plane3, lines[1]),
-              _segment_trace(plane2, plane3, lines[2])]
+    traces = [((1, 0), (0, 1)), _trace(plane3, lines[1]),
+              _trace(plane2, lines[2])]
     return plane2, plane3, traces
 
 
@@ -631,12 +622,13 @@ def _public_transversal(line, params, t: _Param, scale) -> SegmentTransversal:
 # With no three supporting lines pairwise skew, two of them are coplanar:
 # one line carries two segments, or two distinct lines span a plane.
 # ``_coplanar_pair`` picks that pair from the integer lines the kernel has
-# already built; the case analysis then runs on the caller's segments, in
-# their coordinates, and builds a ``PluckerLine`` only for a line that it
+# already built; the case analysis then decides on the caller's segments,
+# in their coordinates, and builds a ``PluckerLine`` only for a line that it
 # verifies or returns.  The planar part is line stabbing of segments in a
 # plane (Edelsbrunner et al., "Stabbing line segments", BIT 1982), decided
-# by ``orient2d`` signs in the plane's image.  Each line found is re-checked
-# by ``verify_transversal``.
+# by ``orient2d`` signs in the plane's image.  The function that returns an
+# answer as a ``SegmentTransversal`` certifies it once, by ``_checked`` on
+# all of its segments.
 
 def _coplanar_pair(triples):
     """(i, j, shared) for the first pair of the integer lines (p, d, m), in
@@ -699,8 +691,12 @@ def _plane_through(seg: Segment3, x):
     return n, -v_dot(n, seg.p)
 
 
-def _checked(line: PluckerLine, segments) -> SegmentTransversal:
-    """A line of the case analysis with its contact parameters."""
+def _checked(line: Optional[PluckerLine], segments) -> SegmentTransversal:
+    """The case analysis's answer for all of its segments: none when line
+    is None, else the line and its contact parameters, certified here once
+    by ``verify_transversal``."""
+    if line is None:
+        return SegmentTransversal(False)
     params = verify_transversal(line, segments)
     if params is None:
         raise AssertionError("case analysis returned a line missing a segment")
@@ -724,15 +720,13 @@ def _transversal_shared_line(segments, i, j) -> SegmentTransversal:
         # point of the overlap some line reaches a single other segment
         found = _pencil_through_point(lo, others)
     else:
-        res = transversal_exists_segments([Segment3(lo, hi), *others])
-        found = res.line if res.exists else None
-    if found is None:
-        return SegmentTransversal(False)
+        found = transversal_exists_segments([Segment3(lo, hi), *others]).line
     return _checked(found, segments)
 
 
 def _pencil_through_point(x, segs) -> Optional[PluckerLine]:
-    """A line through the point x meeting the one or two segments, or None."""
+    """A line through the point x meeting the one or two segments, or None.
+    The case analysis decides; the caller certifies the line."""
     free = [s for s in segs if not _point_on_segment(x, s)]
     if not free:
         d = segs[0].direction  # every line through x works
@@ -745,8 +739,7 @@ def _pencil_through_point(x, segs) -> Optional[PluckerLine]:
             return line if verify_transversal(line, free) is not None else None
     # every line through x meeting the last free segment lies in one plane
     n, e = _plane_through(free[-1], x)
-    res = _stab_in_plane(n, e, free, through=(x,))
-    return res.line if res.exists else None
+    return _stab_in_plane(n, e, free, through=(x,))
 
 
 def _transversal_coplanar_pair(segments, i, j) -> SegmentTransversal:
@@ -762,10 +755,10 @@ def _transversal_coplanar_pair(segments, i, j) -> SegmentTransversal:
     # the lines differ, so an end of segment j lies off line i
     y = sj.q if _on_line_of(sj.p, si) else sj.p
     n, e = _plane_through(si, y)
-    return _stab_in_plane(n, e, segments)
+    return _checked(_stab_in_plane(n, e, segments), segments)
 
 
-def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
+def _stab_in_plane(n, e, segments, through=()) -> Optional[PluckerLine]:
     """A line inside the plane (n, e) meeting every segment and passing
     the points of ``through``, which lie in the plane.
 
@@ -778,15 +771,16 @@ def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
 
     A candidate through a and b is tested by ``orient2d`` signs in the
     plane's ``_plane_image``: it passes every point (sign 0) and meets every
-    in-plane segment (its ends are not strictly on one side).  Only the
-    first candidate that passes becomes a line, certified by ``_checked``.
+    in-plane segment (its ends are not strictly on one side).  The first
+    candidate that passes is returned as a line, the only one built, and
+    None when none passes; the caller certifies it.
     """
     points, spans = list(through), []
     for seg in segments:
         hp, hq = v_dot(n, seg.p) + e, v_dot(n, seg.q) + e
         sp, sq = sign_of(hp), sign_of(hq)
         if sp * sq > 0:
-            return SegmentTransversal(False)
+            return None
         if sp or sq:
             points.append(seg.at(Fraction(hp) / (hp - hq)))
         else:
@@ -806,8 +800,8 @@ def _stab_in_plane(n, e, segments, through=()) -> SegmentTransversal:
         if (all(orient2d(ia, ib, image[x]) == 0 for x in points)
                 and all(orient2d(ia, ib, image[p]) * orient2d(ia, ib, image[q])
                         <= 0 for p, q in spans)):
-            return _checked(line_through_points(a, b), segments)
-    return SegmentTransversal(False)
+            return line_through_points(a, b)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,11 @@ class SubdivisionEmbedding:
         return out
 
 
-# searches that succeed mostly do so within a few hundred expansions
+# Of the 616 searches of the witness pipeline on random_drawing(40, .4, s),
+# s = 7000..7099, 142 end at once (fewer than six vertices of degree >= 5,
+# or m < 15) and 385 succeed within 1,000 expansions.  The other 89 reach
+# the absence proof, which proves absence 58 times, finds a subdivision 30
+# times (the random search then finds its own) and hits the step cap once.
 _ABSENCE_CHECK_AT = 1000
 _ABSENCE_STEP_LIMIT = 20000
 

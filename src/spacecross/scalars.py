@@ -39,15 +39,29 @@ def rat_from_str(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _exact_isqrt(n: int):
+    """The integer square root of n if n is a perfect square, else None."""
+    root = math.isqrt(max(n, 0))
+    return root if root * root == n else None
+
+
 def _rational_sqrt(value: Fraction):
     """Return sqrt(value) as a Fraction if value is a perfect rational square."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    rn, rd = _exact_isqrt(value.numerator), _exact_isqrt(value.denominator)
+    return None if rn is None or rd is None else Fraction(rn, rd)
+
+
+def _zsign(a, b, d) -> int:
+    """Exact sign of a + b*sqrt(d) for rationals (ints too) a, b and
+    d >= 0, comparing a^2 against b^2 d."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if not sb or sa == sb:
+        return sa
+    if not sa:
+        return sb if d else 0
+    x = a * a - b * b * d
+    return sa if x > 0 else sb if x < 0 else 0
 
 
 class DegenerateInput(ValueError):
@@ -71,10 +85,9 @@ class QuadExt:
         a, b, d = rat(a), rat(b), rat(d)
         if d < 0:
             raise ValueError("negative radicand")
-        root = _rational_sqrt(d)
         if b == 0 or d == 0:
             b, d = Fraction(0), Fraction(0)
-        elif root is not None:
+        elif (root := _rational_sqrt(d)) is not None:
             a, b, d = a + b * root, Fraction(0), Fraction(0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -150,20 +163,8 @@ class QuadExt:
     # -- exact sign and order ----------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, comparing a^2 against b^2 d."""
-        a, b = self.a, self.b
-        sa = (a > 0) - (a < 0)
-        if b == 0:
-            return sa
-        sb = (b > 0) - (b < 0)
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        """Exact sign in {-1, 0, +1}."""
+        return _zsign(self.a, self.b, self.d)
 
     def __bool__(self):
         return self.sign() != 0

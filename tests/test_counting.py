@@ -1202,6 +1202,32 @@ def test_rows_with_errors_beyond_their_extent_stay_undecided(monkeypatch):
     assert counting._certified_decide(P, Q).tolist() == [0, 0, 0]
 
 
+def test_block_with_some_rows_beyond_their_extent(monkeypatch):
+    # four segments in sixteenths of [0, 4] and four translated by 2^60:
+    # the all-far row rounds to one point and stays undecided, while the
+    # rest of its block goes on to the programs
+    rng = random.Random(3)
+
+    def point(shift):
+        return tuple(Fraction(rng.randint(0, 64), 16) + shift for _ in range(3))
+
+    pairs = [(point(s), point(s)) for s in (0,) * 4 + (2 ** 60,) * 4]
+    d = _segment_drawing(pairs)
+    assert decide_row([Segment3(p, q) for p, q in pairs[4:]]) == 0
+    blocks = []
+    decide = counting._certified_decide
+
+    def recorded(P, Q):
+        out = decide(P, Q)
+        blocks.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(counting, "_certified_decide", recorded)
+    assert count_line_crossings(d, 4).count == oracle_count(d, 4) == 9
+    # the last tuple, edges 4-7, is the all-far row
+    assert [(b[-1], any(b)) for b in blocks] == [(0, True)]
+
+
 def tangent_drawing(delta):
     """Three segments on lines of one ruling of x^2 + y^2 - z^2 = 1 and one
     on the line x = 1 - delta, z = 2y.  At delta = 0 that line touches the

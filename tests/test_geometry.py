@@ -785,12 +785,12 @@ def test_stab_in_plane_traces(third, exists):
     # two segments in z = 0 and a third that meets the plane at most once:
     # the in-plane candidates pass its trace and an endpoint
     segs = _segs(((0, 0, 0), (0, 2, 0)), ((2, 0, 0), (2, 2, 0)), third)
-    res = _stab_in_plane((0, 0, 1), 0, segs)
-    assert res.exists == exists
+    line = _stab_in_plane((0, 0, 1), 0, segs)
+    assert (line is not None) == exists
     if exists:
-        assert verify_transversal(res.line, segs) == res.params
-        assert res.line.direction[2] == 0 and _point_on_line(
-            point3(1, 1, 0), res.line)
+        assert verify_transversal(line, segs) is not None
+        assert line.direction[2] == 0 and _point_on_line(
+            point3(1, 1, 0), line)
 
 
 _HALVES = [Fraction(a, 2) for a in range(7)]
@@ -897,9 +897,9 @@ def test_degenerate_corpus_answers_are_pinned(degenerate_answers):
 def test_stab_in_plane_builds_and_verifies_at_most_one_line(
         degenerate_answers, monkeypatch):
     # candidates are tested on orient2d signs; only the answer becomes a
-    # line, verified once
+    # line, which the caller certifies once on all of its segments
     corpus, answers = degenerate_answers
-    calls, inside = [], []
+    calls, inside, verified = [], [], []
     stab = geometry._stab_in_plane
 
     def counted_stab(*args, **kwargs):
@@ -914,7 +914,10 @@ def test_stab_in_plane_builds_and_verifies_at_most_one_line(
         def wrapper(*args):
             if inside:
                 calls[-1][i] += 1
-            return f(*args)
+            out = f(*args)
+            if i == 1 and out is not None:
+                verified.append(out)
+            return out
         return wrapper
 
     monkeypatch.setattr(geometry, "_stab_in_plane", counted_stab)
@@ -926,7 +929,11 @@ def test_stab_in_plane_builds_and_verifies_at_most_one_line(
         got = transversal_exists_segments(segs)
         assert (got.exists, got.params) == (res.exists, res.params)
     assert len(calls) > 500
-    assert {tuple(c) for c in calls} == {(0, 0), (1, 1)}
+    assert {tuple(c) for c in calls} == {(0, 0), (1, 0)}
+    # one certificate per answer, but for the shared-line rows whose
+    # overlap sub-problem certifies its own answer first (2,697 successful
+    # verifications when _stab_in_plane certified its line as well)
+    assert len(verified) <= 1823
 
 
 def _pluecker_pair(segs):

@@ -166,22 +166,40 @@ def _absent(g):
                                         if len(adj[v]) >= 5])
 
 
-def test_k6_search_on_the_icosahedron_stops_at_the_absence_proof(
-        monkeypatch):
-    g = _icosahedron()
-    assert sorted(g.degree(v) for v in range(g.n)) == [5] * 12
-    assert _absent(g)
+def _bfs_costs(monkeypatch):
+    """The list that the cost of each later `_bfs_path` call goes to."""
     spent = []
+    bfs_path = pipeline._bfs_path
 
     def counted(*args):
         path, cost = bfs_path(*args)
         spent.append(cost)
         return path, cost
 
-    bfs_path = pipeline._bfs_path
     monkeypatch.setattr(pipeline, "_bfs_path", counted)
+    return spent
+
+
+def test_k6_search_on_the_icosahedron_stops_at_the_absence_proof(
+        monkeypatch):
+    g = _icosahedron()
+    assert sorted(g.degree(v) for v in range(g.n)) == [5] * 12
+    assert _absent(g)
+    spent = _bfs_costs(monkeypatch)
     assert find_k6_subdivision(g, budget=10 ** 6) is None
     assert pipeline._ABSENCE_CHECK_AT <= sum(spent) < 2 * pipeline._ABSENCE_CHECK_AT
+
+
+def test_k6_search_on_the_icosahedron_spends_its_budget(monkeypatch):
+    # at a one-step cap the absence proof gives up, so the random search
+    # runs on until its budget is spent
+    g = _icosahedron()
+    monkeypatch.setattr(pipeline, "_ABSENCE_STEP_LIMIT", 1)
+    assert _absent(g) is False
+    spent = _bfs_costs(monkeypatch)
+    assert find_k6_subdivision(g, budget=5000) is None
+    # one search costs at most the n vertices it expands
+    assert 5000 <= sum(spent) < 5000 + g.n
 
 
 def _brute_k6_subdivision(n, edges):
