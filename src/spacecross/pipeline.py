@@ -85,8 +85,10 @@ class SubdivisionEmbedding:
 # Of the 616 searches of the witness pipeline on random_drawing(40, .4, s),
 # s = 7000..7099, 142 end at once (fewer than six vertices of degree >= 5,
 # or m < 15) and 385 succeed within 1,000 expansions.  The other 89 reach
-# the absence proof, which proves absence 58 times, finds a subdivision 30
-# times (the random search then finds its own) and hits the step cap once.
+# the absence proof, which proves absence 58 times and finds a subdivision
+# 31 times (the random search then finds its own), never at the step cap.
+# Warm, in one process, the random searches take 2.7 ms per input and the
+# proofs 0.6 ms.
 _ABSENCE_CHECK_AT = 1000
 _ABSENCE_STEP_LIMIT = 20000
 
@@ -104,6 +106,7 @@ def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
     cand = [v for v in range(g.n) if len(adj[v]) >= 5]
     if len(cand) < 6:
         return None
+    nbr = [set(a) for a in adj]
     weights = [len(adj[v]) for v in cand]
     rng = random.Random(seed)
     expansions = 0
@@ -114,18 +117,21 @@ def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
                 return None
             check_at = budget
         branch = _weighted_sample(rng, cand, weights, 6)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        pairs = list(combinations(range(6), 2))
         rng.shuffle(pairs)
-        used: Set[int] = set()
+        # the branch vertices and the inner vertices of the paths so far
+        blocked = [False] * g.n
+        for v in branch:
+            blocked[v] = True
         paths: Dict[Tuple[int, int], List[int]] = {}
         for (i, j) in pairs:
-            blocked = used | (set(branch) - {branch[i], branch[j]})
-            path, cost = _bfs_path(adj, branch[i], branch[j], blocked)
+            path, cost = _bfs_path(adj, nbr, branch[i], branch[j], blocked)
             expansions += cost
             if path is None or expansions >= budget:
                 break
             paths[(i, j)] = path
-            used.update(path[1:-1])
+            for v in path[1:-1]:
+                blocked[v] = True
         else:
             emb = SubdivisionEmbedding(tuple(branch), paths)
             validate_embedding(g, emb)
@@ -133,17 +139,63 @@ def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
     return None
 
 
+def _k6_reduced(adj) -> List[Set[int]]:
+    """Neighbour sets of the graph after the three rules of
+    `_k6_subdivision_absent`, applied until none applies.  Deleted
+    vertices keep no neighbour."""
+    nbr = [set(a) for a in adj]
+    todo = [v for v, a in enumerate(nbr) if len(a) <= 2]
+    while todo:
+        w = todo.pop()
+        if not 0 < len(nbr[w]) <= 2:
+            continue
+        ends = nbr[w]
+        nbr[w] = set()
+        for u in ends:
+            nbr[u].discard(w)
+        if len(ends) == 2:
+            u, v = ends
+            if v not in nbr[u]:
+                nbr[u].add(v)
+                nbr[v].add(u)
+                continue
+        todo.extend(ends)
+    return nbr
+
+
 def _k6_subdivision_absent(adj, cand) -> bool:
     """True only when no six of `cand` are the branch vertices of a K6
-    subdivision.  Adjacent branch vertices are joined by their edge and
-    the other pairs, one after another, by chordless paths; this loses no
+    subdivision.
+
+    The search runs on the graph reduced by three rules (`_k6_reduced`).
+    Each keeps every subdivision with its branch vertices, which have
+    degree >= 5 and so are never touched:
+    1. Delete a vertex of degree 1: no path between branch vertices can
+       pass it.
+    2. Delete a vertex w of degree 2 whose neighbours u, v are adjacent.  A
+       path passes w only as u-w-v, and can take the edge uv instead: no
+       other path uses uv, as u or v is an inner vertex of that path, or
+       both are branch vertices and the path is the one that joins them.
+    3. Replace a vertex w of degree 2 whose neighbours u, v are not
+       adjacent by the edge uv, which stands for u-w-v.
+    The candidates are then those of `cand` that keep degree >= 5.
+
+    Adjacent branch vertices are joined by their edge and the other
+    pairs, one after another, by chordless paths; this loses no
     subdivision, as the edge or a shortcut along a chord frees vertices.
     False when a subdivision is found or `_ABSENCE_STEP_LIMIT` steps run
     out.  Branch sets come in descending order of degree, where
     subdivisions are likelier, each searched in increasing vertex order.
     The order of the sets moves no answer: a True one searches every set
     to the end, in the same number of steps in any order."""
-    nbr = [set(a) for a in adj]
+    nbr = _k6_reduced(adj)
+    cand = [v for v in cand if len(nbr[v]) >= 5]
+    if len(cand) < 6:
+        return True
+    adj = [sorted(a) for a in nbr]
+    blocked = [False] * len(adj)   # branch vertices and path vertices
+    free = [len(a) for a in adj]   # neighbours not blocked
+    need = [0] * len(adj)          # pairs left at each branch vertex
     steps = 0
 
     def step():
@@ -152,36 +204,60 @@ def _k6_subdivision_absent(adj, cand) -> bool:
         if steps > _ABSENCE_STEP_LIMIT:
             raise RetryExhausted("K6 absence search")
 
-    def interiors(path, v, blocked):
-        # inner vertices of the chordless paths to v that extend `path`
+    def block(w, flag):
+        blocked[w] = flag
+        change = -1 if flag else 1
+        for x in adj[w]:
+            free[x] += change
+
+    def interiors(path, v):
+        # extend the chordless path `path`, whose vertices are blocked, to
+        # v; at each yield its inner vertices are blocked as well
         for w in adj[path[-1]]:
-            if w in blocked or w in path or any(p in nbr[w] for p in path[:-1]):
+            if blocked[w] or any(p in nbr[w] for p in path[:-1]):
                 continue
             step()
+            block(w, True)
             if v in nbr[w]:
-                yield path[1:] + [w]
+                yield
             else:
-                yield from interiors(path + [w], v, blocked)
+                path.append(w)
+                yield from interiors(path, v)
+                path.pop()
+            block(w, False)
 
-    def linked(branch, todo, blocked):
-        if not todo:
+    def linked(branch, todo, k):
+        if k == len(todo):
             return True
         step()
         # each pair left needs its own free neighbour at both ends
-        ends = [x for pair in todo for x in pair]
-        if any(ends.count(x) > sum(w not in blocked for w in adj[x])
-               for x in branch):
+        if any(need[x] > free[x] for x in branch):
             return False
-        (u, v), rest = todo[0], todo[1:]
-        return any(linked(branch, rest, blocked | set(inner))
-                   for inner in interiors([u], v, blocked))
+        u, v = todo[k]
+        need[u] -= 1
+        need[v] -= 1
+        if any(linked(branch, todo, k + 1) for _ in interiors([u], v)):
+            return True
+        need[u] += 1
+        need[v] += 1
+        return False
 
     try:
-        by_degree = sorted(cand, key=lambda v: -len(adj[v]))
-        return not any(
-            linked(branch, [(u, v) for u, v in combinations(branch, 2)
-                            if v not in nbr[u]], set(branch))
-            for branch in map(sorted, combinations(by_degree, 6)))
+        for branch in map(sorted, combinations(
+                sorted(cand, key=lambda v: -len(nbr[v])), 6)):
+            todo = [(u, v) for u, v in combinations(branch, 2)
+                    if v not in nbr[u]]
+            for u, v in todo:
+                need[u] += 1
+                need[v] += 1
+            for x in branch:
+                block(x, True)
+            if linked(branch, todo, 0):
+                return False
+            for x in branch:
+                block(x, False)
+                need[x] = 0
+        return True
     except RetryExhausted:
         return False
 
@@ -200,19 +276,29 @@ def _weighted_sample(rng, items, weights, k):
     return chosen
 
 
-def _bfs_path(adj, src, dst, blocked):
+def _bfs_path(adj, nbr, src, dst, blocked):
+    """A shortest src-dst path whose inner vertices are not flagged in
+    `blocked`, and its cost: the vertices dequeued, or all queued ones when
+    there is no path.  The ends' own flags do not matter: src is seen from
+    the start, and dst ends the search before it could be queued."""
     if src == dst:
         return [src], 1
-    prev = {src: None}
+    if dst in nbr[src]:
+        return [src, dst], 1
+    seen = blocked.copy()
+    seen[src] = True
+    prev = [src] * len(adj)
     queue = [src]
     for cost, u in enumerate(queue, 1):  # cost: vertices expanded so far
-        if dst in adj[u]:
+        if dst in nbr[u]:
             path = [dst, u]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
+            while u != src:
+                u = prev[u]
+                path.append(u)
             return path[::-1], cost
         for w in adj[u]:
-            if w not in blocked and w not in prev:
+            if not seen[w]:
+                seen[w] = True
                 prev[w] = u
                 queue.append(w)
     return None, len(queue)

@@ -13,6 +13,7 @@ from spacecross.geometry import (Segment3, line_meets_segment,
                                  segments_intersect_2d,
                                  transversal_exists_segments)
 from spacecross.drawing import Graph, SpatialDrawing
+from spacecross.linking import validate_embedding
 from spacecross.pipeline import (_bisection_bound_met, _k6_subdivision_absent,
                                  boost_witness_pipeline, find_k6_subdivision,
                                  hexgrid_construction, hexgrid_graph,
@@ -270,6 +271,174 @@ def test_k6_absence_answers_do_not_depend_on_the_branch_set_order():
         assert _k6_subdivision_absent(adj, cand) is answer
         got.append("T" if answer else "F")
     assert "".join(got) == K6_ABSENCE_ANSWERS
+
+
+def _k6_searches(monkeypatch, seed):
+    """The (graph, budget, seed) and the result, (branch_vertices, sorted
+    paths) or None, of each `find_k6_subdivision` call of the witness
+    pipeline on random_drawing(40, .4, seed)."""
+    calls = []
+    find = pipeline.find_k6_subdivision
+
+    def recorded(g, budget, seed):
+        emb = find(g, budget=budget, seed=seed)
+        calls.append(((g.n, g.edges, budget, seed), None if emb is None else
+                      (emb.branch_vertices, sorted(emb.paths.items()))))
+        return emb
+
+    monkeypatch.setattr(pipeline, "find_k6_subdivision", recorded)
+    boost_witness_pipeline(generators.random_drawing(40, 0.4, seed))
+    return calls
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# per input of the paper-constructions workload: the number of K6 searches,
+# sha256 prefixes of their inputs and of their results, and their summed
+# `_bfs_path` cost, recorded while the search kept its blocked vertices
+# and its BFS marks in sets and dicts
+K6_SEARCHES = [
+    (7000, 7, "fbab18c7f0fc056f", "cec5a85c738ed439", 592),
+    (7001, 6, "d9b1eb7b08c7c37e", "eac306c0678f7815", 791),
+    (7002, 5, "d9a6791126bbf7a4", "1224e98fdffa9389", 1141),
+    (7003, 6, "f8faf8f7ac39ab52", "9fb44a7077d851cf", 2433),
+    (7004, 6, "2ca1a7cf78010c16", "7984e0898d6aba27", 3405),
+    (7005, 6, "b4f40990026040e3", "a19355209f7fade9", 733),
+    (7006, 6, "936b0f6ddd4346d9", "34beaddd7bc3fcd2", 219),
+    (7007, 6, "bd9b192d13b25c34", "cf0c248556785464", 389),
+    (7008, 5, "7a606d469456a453", "21b75b25c5bf06e3", 2250),
+    (7009, 6, "0ed47a4c8ffe0674", "ed1372a352824292", 8387),
+]
+
+
+@pytest.mark.parametrize("seed, calls, inputs, results, cost", K6_SEARCHES)
+def test_k6_searches_of_the_pipeline_are_pinned(monkeypatch, seed, calls,
+                                                inputs, results, cost):
+    spent = _bfs_costs(monkeypatch)
+    got = _k6_searches(monkeypatch, seed)
+    assert (len(got), _digest([c[0] for c in got]),
+            _digest([c[1] for c in got]), sum(spent)) == (
+        calls, inputs, results, cost)
+
+
+# answers of the absence proof on the graphs of those searches, inputs
+# 7000-7019, recorded while it searched the graph as given
+K6_SIDE_ABSENCE_ANSWERS = [
+    "FFTFFFT", "FTFFFT", "FTFFT", "FTFFFT", "FTFFFT", "FTFFFT", "FTFFFT",
+    "FTFFFT", "FTFFT", "FTFFFT", "FTFFFT", "FTFFFT", "FTFFFT", "FTFFFT",
+    "FFTFFFT", "FTFFFT", "FTFFT", "FTFFFT", "FTFFFT", "FFTFFFT"]
+
+
+def test_k6_absence_answers_on_the_pipeline_side_graphs(monkeypatch):
+    got = []
+    for seed in range(7000, 7020):
+        graphs = [Graph(n, edges) for (n, edges, _, _), _ in
+                  _k6_searches(monkeypatch, seed)]
+        got.append("".join("T" if _absent(g) else "F" for g in graphs))
+    assert got == K6_SIDE_ABSENCE_ANSWERS
+
+
+def _reduced(n, edges):
+    adj = [sorted(a) for a in Graph.from_edges(n, edges).adjacency()]
+    return [sorted(a) for a in pipeline._k6_reduced(adj)]
+
+
+_K6 = list(itertools.combinations(range(6), 2))
+
+
+def test_k6_reduction_deletes_a_pendant_path():
+    edges = _K6 + [(0, 6), (6, 7)]
+    assert _reduced(8, edges) == _reduced(6, _K6) + [[], []]
+    assert _absent(Graph.from_edges(8, edges)) is False
+
+
+def test_k6_reduction_suppresses_a_chain():
+    # the edge 01 of K6 replaced by the path 0-6-7-1
+    edges = [e for e in _K6 if e != (0, 1)] + [(0, 6), (6, 7), (1, 7)]
+    assert _reduced(8, edges) == _reduced(6, _K6) + [[], []]
+    g = Graph.from_edges(8, edges)
+    assert _absent(g) is False and _brute_k6_subdivision(8, edges)
+    emb = find_k6_subdivision(g)
+    i, j = emb.branch_vertices.index(0), emb.branch_vertices.index(1)
+    path = emb.paths[min(i, j), max(i, j)]
+    assert sorted(path) == [0, 1, 6, 7]
+
+
+def test_k6_reduction_deletes_a_vertex_between_adjacent_neighbours():
+    # 7 sits between the adjacent 6 and 0, and once 7 is gone, 6 between
+    # the adjacent 0 and 1
+    edges = _K6 + [(0, 6), (1, 6), (6, 7), (0, 7)]
+    assert _reduced(8, edges) == _reduced(6, _K6) + [[], []]
+    assert _absent(Graph.from_edges(8, edges)) is False
+
+
+def test_k6_reduction_drops_a_candidate_below_degree_five(monkeypatch):
+    # K6 less the edge 45, with a pendant vertex at 4 and one at 5: six
+    # vertices of degree 5, but 4 and 5 keep only four neighbours
+    edges = [e for e in _K6 if e != (4, 5)] + [(4, 6), (5, 7)]
+    assert [len(a) for a in _reduced(8, edges)] == [5, 5, 5, 5, 4, 4, 0, 0]
+    assert not _brute_k6_subdivision(8, edges)
+    # four candidates are left, so the answer takes no search step
+    monkeypatch.setattr(pipeline, "_ABSENCE_STEP_LIMIT", 0)
+    assert _absent(Graph.from_edges(8, edges)) is True
+
+
+def _padded(rng, n, edges):
+    """The graph of `edges` with K6 subdivisions neither made nor lost:
+    some edges subdivided, some with a vertex of degree 2 next to them as
+    well, and a few pendant paths."""
+    out = []
+    for u, v in edges:
+        r = rng.random()
+        if r < 0.5:
+            k = rng.choice([1, 2])
+            chain = [u, *range(n, n + k), v]
+            n += k
+            out += zip(chain, chain[1:])
+        else:
+            out.append((u, v))
+            if r < 0.7:
+                out += [(u, n), (v, n)]
+                n += 1
+    for _ in range(rng.randint(0, 3)):
+        out.append((rng.randrange(n), n))
+        n += 1
+    return Graph.from_edges(n, out)
+
+
+def test_k6_absence_proof_on_padded_graphs_against_brute_force():
+    rng = random.Random(11)
+    found = 0
+    for _ in range(150):
+        n = rng.choice([6, 7, 8])
+        p = rng.uniform(0.6, 1.0)
+        edges = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < p]
+        has = _brute_k6_subdivision(n, edges)
+        found += has
+        assert _absent(_padded(rng, n, edges)) is not has, edges
+    assert 30 < found < 120
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_extract_disjoint_subdivisions_on_complete_graphs(n):
+    g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+    subs = pipeline.extract_disjoint_subdivisions(g)
+    assert len(subs) == 1
+    validate_embedding(g, subs[0])
+
+
+def test_extract_disjoint_subdivisions_on_a_side_graph():
+    g = generators.random_drawing(40, 0.4, 7000).graph
+    side = pipeline._induced_subgraph(g, random_bisection(g, seed=0).side2)
+    subs = pipeline.extract_disjoint_subdivisions(side, budget=100000)
+    assert len(subs) == 3
+    for emb in subs:
+        validate_embedding(side, emb)
+    for a, b in itertools.combinations(subs, 2):
+        assert not a.edge_set() & b.edge_set()
 
 
 def _connected_without(adj, removed):
