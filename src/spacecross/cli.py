@@ -17,10 +17,9 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
-from . import counting, generators, linking, pipeline, sametype, stairs
+from . import counting, generators, linking, pipeline, stairs
 from .drawing import (Graph, SpatialDrawing, _json_object, _list_from_doc,
                       _points_from_doc, _pos_to_doc, decode_drawing,
                       encode_drawing)
@@ -45,16 +44,6 @@ def _read_doc(path: Optional[str]) -> dict:
         return _json_object(sys.stdin.read())
     with open(path, "rb") as fh:
         return _json_object(fh.read())
-
-
-def _point_set_from_doc(doc, where: str):
-    """(dim, points) of a {"dim", "points"} object; ``where`` prefixes the
-    key in error reports."""
-    try:
-        dim = int(doc["dim"])
-    except (TypeError, ValueError):
-        raise ValidationError("dimension must be an integer", where + "dim")
-    return dim, _points_from_doc(doc["points"], where + "points", dim)
 
 
 def _write_report(doc, path: Optional[str]):
@@ -195,29 +184,6 @@ def cmd_order_types(args) -> dict:
             "by_components": {str(k): v for k, v in sorted(by_comp.items())}}
 
 
-def cmd_yao_yao(args) -> dict:
-    dim, pts = _point_set_from_doc(_read_doc(args.input), "")
-    part = sametype.yao_yao_partition(pts, dim)
-    return {
-        "center": [rat_to_str(c) for c in part.center],
-        "cones": [[[rat_to_str(c) for c in g] for g in gens]
-                  for gens in part.generators],
-        "counts": [len(members) for members in part.cone_points],
-    }
-
-
-def cmd_same_type(args) -> dict:
-    doc_in = _read_doc(args.input)
-    multisets = [sametype.PointMultiset(*_point_set_from_doc(
-        ms, f"multisets[{i}].")) for i, ms in enumerate(
-            _list_from_doc(doc_in["multisets"], "multisets"))]
-    polys = [sametype.SparsePolynomial.from_json(p) for p in
-             _list_from_doc(doc_in["polynomials"], "polynomials")]
-    res = sametype.same_type_refine(multisets, polys)
-    return {"subsets": res.subsets, "signs": res.signs,
-            "epsilon": rat_to_str(res.epsilon)}
-
-
 def cmd_gen_fixture(args) -> dict:
     try:
         params = json.loads(args.params) if args.params else {}
@@ -298,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness_pipeline)
     common(sub.add_parser("order-types"), input_arg=False).set_defaults(
         func=cmd_order_types)
-    common(sub.add_parser("yao-yao")).set_defaults(func=cmd_yao_yao)
-    common(sub.add_parser("same-type")).set_defaults(func=cmd_same_type)
 
     p = seed(common(sub.add_parser("gen-fixture"), input_arg=False))
     p.add_argument("--kind", required=True)

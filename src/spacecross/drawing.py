@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .geometry import Segment3, Vec3
-from .scalars import rat, rat_from_str, rat_to_str
+from .scalars import rat_from_str, rat_to_str
 
 Edge = Tuple[int, int]
 
@@ -111,10 +110,9 @@ def _pos_to_doc(p: Vec3) -> List[str]:
     return [rat_to_str(c) for c in p]
 
 
-def _pos_from_doc(doc, where: str, dim: int = 3) -> Tuple[Fraction, ...]:
-    if not isinstance(doc, list) or len(doc) != dim:
-        raise ValidationError(f"position must be a list of {dim} scalars",
-                              where)
+def _pos_from_doc(doc, where: str) -> Vec3:
+    if not isinstance(doc, list) or len(doc) != 3:
+        raise ValidationError("position must be a list of 3 scalars", where)
     try:
         return tuple(rat_from_str(c) for c in doc)
     except (ValueError, ZeroDivisionError) as exc:
@@ -127,9 +125,9 @@ def _list_from_doc(doc, where: str) -> list:
     return doc
 
 
-def _points_from_doc(doc, where: str, dim: int = 3) -> List[tuple]:
-    """The list ``doc`` of positions in ``dim`` dimensions."""
-    return [_pos_from_doc(p, f"{where}[{i}]", dim)
+def _points_from_doc(doc, where: str) -> List[Vec3]:
+    """The list ``doc`` of positions."""
+    return [_pos_from_doc(p, f"{where}[{i}]")
             for i, p in enumerate(_list_from_doc(doc, where))]
 
 

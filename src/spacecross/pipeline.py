@@ -353,8 +353,11 @@ def boost_witness_pipeline(d: SpatialDrawing, seed: int = 0,
     ``count_line_crossings`` reports it.  Because a fair bisection rarely
     keeps whole subdivisions inside one side on small graphs, bisections
     are retried (deterministically seeded) until both sides are
-    productive or the attempt budget runs out.
+    productive or the attempt budget runs out.  ``budget`` is the number
+    of search expansions each K6 extraction may spend, at least 1.
     """
+    if budget < 1:
+        raise ValidationError(f"must be at least 1, got {budget}", "budget")
     if not d.is_straight():
         raise ValidationError("witness pipeline needs a straight-line drawing")
     g = d.graph

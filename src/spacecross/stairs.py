@@ -142,10 +142,17 @@ def stair_path_axes(segs) -> List[int]:
 # the interval graph and its standard stair drawing
 # ---------------------------------------------------------------------------
 
+def _check_interval_size(n: int, m: int) -> None:
+    """The n and m of an interval graph: n >= 2 vertices, m edges with
+    1 <= m <= C(n, 2)."""
+    if n < 2 or not (1 <= m <= n * (n - 1) // 2):
+        raise ValidationError(f"need n >= 2 and 1 <= m <= C(n,2), "
+                              f"got n = {n}, m = {m}")
+
+
 def interval_graph(n: int, m: int) -> Graph:
     """Vertices 0..n-1 joined when index distance is at most ceil(2m/n)."""
-    if not (1 <= m <= n * (n - 1) // 2):
-        raise ValidationError(f"need 1 <= m <= C({n},2)")
+    _check_interval_size(n, m)
     width = interval_width(n, m)
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + width, n - 1) + 1)]
     return Graph.from_edges(n, edges)
@@ -438,8 +445,7 @@ def count_candidate_quadruples(n: int, m: int, breakdown: bool = False):
     a width that needs a table above `_MAX_TABLE` entries raises
     PreconditionViolated.
     """
-    if not (1 <= m <= n * (n - 1) // 2):
-        raise ValidationError(f"need 1 <= m <= C({n},2)")
+    _check_interval_size(n, m)
     if n < 8:
         return (0, {1: 0, 2: 0}) if breakdown else 0
     blocks = _block_lengths(n, interval_width(n, m))

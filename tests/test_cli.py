@@ -10,6 +10,7 @@ import pytest
 
 from spacecross import cli, counting, geometry, pipeline
 from spacecross.drawing import decode_drawing
+from spacecross.errors import ValidationError
 
 
 def run(capsys, *argv):
@@ -217,28 +218,19 @@ def test_witness_pipeline_budget_default_matches_the_api():
     assert args.budget == api.parameters["budget"].default
 
 
-def test_sametype_commands(tmp_path, capsys):
-    pts = write(tmp_path / "pts.json",
-                {"dim": 1, "points": [["0"], ["1"], ["2"], ["3"]]})
-    code, doc = run(capsys, "yao-yao", "--input", pts)
-    assert (code, doc["counts"]) == (0, [2, 2])
-    same = write(tmp_path / "same.json", {
-        "multisets": [{"dim": 1, "points": [["1"], ["-2"], ["3"]]}],
-        "polynomials": [{"blocks": [1], "monomials": [
-            {"coeff": "1", "exponents": {"0:0": 1}}]}]})
-    code, doc = run(capsys, "same-type", "--input", same)
-    assert (code, doc["subsets"], doc["signs"]) == (0, [[0, 2]], [1])
-    # x z0 - z1 on three points of the plane, fewer than the four cones
-    # of a partition
-    small = write(tmp_path / "small.json", {
-        "multisets": [{"dim": 1, "points": [["-2"], ["1"], ["3"]]},
-                      {"dim": 2, "points": [["0", "-2"], ["1", "0"],
-                                            ["2", "2"]]}],
-        "polynomials": [{"blocks": [1, 2], "monomials": [
-            {"coeff": "1", "exponents": {"0:0": 1, "1:0": 1}},
-            {"coeff": "-1", "exponents": {"1:1": 1}}]}]})
-    code, doc = run(capsys, "same-type", "--input", small)
-    assert (code, doc["subsets"], doc["signs"]) == (0, [[0, 1, 2], [0]], [1])
+def test_witness_pipeline_refuses_a_budget_below_1(tmp_path, capsys):
+    # the default budget finds 3 witnesses on this drawing; a budget below
+    # 1 searches nothing, and is refused rather than reported as 0
+    f = str(tmp_path / "f.json")
+    run(capsys, "gen-fixture", "--kind", "drawing", "--seed", "1",
+        "--params", '{"n": 40, "p": 0.4}', "--output", f)
+    for budget in ("0", "-5"):
+        code, doc = run(capsys, "witness-pipeline", "--input", f,
+                        "--budget", budget)
+        assert (code, doc["code"]) == (1, "ValidationError")
+    with pytest.raises(ValidationError):
+        pipeline.boost_witness_pipeline(
+            decode_drawing((tmp_path / "f.json").read_text()), budget=-1)
 
 
 def _drawing_doc(pos="0", edges=None):
@@ -252,12 +244,6 @@ def _cycles_doc(scalar):
                        [["0", "0", "1"], ["1", "0", "1"], ["0", "1", "1"]]]}
 
 
-def _same_type_doc(scalar="1", coeff="1"):
-    return {"multisets": [{"dim": 1, "points": [[scalar], ["2"]]}],
-            "polynomials": [{"blocks": [1], "monomials": [
-                {"coeff": coeff, "exponents": {"0:0": 1}}]}]}
-
-
 # every subcommand that reads a document, with a malformed one
 MALFORMED = [
     ("count-crossings", _drawing_doc(edges=5)),
@@ -269,12 +255,7 @@ MALFORMED = [
     ("transversal-4cycles", _cycles_doc("1/0")),
     ("transversal-4cycles", {"cycles": 5}),
     ("conway-gordon", {"points": [["x", "0", "0"]] * 6}),
-    ("yao-yao", {"dim": 1, "points": [["1/0"], ["1"]]}),
-    ("yao-yao", {"dim": "x", "points": []}),
-    ("same-type", _same_type_doc(scalar="x")),
-    ("same-type", _same_type_doc(coeff="1/0")),
-    ("same-type", {**_same_type_doc(), "polynomials": [5]}),
-    ("same-type", []),
+    ("linking", []),
 ]
 
 

@@ -18,9 +18,6 @@ from spacecross.pipeline import (_bisection_bound_met, _k6_subdivision_absent,
                                  boost_witness_pipeline, find_k6_subdivision,
                                  hexgrid_construction, hexgrid_graph,
                                  random_bisection)
-from spacecross.sametype import (PointMultiset, SparsePolynomial,
-                                 brute_force_same_type, same_type_refine)
-from spacecross.scalars import sign_of
 
 
 def test_drawing_generators_are_deterministic_per_seed():
@@ -520,42 +517,3 @@ def test_hexgrid_grid_edges_alone_can_have_a_transversal():
     res = transversal_exists_segments(segs)
     assert res.exists
     assert all(line_meets_segment(res.line, s)[0] for s in segs)
-
-
-def _random_multiset(rng, dim, size):
-    return PointMultiset(dim, [tuple(Fraction(rng.randint(-9, 9))
-                                     for _ in range(dim))
-                               for _ in range(size)])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_same_type_refine_against_brute_force(seed):
-    rng = random.Random(seed)
-    cases = [
-        # x - y, x*y - 3, x*y1 - y2, x + y - z, x1^2 - x2 - 2
-        ((1, 6), (1, 6), [(1, {(0, 0): 1}), (-1, {(1, 0): 1})]),
-        ((1, 6), (1, 6), [(1, {(0, 0): 1, (1, 0): 1}), (-3, {})]),
-        ((1, 5), (2, 6), [(1, {(0, 0): 1, (1, 0): 1}), (-1, {(1, 1): 1})]),
-        ((1, 5), (1, 4), (1, 4),
-         [(1, {(0, 0): 1}), (1, {(1, 0): 1}), (-1, {(2, 0): 1})]),
-        ((2, 7), [(1, {(0, 0): 2}), (-1, {(0, 1): 1}), (-2, {})]),
-    ]
-    for *shapes, terms in cases:
-        multisets = [_random_multiset(rng, dim, size) for dim, size in shapes]
-        poly = SparsePolynomial.from_terms([dim for dim, _ in shapes], terms)
-        res = same_type_refine(multisets, [poly])
-        sizes = [len(s) for s in res.subsets]
-        kept = [[F.points[i] for i in s] for F, s in zip(multisets, res.subsets)]
-        for F, s in zip(multisets, res.subsets):
-            assert len(set(s)) == len(s) >= res.epsilon * len(F)
-        assert {sign_of(poly.evaluate(c))
-                for c in itertools.product(*kept)} == set(res.signs)
-        # the oracle finds the retained product sign-constant, with that sign
-        assert brute_force_same_type(
-            [PointMultiset(F.dim, pts) for F, pts in zip(multisets, kept)],
-            poly, sizes) == ([list(range(n)) for n in sizes], res.signs[0])
-        assert brute_force_same_type(multisets, poly, sizes) is not None
-        if len(multisets) == 1:
-            # one block: the refinement keeps a largest sign class
-            assert brute_force_same_type(multisets, poly,
-                                         [sizes[0] + 1]) is None

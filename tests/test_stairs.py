@@ -113,6 +113,12 @@ def test_interval_graph_rejects_bad_m():
         interval_graph(10, 0)
     with pytest.raises(ValidationError):
         interval_graph(10, 46)
+    # n (n - 1) / 2 is positive for n < 0 as well
+    for n, m in ((-2, 3), (-1, 1)):
+        with pytest.raises(ValidationError):
+            interval_graph(n, m)
+        with pytest.raises(ValidationError):
+            count_candidate_quadruples(n, m)
 
 
 def test_standard_stair_drawing():
