@@ -215,9 +215,11 @@ def verify_transversal(line: PluckerLine, segments: Sequence[Segment3]):
 
 class _Param(NamedTuple):
     """Candidate parameter t = (t0 + t1*sqrt(d)) / h with integers t0, t1,
-    d >= 0 (t1 = 0 whenever d = 0) and h != 0.  ``quad`` marks the roots
-    of a quadratic with positive discriminant, which the public results
-    give as ``QuadExt`` values; every other parameter gives ``Fraction``s.
+    d >= 0 (t1 = 0 whenever d = 0; d is 0 or no square) and h != 0.
+    ``quad`` marks the roots of a quadratic with positive discriminant,
+    which the public results give as ``QuadExt`` values over its
+    discriminant g^2 d, g being the content ``_quadratic_roots`` divided
+    out; every other parameter gives ``Fraction``s.
     """
 
     t0: int
@@ -225,22 +227,31 @@ class _Param(NamedTuple):
     d: int
     h: int
     quad: bool
+    g: int = 1
 
     def scalar(self, a: int, b: int, den: int):
-        """The public value of (a + b*sqrt(d)) / den."""
-        if self.quad:
-            return QuadExt(Fraction(a, den), Fraction(b, den), self.d)
-        return Fraction(a, den)
+        """The public value of (a + b*sqrt(d)) / den, from fields in
+        ``QuadExt``'s normal form: d is no square when b*d != 0."""
+        if not self.quad:
+            return Fraction(a, den)
+        if not (b and self.d):
+            return QuadExt(Fraction(a, den))
+        return QuadExt._normal(Fraction(a, den), Fraction(b, den * self.g),
+                               Fraction(self.g ** 2 * self.d))
 
 
 def _quadratic_roots(qa: int, qb: int, qc: int) -> Optional[List[_Param]]:
-    """Real roots of qa t^2 + qb t + qc for integer coefficients.
+    """Real roots of qa t^2 + qb t + qc for integer coefficients, found on
+    the primitive quadratic: the coefficients divided by their content g.
 
     Returns None when the polynomial vanishes identically.
     """
+    if not (g := gcd(qa, qb, qc)):
+        return None
+    qa, qb, qc = qa // g, qb // g, qc // g
     if qa == 0:
         if qb == 0:
-            return None if qc == 0 else []
+            return []
         return [_Param(-qc, 0, 0, qb, False)]
     disc = qb * qb - 4 * qa * qc
     if disc < 0:
@@ -251,8 +262,8 @@ def _quadratic_roots(qa: int, qb: int, qc: int) -> Optional[List[_Param]]:
     if root is not None:
         return [_Param(-qb + root, 0, 0, 2 * qa, True),
                 _Param(-qb - root, 0, 0, 2 * qa, True)]
-    return [_Param(-qb, 1, disc, 2 * qa, True),
-            _Param(-qb, -1, disc, 2 * qa, True)]
+    return [_Param(-qb, 1, disc, 2 * qa, True, g),
+            _Param(-qb, -1, disc, 2 * qa, True, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +277,7 @@ def _quadratic_roots(qa: int, qb: int, qc: int) -> Optional[List[_Param]]:
 
 def _plane(p1, d1, line):
     """The plane through P(t) = p1 + t*d1 and the line (p, d, m)."""
+    # gcd-free: the certified filter runs it on _Approx values
     _, d, m = line
     return (v_add(v_cross(d, p1), m), v_cross(d, d1),
             -v_dot(m, p1), -v_dot(m, d1))
@@ -274,6 +286,7 @@ def _plane(p1, d1, line):
 def _incidence_quadratic(plane2, plane3, line4):
     """Coefficients (qa, qb, qc) in t of the incidence form of T(t) with
     line 4."""
+    # gcd-free: the certified filter runs it on _Approx values
     _, d4, m4 = line4
     A2, B2, a2, b2 = plane2
     A3, B3, a3, b3 = plane3
@@ -290,6 +303,7 @@ def _incidence_quadratic(plane2, plane3, line4):
 def _trace(plane, line):
     """Parameter of the crossing of the line (p, d, ...) with the plane as
     a pair of linear forms (num, den) in t."""
+    # gcd-free: the certified filter runs it on _Approx values
     p, d = line[:2]
     A, B, alpha, beta = plane
     num = (-(v_dot(B, p) + beta), -(v_dot(A, p) + alpha))
@@ -503,7 +517,11 @@ def _regulus_transversal(regulus, triples, fourth=None):
         candidates = (t for t in roots if _in_unit_range(t, traces))
     for t in candidates:
         line = _line_at(plane2, plane3, t)
-        params = _certify(line, triples, t.d)
+        cert = line
+        if t.t1:    # certification is scale-free: certify the primitive line
+            g = gcd(*(x for v in line for x in v)) or 1
+            cert = tuple(tuple(x // g for x in v) for v in line)
+        params = _certify(cert, triples, t.d)
         if params is not None:
             return line, params, t
     return None

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -117,8 +116,8 @@ def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
                 return None
             check_at = budget
         branch = _weighted_sample(rng, cand, weights, 6)
-        pairs = list(combinations(range(6), 2))
-        rng.shuffle(pairs)
+        pairs = _PAIRS.copy()
+        _shuffle(rng.getrandbits, pairs)
         # the branch vertices and the inner vertices of the paths so far
         blocked = [False] * g.n
         for v in branch:
@@ -265,15 +264,34 @@ def _k6_subdivision_absent(adj, cand) -> bool:
 def _weighted_sample(rng, items, weights, k):
     """k distinct items, each drawn with probability proportional to its
     positive weight among those left: the first item whose prefix sum of
-    weights reaches a uniform draw from [0, total]."""
-    chosen = []
-    items, weights = list(items), list(weights)
+    weights reaches a uniform draw from [0, total].  A drawn item's weight
+    reads 0 in ``weights`` until the end."""
+    drawn, total = [], sum(weights)
     for _ in range(k):
-        sums = list(accumulate(weights))
-        idx = bisect_left(sums, rng.uniform(0, sums[-1]))
-        chosen.append(items.pop(idx))
-        weights.pop(idx)
-    return chosen
+        r, acc = rng.random() * total, 0    # rng.uniform(0, total)
+        for i, w in enumerate(weights):
+            acc += w
+            if acc >= r and w:
+                break
+        drawn.append((i, w))
+        weights[i], total = 0, total - w
+    for i, w in drawn:
+        weights[i] = w
+    return [items[i] for i, _ in drawn]
+
+
+_PAIRS = list(combinations(range(6), 2))
+_SHUFFLE_STEPS = [(i, (i + 1).bit_length()) for i in range(14, 0, -1)]
+
+
+def _shuffle(getrandbits, pairs):
+    """``Random.shuffle`` of the 15 pairs in place, on the same draws: step
+    i swaps with ``_randbelow(i + 1)``, bits of i + 1 drawn until <= i."""
+    for i, k in _SHUFFLE_STEPS:
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
 
 
 def _bfs_path(adj, nbr, src, dst, blocked):

@@ -93,6 +93,16 @@ class QuadExt:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _normal(cls, a: Fraction, b: Fraction, d: Fraction) -> "QuadExt":
+        """The value from fields already in normal form, b = d = 0 or b != 0
+        with d > 0 no rational square, without the checks of ``__init__``."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "a", a)
+        object.__setattr__(value, "b", b)
+        object.__setattr__(value, "d", d)
+        return value
+
     # -- helpers -----------------------------------------------------------
 
     @property

@@ -460,6 +460,22 @@ def test_witnesses_match_recorded_values(case):
     assert count_line_crossings(d, 4, prefilter=False).count == rep.count
 
 
+# a straight random drawing, random_drawing(14, .5, seed=1): every counted
+# row is certified in the kernel's skew branch.  k, then the count and the
+# digest of the lines and contacts
+STRAIGHT_WITNESSES = [
+    (4, 1214, "25255dc42d1e57ea"),
+    (3, 2565, "e7ee7b1d93c98584"),
+]
+
+
+@pytest.mark.parametrize("k, count, digest", STRAIGHT_WITNESSES)
+def test_straight_witnesses_match_recorded_values(k, count, digest):
+    rep = count_line_crossings(generators.random_drawing(14, .5, seed=1), k,
+                               want_witnesses=True)
+    assert (rep.count, _witness_digest(rep)) == (count, digest)
+
+
 # flat random drawings: every row goes to the degenerate case analysis.
 # (n, k), then the count and the digest of edges, line and contacts
 FLAT_WITNESSES = [

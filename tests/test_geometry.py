@@ -8,19 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from spacecross import geometry
 from spacecross.errors import DegenerateInput
-from spacecross.geometry import (PluckerLine, Segment3, _coplanar_pair,
-                                 _family_samples,
+from spacecross.geometry import (PluckerLine, Segment3, _certify,
+                                 _coplanar_pair, _family_samples,
                                  _in_unit_range, _incidence_quadratic,
-                                 _int_triple, _Param, _pencil_through_point,
-                                 _plane, _public_line, _quadratic_roots,
-                                 _regulus,
+                                 _int_triple, _line_at, _Param,
+                                 _pencil_through_point, _plane,
+                                 _public_line, _public_transversal,
+                                 _quadratic_roots, _regulus,
                                  _scaled_int_segments, _scaled_regulus,
-                                 _stab_in_plane,
+                                 _skew_triple_order, _stab_in_plane,
                                  line_through_points,
                                  plucker_from_segment, point3, same_line,
                                  segments_intersect_2d, side_form,
                                  side_product, transversal_exists_segments,
-                                 v_add, v_cross, v_dot, v_sub,
+                                 v_add, v_cross, v_dot, v_scale, v_sub,
                                  verify_transversal)
 from spacecross.scalars import QuadExt
 
@@ -202,6 +203,54 @@ def test_scaled_regulus_is_the_regulus_of_scaled_lines():
                                   tuple(c * x for x in q)) for p, q in ints]
             assert _scaled_regulus(_regulus(lines), c) == _regulus(scaled)
         checked += 1
+
+
+small = st.integers(-40, 40)
+grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
+
+
+@given(small, small, small, st.integers(1, 60))
+@settings(max_examples=300)
+def test_roots_of_a_multiple_keep_their_public_values(qa, qb, qc, g):
+    # the kernel finds the roots on the primitive quadratic; their public
+    # values are those of the undivided formula over the given radicand
+    roots = _quadratic_roots(g * qa, g * qb, g * qc)
+    if qa == qb == qc == 0:
+        assert roots is None
+        return
+    want = []
+    if qa == 0:
+        if qb:
+            want = [Fraction(-qc, qb)]
+    elif (disc := g * g * (qb * qb - 4 * qa * qc)) >= 0:
+        mid, step = Fraction(-qb, 2 * qa), Fraction(1, 2 * g * qa)
+        want = [mid] if disc == 0 else [QuadExt(mid, step, disc),
+                                        QuadExt(mid, -step, disc)]
+    assert repr([t.scalar(t.t0, t.t1, t.h) for t in roots]) == repr(want)
+
+
+@given(st.lists(st.tuples(grid, grid), min_size=4, max_size=4),
+       st.integers(2, 60))
+@settings(max_examples=200)
+def test_certified_contacts_do_not_depend_on_the_line_scale(ends, g):
+    # each segment runs 5 times its span past both ends, so that many
+    # candidate lines meet all four
+    triples = [_int_triple(v_sub(p, v_scale(v_sub(q, p), 5)),
+                           v_add(q, v_scale(v_sub(q, p), 5)))
+               for p, q in ends if p != q]
+    order = _skew_triple_order([(d, m) for _, d, m in triples])
+    if len(triples) < 4 or order is None:
+        return
+    plane2, plane3, _ = _regulus([triples[i] for i in order])
+    for t in _quadratic_roots(*_incidence_quadratic(
+            plane2, plane3, triples[order[3]])) or []:
+        line = _line_at(plane2, plane3, t)
+        params = _certify(line, triples, t.d)
+        scaled = _certify(tuple(v_scale(v, g) for v in line), triples, t.d)
+        assert (params is None) == (scaled is None)
+        if params is not None:
+            assert (repr(_public_transversal(line, scaled, t, 1).params)
+                    == repr(_public_transversal(line, params, t, 1).params))
 
 
 def test_random_lines_count_matches_numeric_roots():

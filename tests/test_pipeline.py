@@ -121,6 +121,19 @@ def test_weighted_sample_matches_a_linear_scan():
                                           weights, 6)
 
 
+def test_pair_shuffle_matches_random_shuffle():
+    # the K6 search shuffles its branch pairs on Random.shuffle's draws;
+    # this pins that on the running Python's random module
+    for seed in range(1000):
+        rng, want = random.Random(seed), random.Random(seed)
+        pairs = list(pipeline._PAIRS)
+        pipeline._shuffle(rng.getrandbits, pairs)
+        order = list(itertools.combinations(range(6), 2))
+        want.shuffle(order)
+        assert pairs == order
+        assert rng.getstate() == want.getstate()
+
+
 def _reversed_edge_contact(p, q, line):
     """``_step_contact`` of ``line`` on the step 1 -> 0 of the edge from p
     (vertex 0) to q (vertex 1), with u from the step itself, and the
