@@ -7,7 +7,9 @@ command; with --output they write it there, and their report then goes
 to stdout.  Rational values serialize as 'p/q'
 strings, quadratic irrationals as field dicts.
 Exit status: 0 success (also --help), 1 validation error, including a
-command-line usage error, 2 internal invariant failure.
+command-line usage error or a path that cannot be read or written, 2
+internal invariant failure.  An error report whose --output path cannot be
+written goes to stdout.
 """
 
 from __future__ import annotations
@@ -278,21 +280,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         doc = args.func(args)
+        if doc:
+            _write_report(doc, getattr(args, "output", None))
+        return 0
     except (ValidationError, DegenerateInput, NotDisjoint, DegeneratePosition,
-            PreconditionViolated, FileNotFoundError, json.JSONDecodeError,
+            PreconditionViolated, OSError, json.JSONDecodeError,
             KeyError) as exc:
         log.error("validation failure: %s", exc)
-        _write_report({"error": str(exc), "code": type(exc).__name__},
-                      getattr(args, "output", None))
-        return 1
+        status, report = 1, {"error": str(exc), "code": type(exc).__name__}
     except (AssertionError, RetryExhausted) as exc:
         log.error("internal invariant failure: %s", exc)
-        _write_report({"error": str(exc), "code": type(exc).__name__},
-                      getattr(args, "output", None))
-        return 2
-    if doc:
-        _write_report(doc, getattr(args, "output", None))
-    return 0
+        status, report = 2, {"error": str(exc), "code": type(exc).__name__}
+    try:
+        _write_report(report, getattr(args, "output", None))
+    except OSError:
+        # the report path itself cannot be written
+        _write_report(report, None)
+    return status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""Graph-level procedures: randomized bisection, heuristic K6-subdivision
-extraction, the linked-cycle witness pipeline, and the hexagonal-grid
-construction whose sphere drawing has no space crossings.
+"""Graph-level procedures: randomized bisection, K6-subdivision extraction
+(an exact existence test, then a seeded random search), the linked-cycle
+witness pipeline, and the hexagonal-grid construction whose sphere drawing
+has no space crossings.
 """
 
 from __future__ import annotations
@@ -81,40 +82,27 @@ class SubdivisionEmbedding:
         return out
 
 
-# Of the 616 searches of the witness pipeline on random_drawing(40, .4, s),
-# s = 7000..7099, 142 end at once (fewer than six vertices of degree >= 5,
-# or m < 15) and 385 succeed within 1,000 expansions.  The other 89 reach
-# the absence proof, which proves absence 58 times and finds a subdivision
-# 31 times (the random search then finds its own), never at the step cap.
-# Warm, in one process, the random searches take 2.7 ms per input and the
-# proofs 0.6 ms.
-_ABSENCE_CHECK_AT = 1000
 _ABSENCE_STEP_LIMIT = 20000
 
 
 def find_k6_subdivision(g: Graph, budget: int = 200000, seed: int = 0
                         ) -> Optional[SubdivisionEmbedding]:
-    """Randomized search for a K6 subdivision.  None when the budget ran
-    out, or when, after `_ABSENCE_CHECK_AT` expansions without success,
-    `_k6_subdivision_absent` proves there is nothing to find."""
-    if g.m < 15:
-        return None
+    """A K6 subdivision, or None.  `_k6_subdivision_absent` runs first, with
+    no randomness; unless it proves that there is none, a seeded random
+    search of `budget` expansions looks for one.  So None means the proof
+    found no subdivision, or the budget ran out on a graph that the proof
+    did not rule out."""
     adj = g.adjacency()
     for nbrs in adj:
         nbrs.sort()
     cand = [v for v in range(g.n) if len(adj[v]) >= 5]
-    if len(cand) < 6:
+    if _k6_subdivision_absent(adj, cand):
         return None
     nbr = [set(a) for a in adj]
     weights = [len(adj[v]) for v in cand]
     rng = random.Random(seed)
     expansions = 0
-    check_at = _ABSENCE_CHECK_AT
     while expansions < budget:
-        if expansions >= check_at:
-            if _k6_subdivision_absent(adj, cand):
-                return None
-            check_at = budget
         branch = _weighted_sample(rng, cand, weights, 6)
         pairs = _PAIRS.copy()
         _shuffle(rng.getrandbits, pairs)
@@ -325,7 +313,9 @@ def _bfs_path(adj, nbr, src, dst, blocked):
 def extract_disjoint_subdivisions(g: Graph, budget: int = 200000, seed: int = 0
                                   ) -> List[SubdivisionEmbedding]:
     """Greedy edge-disjoint K6 subdivisions: find one, delete its edges,
-    repeat until the finder gives up."""
+    repeat until `find_k6_subdivision` returns None, that is until the
+    absence proof finds no subdivision in what is left, or the budget runs
+    out on a graph that the proof did not rule out."""
     found: List[SubdivisionEmbedding] = []
     edges = set(g.edges)
     round_no = 0

@@ -74,7 +74,9 @@ class QuadExt:
 
     Values normalize on construction: if d is zero or a perfect rational
     square the value collapses to its rational part (b folded into a).
-    Arithmetic is closed only for operands sharing the same radicand.
+    Arithmetic is closed only for operands of one field: radicands equal,
+    or in the ratio of a rational square.  Of two irrational operands, the
+    left one's radicand is the result's.
     """
 
     a: Fraction
@@ -115,9 +117,15 @@ class QuadExt:
         return self.a
 
     def _coerce(self, other) -> "QuadExt":
+        """``other`` as a value over this value's radicand.  Radicands whose
+        ratio is a rational square r^2 name one field: b*sqrt(d') is
+        b*r*sqrt(d) for d' = r^2 d."""
         if isinstance(other, QuadExt):
             if other.b != 0 and self.b != 0 and other.d != self.d:
-                raise ValueError(f"mixed radicands {self.d} and {other.d}")
+                root = _rational_sqrt(other.d / self.d)
+                if root is None:
+                    raise ValueError(f"mixed radicands {self.d} and {other.d}")
+                return QuadExt._normal(other.a, other.b * root, self.d)
             return other
         return QuadExt(rat(other))
 
@@ -192,9 +200,11 @@ class QuadExt:
             return NotImplemented
 
     def __hash__(self):
+        # b*sqrt(d) is fixed by b^2 d and the sign of b, whatever square
+        # factor d carries
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -52,6 +52,8 @@ def test_count_crossings_report_and_missing_input(tmp_path, capsys):
     assert stages[-1]["rows_out"] == doc["count"]
     code, doc = run(capsys, "count-crossings", "--input", str(tmp_path / "none"))
     assert code == 1 and doc["code"] == "FileNotFoundError"
+    code, doc = run(capsys, "count-crossings", "--input", str(tmp_path))
+    assert code == 1 and doc["code"] == "IsADirectoryError"
 
 
 def test_count_crossings_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -231,6 +233,19 @@ def test_witness_pipeline_refuses_a_budget_below_1(tmp_path, capsys):
     with pytest.raises(ValidationError):
         pipeline.boost_witness_pipeline(
             decode_drawing((tmp_path / "f.json").read_text()), budget=-1)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["order-types"], "FileNotFoundError"),
+    (["gen-fixture", "--kind", "four-k6"], "FileNotFoundError"),
+    (["count-crossings", "--input", "."], "IsADirectoryError"),
+], ids=["order-types", "gen-fixture", "count-crossings"])
+def test_an_unwritable_report_path_sends_the_report_to_stdout(
+        tmp_path, capsys, argv, error):
+    bad = tmp_path / "missing" / "x.json"
+    code, doc = run(capsys, *argv, "--output", str(bad))
+    assert (code, doc["code"]) == (1, error)
+    assert not bad.parent.exists()
 
 
 def _drawing_doc(pos="0", edges=None):

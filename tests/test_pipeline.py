@@ -198,7 +198,25 @@ def test_k6_search_on_the_icosahedron_stops_at_the_absence_proof(
     assert _absent(g)
     spent = _bfs_costs(monkeypatch)
     assert find_k6_subdivision(g, budget=10 ** 6) is None
-    assert pipeline._ABSENCE_CHECK_AT <= sum(spent) < 2 * pipeline._ABSENCE_CHECK_AT
+    # the proof runs before the random search, which never starts
+    assert spent == []
+
+
+@pytest.mark.parametrize("edges", [
+    # K6 less one edge: 14 edges, so at most five vertices of degree >= 5
+    [e for e in itertools.combinations(range(6), 2) if e != (4, 5)],
+    # K5 with two more neighbours at each vertex: 20 edges, and only the
+    # five vertices of the K5 have degree >= 5
+    list(itertools.combinations(range(5), 2))
+    + [(i, 5 + i) for i in range(5)] + [(i, 5 + (i + 1) % 5) for i in range(5)],
+], ids=["m14", "five-candidates"])
+def test_k6_search_without_six_candidates_makes_no_bfs_call(monkeypatch,
+                                                            edges):
+    g = Graph.from_edges(10, edges)
+    assert sum(g.degree(v) >= 5 for v in range(g.n)) <= 5
+    spent = _bfs_costs(monkeypatch)
+    assert find_k6_subdivision(g, budget=10 ** 6) is None
+    assert spent == []
 
 
 def test_k6_search_on_the_icosahedron_spends_its_budget(monkeypatch):
@@ -306,19 +324,19 @@ def _digest(obj):
 
 
 # per input of the paper-constructions workload: the number of K6 searches,
-# sha256 prefixes of their inputs and of their results, and their summed
-# `_bfs_path` cost, recorded while the search kept its blocked vertices
-# and its BFS marks in sets and dicts
+# sha256 prefixes of their inputs and of their results, recorded while the
+# search kept its blocked vertices and its BFS marks in sets and dicts, and
+# their summed `_bfs_path` cost, recorded once the absence proof ran first
 K6_SEARCHES = [
     (7000, 7, "fbab18c7f0fc056f", "cec5a85c738ed439", 592),
     (7001, 6, "d9b1eb7b08c7c37e", "eac306c0678f7815", 791),
-    (7002, 5, "d9a6791126bbf7a4", "1224e98fdffa9389", 1141),
-    (7003, 6, "f8faf8f7ac39ab52", "9fb44a7077d851cf", 2433),
+    (7002, 5, "d9a6791126bbf7a4", "1224e98fdffa9389", 128),
+    (7003, 6, "f8faf8f7ac39ab52", "9fb44a7077d851cf", 395),
     (7004, 6, "2ca1a7cf78010c16", "7984e0898d6aba27", 3405),
     (7005, 6, "b4f40990026040e3", "a19355209f7fade9", 733),
     (7006, 6, "936b0f6ddd4346d9", "34beaddd7bc3fcd2", 219),
     (7007, 6, "bd9b192d13b25c34", "cf0c248556785464", 389),
-    (7008, 5, "7a606d469456a453", "21b75b25c5bf06e3", 2250),
+    (7008, 5, "7a606d469456a453", "21b75b25c5bf06e3", 217),
     (7009, 6, "0ed47a4c8ffe0674", "ed1372a352824292", 8387),
 ]
 
@@ -348,6 +366,28 @@ def test_k6_absence_answers_on_the_pipeline_side_graphs(monkeypatch):
                   _k6_searches(monkeypatch, seed)]
         got.append("".join("T" if _absent(g) else "F" for g in graphs))
     assert got == K6_SIDE_ABSENCE_ANSWERS
+
+
+def test_k6_searches_that_the_absence_proof_rules_out_cost_nothing(
+        monkeypatch):
+    spent = _bfs_costs(monkeypatch)
+    costs = []
+    find = pipeline.find_k6_subdivision
+
+    def costed(g, budget, seed):
+        start = len(spent)
+        emb = find(g, budget=budget, seed=seed)
+        costs.append(sum(spent[start:]))
+        return emb
+
+    monkeypatch.setattr(pipeline, "find_k6_subdivision", costed)
+    for seed, answers in zip(range(7000, 7020), K6_SIDE_ABSENCE_ANSWERS):
+        costs.clear()
+        results = [emb for _, emb in _k6_searches(monkeypatch, seed)]
+        assert len(results) == len(costs) == len(answers)
+        for answer, emb, cost in zip(answers, results, costs):
+            if answer == "T":
+                assert (emb, cost) == (None, 0)
 
 
 def _reduced(n, edges):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spacecross.geometry import v_is_zero
-from spacecross.scalars import (QuadExt, rat_from_str, rat_to_str,
-                                scalar_from_json, scalar_to_json, sign_of)
+from spacecross.scalars import (QuadExt, _rational_sqrt, rat_from_str,
+                                rat_to_str, scalar_from_json, scalar_to_json,
+                                sign_of)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
@@ -128,3 +130,40 @@ def test_rational_comparisons_and_differences_match_their_definitions():
             diff, ref = r - x, (-x) + r
             assert (diff.a, diff.b, diff.d) == (ref.a, ref.b, ref.d)
     assert collapsed > 100
+
+
+def test_radicands_in_a_square_ratio_name_one_field():
+    sqrt2, also = QuadExt(0, 1, 2), QuadExt(0, Fraction(1, 2), 8)
+    assert sqrt2 == also and also == sqrt2 and hash(sqrt2) == hash(also)
+    assert sqrt2 <= also and not sqrt2 < also and (also - sqrt2).sign() == 0
+    assert QuadExt(0, 1, 2) < QuadExt(0, 1, 8)           # sqrt 2 < 2 sqrt 2
+    assert QuadExt(1, 3, Fraction(2, 9)) == QuadExt(1, 1, 2)
+    assert QuadExt(1, -1, 2) != QuadExt(1, 1, 8)
+    assert len({QuadExt(0, -1, 2), QuadExt(0, -2, Fraction(1, 2))}) == 1
+    # each value keeps its own fields; a sum takes the left radicand
+    assert repr(also) == "QuadExt(0 + 1/2*sqrt(8))"
+    assert repr(sqrt2 + also) == "QuadExt(0 + 2*sqrt(2))"
+    assert repr(also + sqrt2) == "QuadExt(0 + 1*sqrt(8))"
+    # radicands of different fields still refuse to mix
+    with pytest.raises(ValueError, match="mixed radicands"):
+        _ = sqrt2 < QuadExt(0, 1, 3)
+    assert sqrt2 != QuadExt(0, 1, 3)
+
+
+def test_equal_values_of_one_field_hash_equally():
+    # the corpus's irrational values, and some over a radicand k^2 d
+    values = [x for x in _quad_corpus() if not x.is_rational][:60]
+    values += [QuadExt(x.a, x.b / k, x.d * k * k)
+               for x, k in zip(values, itertools.cycle(
+                   [2, 3, Fraction(1, 2), Fraction(2, 3)]))]
+    same = 0
+    for x, y in itertools.product(values, repeat=2):
+        if _rational_sqrt(x.d / y.d) is None:
+            continue
+        key = (x.a, x.b * x.b * x.d, x.b > 0)
+        equal = key == (y.a, y.b * y.b * y.d, y.b > 0)
+        assert (x == y) is equal and (x - y).sign() == (x > y) - (x < y)
+        if equal:
+            assert hash(x) == hash(y)
+            same += x.d != y.d
+    assert same >= 120
