@@ -137,7 +137,6 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -148,6 +147,7 @@ from .errors import ValidationError
 from .geometry import (PluckerLine, _incidence_quadratic, _int_triple, _plane,
                        _trace, segments_intersect_2d,
                        transversal_exists_segments, v_dot)
+from .scalars import _Record
 
 # rows (tuples or segment combinations) per vectorized filter batch; small
 # enough that a batch's arrays stay in cache (the certified filter runs
@@ -158,30 +158,37 @@ _CHUNK = 4096
 _PROGRESS_S = 5.0
 
 
-@dataclass
-class CrossingWitness:
-    """A k-tuple of vertex-disjoint edges with a certified transversal."""
+class CrossingWitness(_Record):
+    """A k-tuple of vertex-disjoint edges with a certified transversal;
+    ``contacts`` are (edge, segment index, parameter) triples."""
 
-    edges: Tuple[Edge, ...]
-    line: PluckerLine
-    contacts: List[Tuple[Edge, int, object]]  # (edge, segment index, parameter)
+    def __init__(self, edges: Tuple[Edge, ...], line: PluckerLine,
+                 contacts: List[Tuple[Edge, int, object]]):
+        self.edges = edges
+        self.line = line
+        self.contacts = contacts
 
 
-@dataclass
-class CrossingReport:
-    k: int
-    count: int
-    witnesses: Optional[List[CrossingWitness]] = None
-    elapsed: float = 0.0
-    tuples_total: int = 0
-    tuples_after_prefilter: int = 0
-    # (name, rows in, rows out, seconds) of each step of the funnel, in
-    # edge k-tuples; each step's rows out are the next one's rows in.
-    # ``tuple_filter`` covers the triple tests and, for k = 4, the join of
-    # the feasible triples; ``certified_filter`` puts out the tuples it did
-    # not refute, and ``exact`` puts out ``count``, including tuples that
-    # the certified filter accepted
-    stages: List[Tuple[str, int, int, float]] = field(default_factory=list)
+class CrossingReport(_Record):
+    # ``stages``: (name, rows in, rows out, seconds) of each step of the
+    # funnel, in edge k-tuples; each step's rows out are the next one's
+    # rows in.  ``tuple_filter`` covers the triple tests and, for k = 4, the
+    # join of the feasible triples; ``certified_filter`` puts out the tuples
+    # it did not refute, and ``exact`` puts out ``count``, including tuples
+    # that the certified filter accepted
+
+    def __init__(self, k: int, count: int,
+                 witnesses: Optional[List[CrossingWitness]] = None,
+                 elapsed: float = 0.0, tuples_total: int = 0,
+                 tuples_after_prefilter: int = 0,
+                 stages: Optional[List[Tuple[str, int, int, float]]] = None):
+        self.k = k
+        self.count = count
+        self.witnesses = witnesses
+        self.elapsed = elapsed
+        self.tuples_total = tuples_total
+        self.tuples_after_prefilter = tuples_after_prefilter
+        self.stages = [] if stages is None else stages
 
 
 def _disjoint_blocks(g: Graph, k: int, feasible: Optional[np.ndarray] = None
@@ -786,7 +793,8 @@ def count_line_crossings(d: SpatialDrawing, k: int,
         if now >= next_log:
             next_log = now + _PROGRESS_S
             # imported here: only long counts log, and importing logging
-            # adds about 10 ms to every process start
+            # after numpy adds about 3 ms to a process start
+            # (``python -X importtime``)
             import logging
             logging.getLogger("spacecross").info(
                 "count_line_crossings k=%d: %d blocks done, %d tuples seen, "

@@ -7,34 +7,36 @@ integer strings are accepted on input for convenience.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .geometry import Segment3, Vec3
-from .scalars import rat_from_str, rat_to_str
+from .scalars import _FrozenRecord, _Record, rat_from_str, rat_to_str
 
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_FrozenRecord):
     """Simple undirected graph on vertices 0..n-1."""
 
     n: int
     edges: Tuple[Edge, ...]
 
-    def __post_init__(self):
+    def __init__(self, n, edges):
+        if n < 0:
+            raise ValidationError(f"negative vertex count {n}", "n")
         seen = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise ValidationError(f"loop at vertex {u}", "edges")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValidationError(f"edge {e} out of range or unordered", "edges")
             if e in seen:
                 raise ValidationError(f"multiple edge {e}", "edges")
             seen.add(e)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -56,8 +58,7 @@ class Graph:
         return adj
 
 
-@dataclass
-class SpatialDrawing:
+class SpatialDrawing(_Record):
     """Vertex positions plus a polyline per edge.
 
     ``polylines`` maps an edge to its interior points only; the drawn curve
@@ -66,11 +67,11 @@ class SpatialDrawing:
     straight segments.
     """
 
-    graph: Graph
-    positions: List[Vec3]
-    polylines: Dict[Edge, List[Vec3]] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, graph: Graph, positions: List[Vec3],
+                 polylines: Optional[Dict[Edge, List[Vec3]]] = None):
+        self.graph = graph
+        self.positions = positions
+        self.polylines = {} if polylines is None else polylines
         if len(self.positions) != self.graph.n:
             raise ValidationError(
                 f"{len(self.positions)} positions for {self.graph.n} vertices",
@@ -164,6 +165,8 @@ def decode_drawing(data) -> SpatialDrawing:
         n = int(doc["n"])
     except (KeyError, TypeError, ValueError):
         raise ValidationError("missing or bad vertex count", "n")
+    if n < 0:
+        raise ValidationError(f"negative vertex count {n}", "n")
     verts = doc.get("vertices")
     if not isinstance(verts, list) or len(verts) != n:
         raise ValidationError(f"expected {n} vertex records", "vertices")

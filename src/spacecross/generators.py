@@ -32,6 +32,8 @@ def random_points(count: int, seed: int, denominator_bound: int = 64,
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    if not 0 <= p <= 1:
+        raise ValidationError(f"probability {p!r} outside [0, 1]", "p")
     rng = _rng(seed)
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

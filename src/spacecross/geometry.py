@@ -42,14 +42,13 @@ once, by ``verify_transversal`` on all of its segments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .scalars import (DegenerateInput, QuadExt, _exact_isqrt, _zsign, rat,
-                      sign_of)
+from .scalars import (DegenerateInput, QuadExt, _FrozenRecord, _Record,
+                      _exact_isqrt, _zsign, rat, sign_of)
 
 Scalar = Union[int, Fraction, QuadExt]
 Vec3 = Tuple[Scalar, Scalar, Scalar]
@@ -95,18 +94,17 @@ def point3(x, y, z) -> Vec3:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment3:
+class Segment3(_FrozenRecord):
     """Closed nondegenerate segment from p to q, with Fraction coordinates."""
 
     p: Vec3
     q: Vec3
 
-    def __post_init__(self):
-        if self.p == self.q:
-            raise DegenerateInput(f"zero-length segment at {self.p}")
-        object.__setattr__(self, "p", tuple(map(rat, self.p)))
-        object.__setattr__(self, "q", tuple(map(rat, self.q)))
+    def __init__(self, p, q):
+        if p == q:
+            raise DegenerateInput(f"zero-length segment at {p}")
+        object.__setattr__(self, "p", tuple(map(rat, p)))
+        object.__setattr__(self, "q", tuple(map(rat, q)))
 
     @property
     def direction(self) -> Vec3:
@@ -116,18 +114,19 @@ class Segment3:
         return v_add(self.p, v_scale(self.direction, t))
 
 
-@dataclass(frozen=True)
-class PluckerLine:
+class PluckerLine(_FrozenRecord):
     """Projective line coordinates (direction, moment), moment = p x q."""
 
     direction: Vec3
     moment: Vec3
 
-    def __post_init__(self):
-        if v_is_zero(self.direction):
+    def __init__(self, direction, moment):
+        if v_is_zero(direction):
             raise DegenerateInput("line with zero direction")
-        if sign_of(v_dot(self.direction, self.moment)) != 0:
+        if sign_of(v_dot(direction, moment)) != 0:
             raise ValueError("Pluecker relation <d,m> = 0 violated")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "moment", moment)
 
     def is_rational(self) -> bool:
         return all(not isinstance(c, QuadExt) or c.is_rational
@@ -394,13 +393,14 @@ def _skew_triple_order(lines) -> Optional[Tuple[int, ...]]:
 # transversals of closed segments (the space-crossing predicate)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SegmentTransversal:
+class SegmentTransversal(_Record):
     """Outcome of the segment transversal decision."""
 
-    exists: bool
-    line: Optional[PluckerLine] = None
-    params: Optional[List[Scalar]] = None
+    def __init__(self, exists: bool, line: Optional[PluckerLine] = None,
+                 params: Optional[List[Scalar]] = None):
+        self.exists = exists
+        self.line = line
+        self.params = params
 
 
 def _scaled_int_points(points):

@@ -22,7 +22,6 @@ when the cycles share a point, without an all-pairs test in front.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -34,14 +33,13 @@ from .geometry import (Segment3, _family_samples, _int_triple,
                        _scaled_regulus, _skew_triple_order,
                        segments_intersect_2d, transversal_exists_segments,
                        v_cross, v_dot, v_scale, v_sub)
-from .scalars import rat
+from .scalars import _FrozenRecord, _Record, rat
 
 Vec3 = Tuple
 _ZERO = (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class PolygonalCycle:
+class PolygonalCycle(_FrozenRecord):
     """Closed polygonal curve given by at least three ordered points.
 
     ``int_points`` are the points times ``scale``, the least common
@@ -51,12 +49,11 @@ class PolygonalCycle:
     """
 
     points: Tuple[Vec3, ...]
-    int_points: Tuple[Tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    int_points: Tuple[Tuple[int, int, int], ...]
+    scale: int
 
-    def __post_init__(self):
-        pts = self.points
+    def __init__(self, points):
+        pts = points
         if len(pts) < 3:
             raise ValidationError("cycle needs at least three points")
         for i in range(len(pts)):
@@ -64,6 +61,7 @@ class PolygonalCycle:
                 raise ValidationError(f"repeated consecutive point {i}")
         ints, scale = _scaled_int_points([tuple(map(rat, p)) for p in pts])
         _check_simple(_int_segments(ints))
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "int_points", tuple(ints))
         object.__setattr__(self, "scale", scale)
 
@@ -229,11 +227,15 @@ def linking_number(c1: PolygonalCycle, c2: PolygonalCycle) -> int:
 # intrinsic linking of K6
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConwayGordonResult:
-    odd_pair: Tuple[Tuple[int, int, int], Tuple[int, int, int]]
-    parity_sum: int
-    linking_numbers: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]
+class ConwayGordonResult(_Record):
+    def __init__(self,
+                 odd_pair: Tuple[Tuple[int, int, int], Tuple[int, int, int]],
+                 parity_sum: int,
+                 linking_numbers: Dict[Tuple[Tuple[int, ...],
+                                             Tuple[int, ...]], int]):
+        self.odd_pair = odd_pair
+        self.parity_sum = parity_sum
+        self.linking_numbers = linking_numbers
 
 
 def triangle_pairs_of_k6() -> List[Tuple[Tuple[int, int, int], Tuple[int, int, int]]]:
@@ -274,15 +276,19 @@ def conway_gordon_check(points: Sequence[Vec3]) -> ConwayGordonResult:
     return ConwayGordonResult(odd_pair, parity, lks)
 
 
-@dataclass
-class LinkedCyclePair:
-    cycle1: PolygonalCycle
-    cycle2: PolygonalCycle
-    loop1: Tuple[int, ...]      # drawing vertex ids along cycle1
-    loop2: Tuple[int, ...]
-    tri1: Tuple[int, int, int]  # underlying K6 triangles
-    tri2: Tuple[int, int, int]
-    lk: int
+class LinkedCyclePair(_Record):
+    def __init__(self, cycle1: PolygonalCycle, cycle2: PolygonalCycle,
+                 loop1: Tuple[int, ...],      # drawing vertex ids along cycle1
+                 loop2: Tuple[int, ...],
+                 tri1: Tuple[int, int, int],  # underlying K6 triangles
+                 tri2: Tuple[int, int, int], lk: int):
+        self.cycle1 = cycle1
+        self.cycle2 = cycle2
+        self.loop1 = loop1
+        self.loop2 = loop2
+        self.tri1 = tri1
+        self.tri2 = tri2
+        self.lk = lk
 
 
 def find_linked_pair(drawing, embedding) -> LinkedCyclePair:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -21,19 +20,21 @@ from .errors import RetryExhausted, ValidationError
 from .geometry import line_meets_segment, point3
 from .linking import (LinkedCyclePair, find_linked_pair,
                       transversal_through_cycles, validate_embedding)
+from .scalars import _Record
 
 
 # ---------------------------------------------------------------------------
 # bisection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Bisection:
-    side1: Tuple[int, ...]
-    side2: Tuple[int, ...]
-    edges1: int
-    edges2: int
-    retries: int
+class Bisection(_Record):
+    def __init__(self, side1: Tuple[int, ...], side2: Tuple[int, ...],
+                 edges1: int, edges2: int, retries: int):
+        self.side1 = side1
+        self.side2 = side2
+        self.edges1 = edges1
+        self.edges2 = edges2
+        self.retries = retries
 
 
 def _bisection_bound_met(e_i: int, n_edges: int, n_vertices: int) -> bool:
@@ -67,12 +68,13 @@ def random_bisection(g: Graph, seed: int = 0) -> Bisection:
 # K6 subdivisions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SubdivisionEmbedding:
+class SubdivisionEmbedding(_Record):
     """Six branch vertices and 15 internally disjoint connecting paths."""
 
-    branch_vertices: Tuple[int, ...]
-    paths: Dict[Tuple[int, int], List[int]]
+    def __init__(self, branch_vertices: Tuple[int, ...],
+                 paths: Dict[Tuple[int, int], List[int]]):
+        self.branch_vertices = branch_vertices
+        self.paths = paths
 
     def edge_set(self) -> Set[Edge]:
         out: Set[Edge] = set()
@@ -429,17 +431,18 @@ def _hex_center(x: int, y: int) -> Tuple[int, int]:
     return (3 * (x - y), 2 * (x + y))
 
 
-@dataclass
-class HexGrid:
+class HexGrid(_Record):
     """Truncated hexagonal grid: the hexagons with axial coordinates in
     [-k, k]^2 except two opposite corner cells (replaced by chords), plus
     one boundary chord per consecutive pair of degree-2 rim vertices.
     """
 
-    k: int
-    graph: Graph
-    coords: List[Tuple[int, int]]
-    faces: List[List[int]]
+    def __init__(self, k: int, graph: Graph, coords: List[Tuple[int, int]],
+                 faces: List[List[int]]):
+        self.k = k
+        self.graph = graph
+        self.coords = coords
+        self.faces = faces
 
 
 def _trace_faces(n: int, edges, coords):
@@ -595,12 +598,13 @@ def _vertex_face_distances(grid: HexGrid) -> np.ndarray:
     return np.array([to_face[:, fs].min(axis=1) for fs in vertex_faces])
 
 
-@dataclass
-class HexGridConstruction:
-    graph: Graph              # the grid plus the special chord edge
-    special_edge: Edge
-    drawing: SpatialDrawing
-    grid: HexGrid
+class HexGridConstruction(_Record):
+    def __init__(self, graph: Graph,  # the grid plus the special chord edge
+                 special_edge: Edge, drawing: SpatialDrawing, grid: HexGrid):
+        self.graph = graph
+        self.special_edge = special_edge
+        self.drawing = drawing
+        self.grid = grid
 
 
 def hexgrid_construction(k: int, subdivision: int, seed: int = 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -68,8 +67,54 @@ class DegenerateInput(ValueError):
     """Raised for geometrically invalid inputs such as zero-length segments."""
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class _Record:
+    """Base of the package's record classes: the repr, equality and hash
+    that ``dataclasses`` would give them.  The fields, ``_fields``, are the
+    parameters of the subclass's own ``__init__``, in order.  These methods
+    are written out, not made by ``dataclasses``, whose ``exec`` of every
+    generated method took most of the package's import time.
+
+    Records equal records of the same class with equal fields, and are
+    unhashable unless frozen."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    __hash__ = None
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, in ``__init__`` through
+    ``object.__setattr__``, and hash as the tuple of their values."""
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QuadExt(_FrozenRecord):
     """Exact value a + b*sqrt(d) with a, b, d rational and d >= 0.
 
     Values normalize on construction: if d is zero or a perfect rational

@@ -11,7 +11,6 @@ quadruples together with its closed-form bounds.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -20,13 +19,12 @@ import numpy as np
 
 from .drawing import Graph
 from .errors import PreconditionViolated, ValidationError
-from .scalars import rat
+from .scalars import _FrozenRecord, _Record, rat
 
 GridPoint = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class StretchedGrid:
+class StretchedGrid(_FrozenRecord):
     """Product grid X1 x X2 x X3 with strictly increasing axis values.
 
     In index-only mode (coords is None) only combinatorial operations are
@@ -36,19 +34,21 @@ class StretchedGrid:
     """
 
     n: int
-    coords: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+    coords: Optional[Tuple[Tuple[Fraction, ...], ...]]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, coords=None):
+        if n < 1:
             raise ValidationError("grid needs at least one point per axis")
-        if self.coords is not None:
-            if len(self.coords) != 3 or any(len(ax) != self.n for ax in self.coords):
+        if coords is not None:
+            if len(coords) != 3 or any(len(ax) != n for ax in coords):
                 raise ValidationError("need three axes with n values each")
-            for ax in self.coords:
+            for ax in coords:
                 if any(ax[i] >= ax[i + 1] for i in range(len(ax) - 1)):
                     raise ValidationError("axis values must strictly increase")
                 if ax[0] != 1:
                     raise ValidationError("axis values must start at 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", coords)
 
     @staticmethod
     def explicit(n: int, base: int = 2, scale: Optional[int] = None) -> "StretchedGrid":
@@ -162,15 +162,17 @@ def interval_width(n: int, m: int) -> int:
     return ceil(Fraction(2 * m, n))
 
 
-@dataclass
-class StairDrawing:
+class StairDrawing(_Record):
     """Standard stair drawing: vertex i at the diagonal point with index
     5(i+1), edges drawn as stair-paths between diagonal points."""
 
-    graph: Graph
-    grid: StretchedGrid
-    anchors: List[int]                       # diagonal index per vertex
-    paths: Dict[Tuple[int, int], List] = field(default_factory=dict)
+    def __init__(self, graph: Graph, grid: StretchedGrid,
+                 anchors: List[int],  # diagonal index per vertex
+                 paths: Optional[Dict[Tuple[int, int], List]] = None):
+        self.graph = graph
+        self.grid = grid
+        self.anchors = anchors
+        self.paths = {} if paths is None else paths
 
 
 def standard_stair_drawing(n: int, m: int, grid: StretchedGrid) -> StairDrawing:
@@ -192,11 +194,15 @@ def standard_stair_drawing(n: int, m: int, grid: StretchedGrid) -> StairDrawing:
 _BIG = 10 ** 9
 
 
-@dataclass
-class StairCrossing:
-    exists: bool
-    kind: Optional[int] = None        # 0, 1, 2 for the three stair-line types
-    coords: Optional[Tuple] = None    # the witness stair-line coordinates
+class StairCrossing(_Record):
+    """``kind`` is 0, 1 or 2 for the three stair-line types, and ``coords``
+    are the witness stair-line coordinates."""
+
+    def __init__(self, exists: bool, kind: Optional[int] = None,
+                 coords: Optional[Tuple] = None):
+        self.exists = exists
+        self.kind = kind
+        self.coords = coords
 
 
 def stair_crossing_exists(anchor_pairs: Sequence[Tuple]) -> StairCrossing:
@@ -301,12 +307,15 @@ def _assert_pairing_condition(anchor_pairs):
 # order types of four disjoint intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalMatching:
+class IntervalMatching(_FrozenRecord):
     """Perfect matching on positions 1..8 read as four intervals."""
 
     pairs: Tuple[Tuple[int, int], ...]
     components: int
+
+    def __init__(self, pairs, components):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "components", components)
 
 
 def _component_count(pairs) -> int:

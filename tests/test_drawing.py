@@ -28,6 +28,17 @@ def test_graph_validation():
     assert g.degree(1) == 1 and g.adjacency()[1] == [2]
 
 
+def test_graph_refuses_a_negative_vertex_count():
+    assert Graph(0, ()).n == 0
+    with pytest.raises(ValidationError) as err:
+        Graph(-1, ())
+    assert err.value.location == "n"
+    doc = {"n": -2, "vertices": [], "edges": []}
+    with pytest.raises(ValidationError) as err:
+        decode_drawing(json.dumps(doc))
+    assert err.value.location == "n" and "negative" in str(err.value)
+
+
 def test_codec_round_trip():
     d = square_drawing()
     data = encode_drawing(d)

@@ -52,3 +52,16 @@ def test_flat_drawing_lies_in_z_0():
 def test_unknown_kind_raises():
     with pytest.raises(ValidationError):
         generators.seeded_generators("nope", {}, 0)
+
+
+def test_graphs_need_a_probability_and_a_vertex_count():
+    for p in (1.5, -1, float("nan")):
+        with pytest.raises(ValidationError) as err:
+            generators.erdos_renyi(5, p, 1)
+        assert err.value.location == "p"
+        with pytest.raises(ValidationError):
+            generators.random_drawing(5, p, 1)
+    for p in (0, 1):
+        assert generators.erdos_renyi(5, p, 1).m == 10 * p
+    with pytest.raises(ValidationError):
+        generators.erdos_renyi(-1, 0.5, 1)
