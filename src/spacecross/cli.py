@@ -9,7 +9,8 @@ strings, quadratic irrationals as field dicts.
 Exit status: 0 success (also --help), 1 validation error, including a
 command-line usage error or a path that cannot be read or written, 2
 internal invariant failure.  An error report whose --output path cannot be
-written goes to stdout.
+written goes to stdout.  A closed stdout ends the run with status 1 and
+nothing more written.
 """
 
 from __future__ import annotations
@@ -274,15 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    _setup_logging()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def _run(args) -> int:
+    """Run the subcommand of ``args``, write its report and return the
+    exit status."""
     try:
         doc = args.func(args)
         if doc:
             _write_report(doc, getattr(args, "output", None))
         return 0
+    except BrokenPipeError:
+        raise
     except (ValidationError, DegenerateInput, NotDisjoint, DegeneratePosition,
             PreconditionViolated, OSError, json.JSONDecodeError,
             KeyError) as exc:
@@ -296,6 +298,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError:
         # the report path itself cannot be written
         _write_report(report, None)
+    return status
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    _setup_logging()
+    args = build_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: write nothing more, and send the flush
+        # at exit to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
     return status
 
 

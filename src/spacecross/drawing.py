@@ -159,12 +159,21 @@ def _json_object(data) -> dict:
     return data
 
 
+def _integer_from_doc(rec, key: str, where: str) -> int:
+    """The JSON integer ``rec[key]``; a float, a bool or a string is
+    refused."""
+    try:
+        v = rec[key]
+    except (KeyError, TypeError):
+        raise ValidationError(f"missing {key}", where)
+    if type(v) is not int:    # a bool is no int here
+        raise ValidationError(f"{key} must be an integer, got {v!r}", where)
+    return v
+
+
 def decode_drawing(data) -> SpatialDrawing:
     doc = _json_object(data)
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("missing or bad vertex count", "n")
+    n = _integer_from_doc(doc, "n", "n")
     if n < 0:
         raise ValidationError(f"negative vertex count {n}", "n")
     verts = doc.get("vertices")
@@ -173,10 +182,7 @@ def decode_drawing(data) -> SpatialDrawing:
     positions: List[Optional[Vec3]] = [None] * n
     for k, rec in enumerate(verts):
         where = f"vertices[{k}]"
-        try:
-            vid = int(rec["id"])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError("missing id", where)
+        vid = _integer_from_doc(rec, "id", where)
         if not (0 <= vid < n) or positions[vid] is not None:
             raise ValidationError(f"bad or duplicate id {vid}", where)
         positions[vid] = _pos_from_doc(rec.get("pos"), where + ".pos")
@@ -184,10 +190,8 @@ def decode_drawing(data) -> SpatialDrawing:
     polylines: Dict[Edge, List[Vec3]] = {}
     for k, rec in enumerate(_list_from_doc(doc.get("edges", []), "edges")):
         where = f"edges[{k}]"
-        try:
-            u, v = int(rec["u"]), int(rec["v"])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError("missing endpoints", where)
+        u = _integer_from_doc(rec, "u", where)
+        v = _integer_from_doc(rec, "v", where)
         if u == v:
             raise ValidationError(f"loop at vertex {u}", where)
         e = (min(u, v), max(u, v))

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .drawing import Graph, SpatialDrawing
 from .errors import ValidationError

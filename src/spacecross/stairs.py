@@ -1,19 +1,17 @@
 """Stair-convexity machinery on stretched grids.
 
-Contains the stretched grid model (explicit fast-growing coordinates or
-index-only mode), stair-paths and the grid closeness metric, the interval
-graph whose standard drawing lives on the grid diagonal, the stair-line
-crossing decision for four diagonal stair-paths, the census of the 105
-interval order types, and the combinatorial count of candidate crossing
-quadruples together with its closed-form bounds.
+Contains the stretched grid with explicit fast-growing coordinates,
+stair-paths, the interval graph whose vertices sit on the grid diagonal,
+the stair-line crossing decision for four diagonal stair-paths, the census
+of the 105 interval order types, and the combinatorial count of candidate
+crossing quadruples together with its closed-form bounds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil, comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,32 +19,28 @@ from .drawing import Graph
 from .errors import PreconditionViolated, ValidationError
 from .scalars import _FrozenRecord, _Record, rat
 
-GridPoint = Tuple[int, int, int]
-
 
 class StretchedGrid(_FrozenRecord):
     """Product grid X1 x X2 x X3 with strictly increasing axis values.
 
-    In index-only mode (coords is None) only combinatorial operations are
-    available.  Explicit mode stores per-axis value sequences that grow
-    fast enough for segments to behave like stair-paths; the default uses
-    x[1][j] = j and x[i][j] = base ** ((j-1) * scale ** (i-1)).
+    The per-axis value sequences grow fast enough for segments to behave
+    like stair-paths; `explicit` builds x[1][j] = j and
+    x[i][j] = base ** ((j-1) * scale ** (i-1)).
     """
 
     n: int
-    coords: Optional[Tuple[Tuple[Fraction, ...], ...]]
+    coords: Tuple[Tuple[Fraction, ...], ...]
 
-    def __init__(self, n, coords=None):
+    def __init__(self, n, coords):
         if n < 1:
             raise ValidationError("grid needs at least one point per axis")
-        if coords is not None:
-            if len(coords) != 3 or any(len(ax) != n for ax in coords):
-                raise ValidationError("need three axes with n values each")
-            for ax in coords:
-                if any(ax[i] >= ax[i + 1] for i in range(len(ax) - 1)):
-                    raise ValidationError("axis values must strictly increase")
-                if ax[0] != 1:
-                    raise ValidationError("axis values must start at 1")
+        if len(coords) != 3 or any(len(ax) != n for ax in coords):
+            raise ValidationError("need three axes with n values each")
+        for ax in coords:
+            if any(ax[i] >= ax[i + 1] for i in range(len(ax) - 1)):
+                raise ValidationError("axis values must strictly increase")
+            if ax[0] != 1:
+                raise ValidationError("axis values must start at 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coords", coords)
 
@@ -60,44 +54,10 @@ class StretchedGrid(_FrozenRecord):
                               for j in range(1, n + 1)))
         return StretchedGrid(n, tuple(axes))
 
-    @property
-    def is_explicit(self) -> bool:
-        return self.coords is not None
-
-    def check_point(self, p: GridPoint):
-        if len(p) != 3 or any(not (1 <= c <= self.n) for c in p):
-            raise ValidationError(f"grid point {p} out of range")
-
-    def value(self, axis: int, index: int) -> Fraction:
-        if not self.is_explicit:
-            raise ValidationError("index-only grid has no coordinates")
-        return self.coords[axis][index - 1]
-
-    def point_coords(self, p: GridPoint) -> Tuple[Fraction, Fraction, Fraction]:
-        self.check_point(p)
-        return tuple(self.value(i, p[i]) for i in range(3))
-
     def diagonal_point(self, i: int) -> Tuple[Fraction, Fraction, Fraction]:
-        return self.point_coords((i, i, i))
-
-    def separators(self, axis: int, u: Fraction, v: Fraction) -> int:
-        if u > v:
-            u, v = v, u
-        ax = self.coords[axis]
-        return max(0, bisect_left(ax, v) - bisect_right(ax, u))
-
-
-def grid_distance(grid: StretchedGrid, a: GridPoint, b: GridPoint) -> int:
-    """Least k such that a and b are separated by fewer than k grid points
-    in every coordinate; equal points are at distance 1."""
-    grid.check_point(a)
-    grid.check_point(b)
-    return max(1, max(abs(x - y) for x, y in zip(a, b)))
-
-
-def point_distance(grid: StretchedGrid, p, q) -> int:
-    """Closeness distance for arbitrary points in the grid bounding box."""
-    return 1 + max(grid.separators(i, p[i], q[i]) for i in range(3))
+        if not 1 <= i <= self.n:
+            raise ValidationError(f"diagonal index {i} out of range")
+        return tuple(ax[i - 1] for ax in self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +88,8 @@ def stair_path(a: Sequence, b: Sequence) -> List[Tuple[Tuple, Tuple]]:
     return segs
 
 
-def stair_path_axes(segs) -> List[int]:
-    axes = []
-    for lo, hi in segs:
-        diff = [i for i in range(len(lo)) if lo[i] != hi[i]]
-        if len(diff) != 1:
-            raise ValidationError("stair segment not axis parallel")
-        axes.append(diff[0])
-    return axes
-
-
 # ---------------------------------------------------------------------------
-# the interval graph and its standard stair drawing
+# the interval graph
 # ---------------------------------------------------------------------------
 
 def _check_interval_size(n: int, m: int) -> None:
@@ -160,31 +110,6 @@ def interval_graph(n: int, m: int) -> Graph:
 
 def interval_width(n: int, m: int) -> int:
     return ceil(Fraction(2 * m, n))
-
-
-class StairDrawing(_Record):
-    """Standard stair drawing: vertex i at the diagonal point with index
-    5(i+1), edges drawn as stair-paths between diagonal points."""
-
-    def __init__(self, graph: Graph, grid: StretchedGrid,
-                 anchors: List[int],  # diagonal index per vertex
-                 paths: Optional[Dict[Tuple[int, int], List]] = None):
-        self.graph = graph
-        self.grid = grid
-        self.anchors = anchors
-        self.paths = {} if paths is None else paths
-
-
-def standard_stair_drawing(n: int, m: int, grid: StretchedGrid) -> StairDrawing:
-    if grid.n < 5 * n:
-        raise ValidationError(f"grid needs at least {5 * n} points per axis")
-    g = interval_graph(n, m)
-    anchors = [5 * (i + 1) for i in range(n)]
-    paths = {}
-    for (u, v) in g.edges:
-        s, t = anchors[u], anchors[v]
-        paths[(u, v)] = stair_path((s, s, s), (t, t, t))
-    return StairDrawing(g, grid, anchors, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +160,9 @@ def stair_crossing_exists(anchor_pairs: Sequence[Tuple]) -> StairCrossing:
         return order[-1] + 1
 
     pairs_ranked = [tuple(sorted((rank[s], rank[t]))) for s, t in anchor_pairs]
-    # the pieces of each diagonal stair-path, drawn as in
-    # standard_stair_drawing, as coordinate-range boxes: with s < t each
-    # piece runs up in its coordinate
+    # the pieces of the stair-path from the diagonal point (s, s, s) to
+    # (t, t, t), as coordinate-range boxes: with s < t each piece runs up
+    # in its coordinate
     edge_boxes = [[tuple(zip(lo, hi))
                    for lo, hi in stair_path((s,) * 3, (t,) * 3)]
                   for s, t in pairs_ranked]
@@ -259,9 +184,7 @@ def stair_crossing_exists(anchor_pairs: Sequence[Tuple]) -> StairCrossing:
         if feasible.any():
             idx = np.argwhere(feasible)[0]
             coords = tuple(unrank(cand_ranks[i]) for i in idx)
-            result = StairCrossing(True, kind, coords)
-            _assert_pairing_condition(anchor_pairs)
-            return result
+            return StairCrossing(True, kind, coords)
     return StairCrossing(False)
 
 
@@ -290,17 +213,6 @@ def _box_overlap_np(lb, eb) -> np.ndarray:
         cond = (al <= bh) & (bl <= ah)
         out = cond if out is None else (out & cond)
     return out
-
-
-def _assert_pairing_condition(anchor_pairs):
-    """Every positive must satisfy the necessary overlap pairing: each
-    interval meets at least one other."""
-    ivs = [tuple(sorted(p)) for p in anchor_pairs]
-    for i, (lo, hi) in enumerate(ivs):
-        if not any(lo <= ivs[j][1] and ivs[j][0] <= hi
-                   for j in range(4) if j != i):
-            raise AssertionError(
-                "stair-crossing found but interval pairing condition fails")
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,15 @@ MALFORMED = [
     ("transversal-4cycles", {"cycles": 5}),
     ("conway-gordon", {"points": [["x", "0", "0"]] * 6}),
     ("linking", []),
+    # drawing fields are JSON integers: not a float, not a bool
+    ("count-crossings", {**_drawing_doc(), "n": 2.9}),
+    ("count-crossings", {"n": True, "vertices": [
+        {"id": 0, "pos": ["0", "0", "0"]}], "edges": []}),
+    ("count-crossings", _drawing_doc(edges=[{"u": 0.5, "v": 1.99}])),
+    ("count-crossings", _drawing_doc(edges=[{"u": False, "v": True}])),
+    ("count-crossings", {**_drawing_doc(), "vertices": [
+        {"id": 0.2, "pos": ["0", "0", "0"]},
+        {"id": 1, "pos": ["1", "0", "0"]}]}),
 ]
 
 
@@ -324,6 +333,29 @@ def test_drawing_larger_than_its_lattice_exits_1(params):
         timeout=10, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["code"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["order-types"],
+    ["gen-hexgrid", "--k", "1", "--subdivision", "1"],
+    # the error report, too, goes to the closed stdout
+    ["gen-stair", "--n", "-1", "--m", "1"],
+], ids=["report", "drawing", "error-report"])
+def test_a_closed_stdout_ends_the_run_quietly(argv):
+    # a pipe whose read end is closed before the command starts
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spacecross.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Broken pipe" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def test_drawing_fills_its_lattice(capsys):

@@ -21,8 +21,7 @@ from spacecross.linking import (ConwayGordonResult, LinkedCyclePair,
 from spacecross.pipeline import (Bisection, HexGrid, HexGridConstruction,
                                  SubdivisionEmbedding)
 from spacecross.scalars import QuadExt
-from spacecross.stairs import (IntervalMatching, StairCrossing, StairDrawing,
-                               StretchedGrid)
+from spacecross.stairs import IntervalMatching, StairCrossing, StretchedGrid
 
 
 def _graph():
@@ -75,8 +74,6 @@ RECORDS = {
         False),
     "StretchedGrid": (
         lambda: StretchedGrid(2, ((Fraction(1), Fraction(2)),) * 3), True),
-    "StairDrawing": (
-        lambda: StairDrawing(_graph(), StretchedGrid(15), [5, 10, 15]), False),
     "StairCrossing": (lambda: StairCrossing(True, 2, (1, 2, 3)), False),
     "IntervalMatching": (
         lambda: IntervalMatching(((1, 2), (3, 4), (5, 8), (6, 7)), 3), True),
@@ -99,7 +96,6 @@ REPRS = {
     'SegmentTransversal': 'SegmentTransversal(exists=True, line=PluckerLine(direction=(1, 0, 0), moment=(0, 0, Fraction(1, 2))), params=[Fraction(1, 2), 0])',
     'SpatialDrawing': 'SpatialDrawing(graph=Graph(n=3, edges=((0, 1), (1, 2))), positions=[(0, 0, 0), (1, 0, 0), (1, 1, 0)], polylines={})',
     'StairCrossing': 'StairCrossing(exists=True, kind=2, coords=(1, 2, 3))',
-    'StairDrawing': 'StairDrawing(graph=Graph(n=3, edges=((0, 1), (1, 2))), grid=StretchedGrid(n=15, coords=None), anchors=[5, 10, 15], paths={})',
     'StretchedGrid': 'StretchedGrid(n=2, coords=((Fraction(1, 1), Fraction(2, 1)), (Fraction(1, 1), Fraction(2, 1)), (Fraction(1, 1), Fraction(2, 1))))',
     'SubdivisionEmbedding': 'SubdivisionEmbedding(branch_vertices=(0, 1, 2, 3, 4, 5), paths={(0, 1): [0, 6, 1]})',
 }
@@ -137,12 +133,8 @@ def test_record_defaults_are_fresh_per_instance():
             r1.tuples_after_prefilter) == (None, 0.0, 0, 0)
     d1, d2 = _drawing(), _drawing()
     assert d1.polylines == {} and d1.polylines is not d2.polylines
-    s1 = StairDrawing(_graph(), StretchedGrid(15), [5, 10, 15])
-    s2 = StairDrawing(_graph(), StretchedGrid(15), [5, 10, 15])
-    assert s1.paths == {} and s1.paths is not s2.paths
     assert SegmentTransversal(False) == SegmentTransversal(False, None, None)
     assert StairCrossing(False) == StairCrossing(False, None, None)
-    assert StretchedGrid(3) == StretchedGrid(n=3, coords=None)
 
 
 def test_records_take_fields_by_keyword():

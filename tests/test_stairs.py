@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -11,52 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from spacecross.errors import PreconditionViolated, ValidationError
 from spacecross.geometry import Segment3, transversal_exists_segments
-from spacecross.stairs import (IntervalMatching, StretchedGrid,
-                               count_candidate_quadruples,
+from spacecross.stairs import (StretchedGrid, count_candidate_quadruples,
                                crossing_bound_105, crossing_bound_explicit,
-                               enumerate_order_types, grid_distance,
-                               interval_graph, interval_width, point_distance,
-                               stair_crossing_exists, stair_path,
-                               stair_path_axes, standard_stair_drawing)
-
-
-# ---------------------------------------------------------------------------
-# grid metric
-# ---------------------------------------------------------------------------
-
-def test_grid_distance_examples():
-    grid = StretchedGrid(20)
-    assert grid_distance(grid, (3, 3, 3), (3, 3, 3)) == 1
-    assert grid_distance(grid, (1, 4, 4), (3, 4, 4)) == 2
-    assert grid_distance(grid, (1, 1, 1), (20, 1, 1)) == 19
-
-
-def test_grid_distance_triangle_inequality_random():
-    grid = StretchedGrid(20)
-    rng = random.Random(0)
-    for _ in range(10000):
-        a, b, c = (tuple(rng.randint(1, 20) for _ in range(3))
-                   for _ in range(3))
-        assert (grid_distance(grid, a, b)
-                <= grid_distance(grid, a, c) + grid_distance(grid, b, c))
-
-
-def test_grid_distance_triangle_inequality_exhaustive_small():
-    grid = StretchedGrid(3)
-    pts = list(itertools.product((1, 2, 3), repeat=3))
-    for a, b, c in itertools.product(pts, repeat=3):
-        assert (grid_distance(grid, a, b)
-                <= grid_distance(grid, a, c) + grid_distance(grid, b, c))
-
-
-def test_point_distance_agrees_on_grid_points():
-    grid = StretchedGrid.explicit(5, base=2, scale=4)
-    rng = random.Random(1)
-    for _ in range(50):
-        a = tuple(rng.randint(1, 5) for _ in range(3))
-        b = tuple(rng.randint(1, 5) for _ in range(3))
-        pa, pb = grid.point_coords(a), grid.point_coords(b)
-        assert point_distance(grid, pa, pb) == grid_distance(grid, a, b)
+                               enumerate_order_types, interval_graph,
+                               interval_width, stair_crossing_exists,
+                               stair_path)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +43,12 @@ def test_stair_path_three_dimensional_unfolded_by_hand():
 def test_stair_path_properties(a, b):
     segs = stair_path(a, b)
     assert len(segs) <= 3
-    axes = stair_path_axes(segs)
+    # each piece is axis parallel, and no two pieces share an axis
+    axes = []
+    for lo, hi in segs:
+        diff = [i for i in range(3) if lo[i] != hi[i]]
+        assert len(diff) == 1
+        axes.append(diff[0])
     assert len(set(axes)) == len(axes)
     if segs:
         ends = {segs[0][0], segs[-1][1]}
@@ -95,7 +58,7 @@ def test_stair_path_properties(a, b):
 
 
 # ---------------------------------------------------------------------------
-# interval graph and standard drawing
+# interval graph
 # ---------------------------------------------------------------------------
 
 def test_interval_graph_examples():
@@ -119,23 +82,6 @@ def test_interval_graph_rejects_bad_m():
             interval_graph(n, m)
         with pytest.raises(ValidationError):
             count_candidate_quadruples(n, m)
-
-
-def test_standard_stair_drawing():
-    grid = StretchedGrid(30)
-    d = standard_stair_drawing(6, 9, grid)
-    assert d.anchors == [5, 10, 15, 20, 25, 30]
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert grid_distance(grid, (d.anchors[i],) * 3,
-                                 (d.anchors[j],) * 3) >= 5
-    for path in d.paths.values():
-        assert len(path) <= 3
-
-
-def test_standard_stair_drawing_needs_room():
-    with pytest.raises(ValidationError):
-        standard_stair_drawing(6, 9, StretchedGrid(29))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +136,15 @@ def test_stair_crossing_against_geometric_oracle():
         stair = stair_crossing_exists(pat).exists
         if geo:
             assert stair, f"geometric crossing without stair crossing: {pat}"
+
+
+def test_diagonal_point_indices_run_from_1_to_n():
+    grid = StretchedGrid.explicit(3, base=2, scale=2)
+    assert grid.diagonal_point(1) == (1, 1, 1)
+    assert grid.diagonal_point(3) == (3, 2 ** 4, 2 ** 8)
+    for i in (0, 4):
+        with pytest.raises(ValidationError):
+            grid.diagonal_point(i)
 
 
 def test_stair_crossing_positive_satisfies_pairing_condition():
@@ -252,6 +207,24 @@ def test_component_histogram():
     assert hist[1] + hist[2] + hist[3] + hist[4] == 105
     assert hist[4] == 1          # the fully separated matching
     assert hist[1] == 74 and hist[2] == 24 and hist[3] == 6
+
+
+def test_stair_crossing_census_of_order_types():
+    """The decision reads only the ranks of the eight anchors, so the 105
+    order types cover every input.  Of them 17 are stair crossings, all
+    with at most two components: each is a candidate that
+    count_candidate_quadruples counts.  In each, every interval meets
+    another one."""
+    from collections import Counter
+    positives = [t for t in enumerate_order_types()
+                 if stair_crossing_exists(t.pairs).exists]
+    assert len(positives) == 17
+    assert Counter(t.components for t in positives) == {1: 16, 2: 1}
+    for t in positives:
+        ivs = [tuple(sorted(p)) for p in t.pairs]
+        for i, (lo, hi) in enumerate(ivs):
+            assert any(lo <= ivs[j][1] and ivs[j][0] <= hi
+                       for j in range(4) if j != i), t.pairs
 
 
 # ---------------------------------------------------------------------------
