@@ -11,10 +11,10 @@ With ``prefilter`` each tuple passes a funnel of three steps, and
    line test on the edges' enclosing balls (``_collinear_possible``) and a
    2D stabbing test of the straight chords fattened by the largest
    distance of the polyline from its chord segment (``_stab_batch``).  For
-   k = 4 ``_disjoint_blocks`` then grows only the 4-tuples whose four
-   triples all pass (the apriori candidate join of Agrawal & Srikant,
-   1994).  Its tests carry fixed slacks and are not certified; they are
-   the only uncertified rejection.
+   k = 4 ``_join_triples`` then grows the kept triples into the 4-tuples
+   whose four triples all pass (the apriori candidate join of Agrawal &
+   Srikant, 1994).  Its tests carry fixed slacks and are not certified;
+   they are the only uncertified rejection.
 2. The certified filter, ``_certified_decide``, for k = 4: over blocks of
    segment combinations (one segment of each edge) of the surviving
    tuples, it evaluates in float64 the signs that the exact kernel takes
@@ -138,7 +138,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -172,8 +172,8 @@ class CrossingWitness(_Record):
 class CrossingReport(_Record):
     # ``stages``: (name, rows in, rows out, seconds) of each step of the
     # funnel, in edge k-tuples; each step's rows out are the next one's
-    # rows in.  ``tuple_filter`` covers the triple tests and, for k = 4, the
-    # join of the feasible triples; ``certified_filter`` puts out the tuples
+    # rows in.  ``tuple_filter`` covers the triple tests and, for k = 4,
+    # ``_join_triples``; ``certified_filter`` puts out the tuples
     # it did not refute, and ``exact`` puts out ``count``, including tuples
     # that the certified filter accepted
 
@@ -191,46 +191,48 @@ class CrossingReport(_Record):
         self.stages = [] if stages is None else stages
 
 
-def _disjoint_blocks(g: Graph, k: int, feasible: Optional[np.ndarray] = None
-                     ) -> Iterator[Tuple[np.ndarray, int]]:
-    """Every k-set of pairwise vertex-disjoint edges as rows of edge indices,
-    lexicographically, in int arrays of at most ``_CHUNK`` rows, each paired
-    with the number of disjoint k-sets it stands for.
-
-    ``later[i, j]``: j > i and edges i and j share no vertex.  A block of
-    prefixes grows by every edge ``later`` than all its entries; row-major
-    ``nonzero`` keeps the order.  Given a ``feasible`` table over sorted
-    triples (k = 4), the join grows only 4-sets whose four 3-subsets are
-    all feasible; an empty block stands for the disjoint ones left out."""
+def _disjoint_later(g: Graph) -> np.ndarray:
+    """``later[i, j]``: j > i and edges i and j share no vertex."""
     e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     shares = (e[:, None, :, None] == e[None, :, None, :]).any(axis=(2, 3))
-    later = np.triu(~shares, 1)
+    return np.triu(~shares, 1)
 
-    def grow(rows: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+
+def _disjoint_blocks(later: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Every k-set of pairwise vertex-disjoint edges as rows of edge indices,
+    lexicographically, in non-empty int arrays of at most ``_CHUNK`` rows.
+    A block of prefixes grows by every edge ``later`` than all its entries;
+    row-major ``nonzero`` keeps the order.  A k = 4 count with the tuple
+    filter stops it at triples and grows the kept ones in
+    ``_join_triples``, counting the disjoint 4-sets as the triples pass."""
+    def grow(rows: np.ndarray) -> Iterator[np.ndarray]:
         for lo in range(0, len(rows), _CHUNK):
             block = rows[lo:lo + _CHUNK]
             if block.shape[1] == k:
-                yield block, len(block)
+                yield block
                 continue
-            nxt = later[block].all(axis=1)
-            if feasible is not None and block.shape[1] == 3:
-                a, b, c = block.T
-                join = nxt & (feasible[a, b, c][:, None] & feasible[a, b]
-                              & feasible[a, c] & feasible[b, c])
-                left_out = int(nxt.sum() - join.sum())
-                yield np.empty((0, 4), dtype=np.intp), left_out
-                nxt = join
-            r, c = np.nonzero(nxt)
+            r, c = np.nonzero(later[block].all(axis=1))
             yield from grow(np.column_stack([block[r], c]))
 
     yield from grow(np.empty((1, 0), dtype=np.intp))
 
 
-def enumerate_disjoint_tuples(g: Graph, k: int) -> Iterable[Tuple[Edge, ...]]:
-    """All k-sets of pairwise vertex-disjoint edges, lexicographically."""
-    for block, _ in _disjoint_blocks(g, k):
-        for row in block.tolist():
-            yield tuple(g.edges[i] for i in row)
+def _join_triples(kept: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """The 4-sets of disjoint edges whose four triples are all rows of
+    ``kept`` (sorted, lexicographic), in that order: the apriori join of
+    Agrawal & Srikant, 1994.  Each kept triple (a, b, c), in blocks of at
+    most ``_CHUNK``, grows by every edge d ``later`` than all three with
+    (a, b, d), (a, c, d) and (b, c, d) kept."""
+    feasible = np.zeros((len(later),) * 3, dtype=bool)
+    feasible[tuple(kept.T)] = True
+    rows = [np.empty((0, 4), dtype=np.intp)]
+    for lo in range(0, len(kept), _CHUNK):
+        block = kept[lo:lo + _CHUNK]
+        a, b, c = block.T
+        r, d = np.nonzero(later[a] & later[b] & later[c] & feasible[a, b]
+                          & feasible[a, c] & feasible[b, c])
+        rows.append(np.column_stack([block[r], d]))
+    return np.vstack(rows)
 
 
 def count_planar_crossings(d: SpatialDrawing) -> int:
@@ -273,6 +275,8 @@ def lift_to_sphere(planar: SpatialDrawing, subdivision: int,
         raise ValidationError("subdivision must be at least 1")
     if not planar.is_straight() or not planar.is_flat():
         raise ValidationError("sphere lift needs a flat straight-line drawing")
+    if not planar.positions:
+        return planar
     xs = [p[0] for p in planar.positions]
     ys = [p[1] for p in planar.positions]
     cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
@@ -800,26 +804,22 @@ def count_line_crossings(d: SpatialDrawing, k: int,
                 "count_line_crossings k=%d: %d blocks done, %d tuples seen, "
                 "count %d so far", k, n_blocks, n_tuples, int(found.sum()))
 
-    def collect(blocks, width, test=None):
-        """The stacked rows of ``blocks`` that ``test`` keeps, all without
-        one; time in ``test`` goes to the tuple stage."""
-        nonlocal n_tuples, tuple_s
-        rows = [np.empty((0, width), dtype=np.intp)]
-        for block, seen in blocks:
+    later = _disjoint_later(g)
+    width = 3 if prefilter else k
+    kept = [np.empty((0, width), dtype=np.intp)]
+    for block in _disjoint_blocks(later, width):
+        n_tuples += (len(block) if width == k
+                     else int(later[block].all(axis=1).sum()))
+        if prefilter:
             ta = time.perf_counter()
-            rows.append(block[test(block, *edge_arrays)] if test else block)
-            tuple_s += time.perf_counter() - ta if test else 0.0
-            n_tuples += seen if width == k else 0
-            progress()
-        return np.vstack(rows)
-
-    survivors = (collect(_disjoint_blocks(g, 3), 3, _triple_filter)
-                 if prefilter else collect(_disjoint_blocks(g, k), k))
-    if prefilter and k == 4:
+            block = block[_triple_filter(block, *edge_arrays)]
+            tuple_s += time.perf_counter() - ta
+        kept.append(block)
+        progress()
+    survivors = np.vstack(kept)
+    if width < k:
         ta = time.perf_counter()
-        feasible = np.zeros((g.m,) * 3, dtype=bool)
-        feasible[tuple(survivors.T)] = True
-        survivors = collect(_disjoint_blocks(g, 4, feasible), 4)
+        survivors = _join_triples(survivors, later)
         tuple_s += time.perf_counter() - ta
     enum_s = time.perf_counter() - t_enum - tuple_s
 

@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spacecross import counting, generators, geometry
 from spacecross.counting import (count_line_crossings, count_planar_crossings,
-                                 enumerate_disjoint_tuples, lift_to_sphere)
+                                 lift_to_sphere)
 from spacecross.drawing import Graph, SpatialDrawing
 from spacecross.errors import ValidationError
 from spacecross.geometry import (PluckerLine, Segment3, _incidence_quadratic,
                                  _int_triple, _plane, _trace, point3,
                                  transversal_exists_segments)
-from spacecross.linking import PolygonalCycle
 from spacecross.pipeline import (boost_witness_pipeline, hexgrid_construction,
                                  hexgrid_graph)
 
@@ -47,33 +46,30 @@ ENUMERATION_GRAPHS = [
 ]
 
 
+def disjoint_rows(g, k):
+    """The rows of ``_disjoint_blocks``, as tuples of edge indices."""
+    blocks = counting._disjoint_blocks(counting._disjoint_later(g), k)
+    return [tuple(r) for b in blocks for r in b.tolist()]
+
+
 def test_enumerate_disjoint_tuples_counts():
-    assert sum(1 for _ in enumerate_disjoint_tuples(complete_graph(4), 4)) == 0
+    assert disjoint_rows(complete_graph(4), 4) == []
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    tuples = list(enumerate_disjoint_tuples(g, 4))
-    assert tuples == [((0, 1), (2, 3), (4, 5), (6, 7))]
-    assert sum(1 for _ in enumerate_disjoint_tuples(complete_graph(8), 4)) == 105
-    assert sum(1 for _ in enumerate_disjoint_tuples(complete_graph(6), 3)) == 15
-    for g in ENUMERATION_GRAPHS:
-        for k in (3, 4):
-            assert list(enumerate_disjoint_tuples(g, k)) == [
-                tuple(g.edges[i] for i in c) for c in disjoint_combinations(g, k)]
+    assert disjoint_rows(g, 4) == [(0, 1, 2, 3)]
+    assert len(disjoint_rows(complete_graph(8), 4)) == 105
+    assert len(disjoint_rows(complete_graph(6), 3)) == 15
 
 
 def test_enumeration_is_lexicographic_and_disjoint(monkeypatch):
-    g = complete_graph(8)
-    seen = list(enumerate_disjoint_tuples(g, 4))
-    assert seen == sorted(seen)
-    for tup in seen:
-        assert len({v for e in tup for v in e}) == 8
     for chunk in (counting._CHUNK, 3):
         monkeypatch.setattr(counting, "_CHUNK", chunk)
         for g in ENUMERATION_GRAPHS:
+            later = counting._disjoint_later(g)
             for k in range(5):
-                blocks = list(counting._disjoint_blocks(g, k))
+                blocks = list(counting._disjoint_blocks(later, k))
                 assert all(1 <= len(b) <= chunk and b.shape[1] == k
-                           and seen == len(b) for b, seen in blocks)
-                rows = [tuple(r) for b, _ in blocks for r in b.tolist()]
+                           for b in blocks)
+                rows = [tuple(r) for b in blocks for r in b.tolist()]
                 assert rows == disjoint_combinations(g, k)
 
 
@@ -81,18 +77,28 @@ def test_join_keeps_the_tuples_whose_triples_are_all_feasible(monkeypatch):
     for chunk in (counting._CHUNK, 3):
         monkeypatch.setattr(counting, "_CHUNK", chunk)
         for g in ENUMERATION_GRAPHS:
-            disjoint = disjoint_combinations(g, 4)
+            later = counting._disjoint_later(g)
+            triples = disjoint_combinations(g, 3)
             for seed, p in ((0, 0.0), (1, 0.5), (2, 0.9), (3, 1.0)):
-                feasible = np.random.default_rng(seed).random((g.m,) * 3) < p
-                blocks = list(counting._disjoint_blocks(g, 4, feasible))
-                assert all(len(b) <= chunk and b.shape[1] == 4
-                           and (seen == len(b) or not len(b))
-                           for b, seen in blocks)
-                rows = [tuple(r) for b, _ in blocks for r in b.tolist()]
-                assert rows == [
-                    c for c in disjoint
-                    if all(feasible[t] for t in itertools.combinations(c, 3))]
-                assert sum(seen for _, seen in blocks) == len(disjoint)
+                pick = np.random.default_rng(seed).random(len(triples)) < p
+                kept = [t for t, keep in zip(triples, pick) if keep]
+                kept_set = set(kept)
+                joined = counting._join_triples(
+                    np.array(kept, dtype=np.intp).reshape(-1, 3), later)
+                assert joined.dtype == np.intp and joined.shape[1] == 4
+                assert [tuple(r) for r in joined.tolist()] == [
+                    c for c in disjoint_combinations(g, 4)
+                    if set(itertools.combinations(c, 3)) <= kept_set]
+
+
+def test_tuples_total_counts_every_disjoint_tuple(monkeypatch):
+    # the tuple filter counts the disjoint 4-sets as it enumerates triples
+    monkeypatch.setattr(counting, "_CHUNK", 3)
+    for seed, g in enumerate(ENUMERATION_GRAPHS):
+        d = SpatialDrawing(g, generators.random_points(g.n, seed, 2 ** 20))
+        rep = count_line_crossings(d, 4)
+        assert rep.tuples_total == len(disjoint_combinations(g, 4))
+        assert rep.stages[0][2] == rep.tuples_total
 
 
 def test_planar_crossings_examples():
@@ -159,9 +165,10 @@ def oracle_count(d, k):
     """Tuples with a transversal through some choice of one segment per
     edge, decided by the exact predicate alone."""
     return sum(
-        1 for tup in enumerate_disjoint_tuples(d.graph, k)
+        1 for c in disjoint_combinations(d.graph, k)
         if any(transversal_exists_segments(list(segs)).exists
-               for segs in itertools.product(*map(d.edge_segments, tup))))
+               for segs in itertools.product(
+                   *(d.edge_segments(d.graph.edges[i]) for i in c))))
 
 
 def sphere_lifted_drawing(seed, subdivision=2, n=9, p=0.4):
@@ -243,9 +250,9 @@ def test_count_k3_mode():
     d = SpatialDrawing(complete_graph(6), pts)
     rep = count_line_crossings(d, 3)
     oracle = sum(
-        1 for tup in enumerate_disjoint_tuples(d.graph, 3)
+        1 for c in disjoint_combinations(d.graph, 3)
         if transversal_exists_segments(
-            [d.edge_segments(e)[0] for e in tup]).exists)
+            [d.edge_segments(d.graph.edges[i])[0] for i in c]).exists)
     assert rep.count == oracle
 
 
@@ -375,6 +382,11 @@ def test_lift_bound_on_random_crossing_drawings():
         assert space <= cr * (cr - 1) // 2
         done += 1
     assert done >= 5
+
+
+def test_lift_of_the_empty_drawing_is_empty():
+    lifted = lift_to_sphere(SpatialDrawing(Graph.from_edges(0, []), []), 2)
+    assert (lifted.graph.n, lifted.positions, lifted.polylines) == (0, [], {})
 
 
 def test_lift_determinism():

@@ -10,7 +10,7 @@ from spacecross import linking, pipeline
 from spacecross.errors import (DegeneratePosition, NotDisjoint, ValidationError)
 from spacecross.geometry import (_scaled_int_segments, point3,
                                  segments_intersect_2d,
-                                 transversal_exists_segments, v_add, v_sub,
+                                 transversal_exists_segments, v_add,
                                  verify_transversal)
 from spacecross.linking import (PolygonalCycle, conway_gordon_check,
                                 find_linked_pair, linking_number,
